@@ -27,22 +27,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError, SizeCapError
-from .homology import TABLE_HARD_MAX, UnionFind, betti0_table
+from .homology import CHUNK_BITS, TABLE_HARD_MAX, UnionFind, betti0_table
 from .metric_complex import NeighborComplex
 
 # Exact mode is opt-in above this size because the subset table costs
 # O(2^n) space and the accumulation O(n 2^n) time.
 DEFAULT_EXACT_CAP = 20
-
-# numpy working set per chunk stays near 2^22 entries regardless of n.
-_CHUNK_BITS = 22
 
 
 @dataclass(frozen=True)
@@ -103,29 +100,37 @@ def _marginal_tallies(complex_: NeighborComplex) -> np.ndarray:
     """tallies[i][k] = sum of |b0(C + i) - b0(C)| over coalitions C of
     size k avoiding i.  Integer-valued; returned as int64.
 
-    Scans the subset table in chunks: for masks m with bit i clear, the
-    marginal of i against coalition m is |t[m | bit] - t[m]| and the
-    coalition size is popcount(m).  Per-size sums via bincount; the
-    float accumulation is exact well below 2^53.
+    For vertex i the subset table is viewed, without copying, as shape
+    (2^(n-1-i), 2, 2^i): entry [a, 0, c] is t[m] for the coalition
+    m = a 2^(i+1) + c, which avoids i, and [a, 1, c] is t[m | 2^i].  The
+    signed marginal is the difference of the two planes, and |m| is the
+    popcount of the pair index p = a 2^i + c.  Each chunk of 2^CHUNK_BITS
+    pairs is counted by an integer bincount keyed by (|m|, marginal), and
+    the absolute values are applied to the counts at the end, so the sums
+    stay exact with no float weights.
     """
     n = complex_.n
     table = betti0_table(complex_)
-    tallies = np.zeros((n, n), dtype=np.int64)
-    size = 1 << n
-    chunk = min(size, 1 << _CHUNK_BITS)
-    masks = np.arange(chunk, dtype=np.int64)
-    for start in range(0, size, chunk):
-        m = masks + start if start else masks
-        pc = np.bitwise_count(m)
-        t_m = table[m].astype(np.int16)
-        for i in range(n):
-            bit = 1 << i
-            clear = (m & bit) == 0
-            sizes = pc[clear]
-            diff = np.abs(table[m[clear] | bit].astype(np.int16) - t_m[clear])
-            sums = np.bincount(sizes, weights=diff, minlength=n)
-            tallies[i] += sums[:n].astype(np.int64)
-    return tallies
+    width = 2 * n + 1  # a signed marginal lies in -n..n
+    bits = min(CHUNK_BITS, n - 1)
+    chunk = 1 << bits
+    # A chunk starts at a multiple p0 of its length, so the popcount of
+    # p0 + r is popcount(p0) + popcount(r): keys are a fixed base shifted
+    # by popcount(p0) rows of ``width``.
+    base = np.bitwise_count(np.arange(chunk)).astype(np.int16) * width + n
+    span = (bits + 1) * width
+    counts = np.zeros((n, n * width), dtype=np.int64)
+    for i in range(n):
+        pairs = table.reshape(-1, 2, 1 << i)
+        cols = min(1 << i, chunk)
+        rows = chunk // cols
+        for p0 in range(0, 1 << (n - 1), chunk):
+            a, c = divmod(p0, 1 << i)
+            block = pairs[a : a + rows, :, c : c + cols]
+            key = base.reshape(rows, cols) + (block[:, 1] - block[:, 0])
+            off = p0.bit_count() * width
+            counts[i, off : off + span] += np.bincount(key.ravel(), minlength=span)
+    return counts.reshape(n, n, width) @ np.abs(np.arange(-n, n + 1))
 
 
 def exact_shapley(
@@ -134,8 +139,8 @@ def exact_shapley(
     """Exact rational Shapley scores by full coalition enumeration.
 
     Refuses n above ``cap``; raising the cap past the default is allowed
-    up to the table's hard maximum but warns, since time and memory grow
-    as O(n 2^n).
+    up to the table's hard maximum but warns, since time grows as
+    O(n 2^n) and memory as 2^n bytes.
     """
     n = complex_.n
     if cap > TABLE_HARD_MAX:
@@ -147,8 +152,8 @@ def exact_shapley(
         )
     if n > DEFAULT_EXACT_CAP:
         warnings.warn(
-            f"exact enumeration at n={n} walks {n} * 2^{n} subset pairs; "
-            "expect minutes and gigabytes past the default cap",
+            f"exact enumeration at n={n} fills a 2^{n}-entry subset table; "
+            "time and memory roughly double with each vertex past the default cap",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -268,16 +273,7 @@ def compute_influence(
             raise InputError(
                 f"{len(labels)} labels for {result.n} samples"
             )
-        result = InfluenceResult(
-            labels=labels,
-            shapley=result.shapley,
-            mu=result.mu,
-            entropy=result.entropy,
-            method=result.method,
-            permutations=result.permutations,
-            seed=result.seed,
-            std_error=result.std_error,
-        )
+        result = replace(result, labels=labels)
     return result
 
 

@@ -10,8 +10,9 @@ Also here: the subset table.  Influence attribution needs the component
 count of the induced subgraph on every subset S of vertices, all 2^n of
 them.  ``betti0_table`` fills that table with a peeling recurrence
 instead of 2^n independent traversals: the count for S is one more than
-the count for S minus the component containing S's lowest vertex, and
-that smaller subset was already solved.
+the count for S minus the component containing S's highest vertex, and
+that smaller subset was already solved.  The fill runs as numpy passes
+over chunks of subsets, never as a Python loop over all 2^n of them.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ ZERO_TOLERANCE = 1e-8
 # betti0_table allocates 2^n bytes and touches every subset once.
 # Above this the table will not fit in reasonable memory or time.
 TABLE_HARD_MAX = 26
+
+# Passes over the table work on 2^CHUNK_BITS subsets at a time, so their
+# numpy temporaries stay near a megabyte whatever n is.
+CHUNK_BITS = 15
 
 
 class UnionFind:
@@ -117,17 +122,29 @@ def betti0_spectral(complex_: NeighborComplex) -> int:
     return int(np.count_nonzero(np.abs(eigenvalues) <= ZERO_TOLERANCE))
 
 
+def _union_table(rows) -> np.ndarray:
+    """u[S] = the union of ``rows[v]`` over the set bits v of S, for all S."""
+    union = np.zeros(1 << len(rows), dtype=np.int64)
+    for k, row in enumerate(rows):
+        union[1 << k : 2 << k] = union[: 1 << k] | row
+    return union
+
+
 def betti0_table(complex_: NeighborComplex) -> np.ndarray:
     """Component counts for the induced subgraph on every vertex subset.
 
     Returns an array t of dtype int8 and length 2^n with t[mask] the
     component count of the subgraph induced on the set bits of ``mask``,
-    t[0] = 0.  Peeling recurrence: let c be the component of the lowest
-    set bit of ``mask`` (found by a bitmask flood fill); then
-    t[mask] = t[mask ^ c] + 1, and ``mask ^ c`` is a smaller index.
+    t[0] = 0.  Peeling recurrence: let c be the component of the highest
+    set bit 2^b of ``mask``; then t[mask] = t[mask ^ c] + 1, and
+    ``mask ^ c`` is below 2^b.  So the block of masks [2^b, 2^(b+1))
+    reads only earlier blocks, and blocks fill in order, in chunks of
+    2^CHUNK_BITS masks.  Within a chunk every c starts as 2^b and grows
+    by c = (N[c] & mask) | c, each pass over only the masks whose c still
+    grew.  N[c], the union of the adjacency rows over c, is looked up in
+    two tables of 2^(n/2) entries by the low and high halves of c.
 
-    Cost is one flood fill per subset; component counts fit in int8
-    because n <= TABLE_HARD_MAX.
+    Component counts fit in int8 because n <= TABLE_HARD_MAX.
     """
     n = complex_.n
     if n > TABLE_HARD_MAX:
@@ -135,23 +152,26 @@ def betti0_table(complex_: NeighborComplex) -> np.ndarray:
             f"subset table for n={n} needs 2^{n} entries; hard max is "
             f"n={TABLE_HARD_MAX}"
         )
-    rows = complex_.rows
     table = np.zeros(1 << n, dtype=np.int8)
-    # Local binding: this loop body runs 2^n times.
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        component = low
-        frontier = low
-        while frontier:
-            neighbors = 0
-            f = frontier
-            while f:
-                b = f & -f
-                neighbors |= rows[b.bit_length() - 1]
-                f ^= b
-            frontier = neighbors & mask & ~component
-            component |= frontier
-        table[mask] = table[mask ^ component] + 1
+    half = n // 2
+    low_bits = (1 << half) - 1
+    low = _union_table(complex_.rows[:half])
+    high = _union_table(complex_.rows[half:])
+    chunk = 1 << CHUNK_BITS
+    for b in range(n):
+        top = 1 << b
+        for start in range(top, 2 * top, chunk):
+            masks = np.arange(start, min(start + chunk, 2 * top), dtype=np.int64)
+            comp = np.full(len(masks), top, dtype=np.int64)
+            # Positions, masks and components of the chunk still growing.
+            live, m, c = np.arange(len(masks)), masks, comp
+            while len(live):
+                grown = ((low[c & low_bits] | high[c >> half]) & m) | c
+                # On the first pass c is comp itself: compare before writing.
+                moving = grown != c
+                comp[live] = grown
+                live, m, c = live[moving], m[moving], grown[moving]
+            table[start : start + len(masks)] = table[masks ^ comp] + 1
     return table
 
 

@@ -4,17 +4,22 @@ The important oracle here is ``definition_shapley``: a from-scratch
 evaluation of the defining sum over coalitions, sharing no code with the
 engine's subset-table walk.  Agreement between the two is the main
 correctness evidence for the exact path; the sampled path is checked for
-unbiasedness (full-permutation average) and reproducibility.
+unbiasedness (full-permutation average) and reproducibility.  The
+marginal tallies behind the exact path are also held bit for bit against
+the slow routes in ``oracles``, on graphs that span several chunks.
 """
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topoinfluence import engine, homology
 from topoinfluence import (
     InputError,
     NeighborComplex,
@@ -32,6 +37,13 @@ from topoinfluence import (
     star_graph,
     subset_weights,
     wheel_graph,
+)
+
+from oracles import (
+    MULTI_CHUNK_GRAPHS,
+    multi_chunk_case,
+    reference_betti0_table,
+    reference_tallies,
 )
 
 
@@ -114,6 +126,27 @@ class TestExact:
         assert len(set(res.shapley)) == 1
 
 
+class TestMarginalTallies:
+    @given(small_graphs(max_n=10), st.sampled_from([homology.CHUNK_BITS, 1, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference(self, g, chunk_bits):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "CHUNK_BITS", chunk_bits)
+            mp.setattr(engine, "CHUNK_BITS", chunk_bits)
+            tallies = engine._marginal_tallies(g)
+        expected = reference_tallies(reference_betti0_table(g), g.n)
+        assert tallies.dtype == np.int64
+        assert tallies.shape == (g.n, g.n)
+        assert tallies.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MULTI_CHUNK_GRAPHS))
+    def test_multi_chunk_graphs_match_reference(self, name):
+        g, table = multi_chunk_case(name)
+        tallies = engine._marginal_tallies(g)
+        assert tallies.dtype == np.int64
+        assert tallies.tobytes() == reference_tallies(table, g.n).tobytes()
+
+
 def test_subset_weights_total_probability():
     # Summed over all coalitions of the other n-1 vertices, the Shapley
     # weights form a probability distribution.
@@ -193,6 +226,14 @@ class TestComputeInfluence:
         res = compute_influence(g, labels=("a", "b", "c"))
         assert res.labels == ("a", "b", "c")
         assert res.method == "exact"
+
+    def test_labels_keep_every_other_field(self):
+        g = complete_graph(4)
+        res = compute_influence(
+            g, labels="wxyz", mode="sampled", permutations=50, seed=3
+        )
+        unlabeled = sampled_shapley(g, permutations=50, seed=3)
+        assert res == dataclasses.replace(unlabeled, labels=tuple("wxyz"))
 
     def test_label_length_checked(self):
         with pytest.raises(InputError):

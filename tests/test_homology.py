@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topoinfluence import homology
 from topoinfluence import (
     NeighborComplex,
     SizeCapError,
@@ -18,6 +21,8 @@ from topoinfluence import (
     path_graph,
     star_graph,
 )
+
+from oracles import MULTI_CHUNK_GRAPHS, multi_chunk_case, reference_betti0_table
 
 
 @st.composite
@@ -108,10 +113,35 @@ class TestBetti0Table:
                     delta = int(table[mask | 1 << i]) - int(table[mask])
                     assert -g.n < delta <= 1
 
+    @given(small_graphs(max_n=10), st.sampled_from([homology.CHUNK_BITS, 1, 3]))
+    @settings(max_examples=60)
+    def test_matches_reference_table(self, g, chunk_bits):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "CHUNK_BITS", chunk_bits)
+            table = betti0_table(g)
+        assert table.dtype == np.int8
+        assert len(table) == 1 << g.n
+        assert table.tobytes() == reference_betti0_table(g).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MULTI_CHUNK_GRAPHS))
+    def test_multi_chunk_graphs_match_reference(self, name):
+        g, expected = multi_chunk_case(name)
+        assert g.n >= homology.CHUNK_BITS + 2
+        table = betti0_table(g)
+        assert table.dtype == np.int8
+        assert len(table) == 1 << g.n
+        assert table.tobytes() == expected.tobytes()
+
     def test_size_guard(self):
         g = NeighborComplex.from_edges(27, [])
-        with pytest.raises(SizeCapError):
-            betti0_table(g)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeCapError):
+                betti0_table(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before the 2^27-byte table
 
 
 def test_component_masks():
