@@ -59,15 +59,7 @@ from .grammars import (
     enumerate_strings,
     grammar_influence,
 )
-from .homology import (
-    UnionFind,
-    betti0,
-    betti0_of_subset,
-    betti0_spectral,
-    betti0_table,
-    component_masks,
-    laplacian,
-)
+from .homology import UnionFind, betti0, betti0_table
 from .masking import (
     LabeledGraph,
     MaskingReport,
@@ -110,8 +102,6 @@ __all__ = [
     "UnionFind",
     "accepts",
     "betti0",
-    "betti0_of_subset",
-    "betti0_spectral",
     "betti0_table",
     "builtin_grammar",
     "build_complex",
@@ -122,7 +112,6 @@ __all__ = [
     "complete_bipartite_scores",
     "complete_graph",
     "complete_scores",
-    "component_masks",
     "compute_influence",
     "count_strings",
     "cycle_graph",
@@ -137,7 +126,6 @@ __all__ = [
     "get_family",
     "grammar_influence",
     "hamming_distance",
-    "laplacian",
     "mask_nodes",
     "path_graph",
     "path_scores",

@@ -11,7 +11,7 @@ configuration, seed included, so any output file identifies the run
 that made it.  Identical configurations produce byte-identical output.
 
 Exit codes: 0 success, 2 bad input or parameters, 3 exact-enumeration
-size cap, 4 numeric failure (eigensolver breakdown, identity mismatch).
+size cap, 4 identity mismatch.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from itertools import product
 from . import __version__
 from .engine import DEFAULT_EXACT_CAP, InfluenceResult, compute_influence
 from .errors import (
-    EigensolverError,
     EmptyLanguageError,
     InputError,
     SizeCapError,
@@ -147,20 +146,13 @@ def _read_input(args) -> str:
     return read_text(args.input)
 
 
-def _build_at_radius(text: str, fmt: str, metric: str, radius: float):
-    """(complex, labels) for one radius of a distance-bearing input."""
-    if fmt == "strings":
-        points = load_strings(text)
-        matrix = build_distance_matrix(points, metric)
-        labels = points.labels
-    elif fmt == "vectors":
-        points = load_vectors(text)
-        matrix = build_distance_matrix(points, metric)
-        labels = points.labels
-    else:  # matrix
+def _load_distances(text: str, fmt: str, metric: str):
+    """(distance matrix, labels) of a distance-bearing input."""
+    if fmt == "matrix":
         matrix = load_matrix(text)
-        labels = tuple(str(i) for i in range(matrix.n))
-    return build_complex(matrix, radius), labels
+        return matrix, tuple(str(i) for i in range(matrix.n))
+    points = load_strings(text) if fmt == "strings" else load_vectors(text)
+    return build_distance_matrix(points, metric), points.labels
 
 
 def _run_engine(args, complex_, labels) -> InfluenceResult:
@@ -187,7 +179,8 @@ def _cmd_influence(args) -> int:
     else:
         if args.radius is None:
             raise InputError(f"{fmt} input needs --radius")
-        complex_, labels = _build_at_radius(text, fmt, metric, args.radius)
+        matrix, labels = _load_distances(text, fmt, metric)
+        complex_ = build_complex(matrix, args.radius)
         radius = args.radius
     result = _run_engine(args, complex_, labels)
     config = {
@@ -215,10 +208,10 @@ def _cmd_sweep(args) -> int:
         raise InputError("sweep needs distances to threshold; edge lists fix one graph")
     text = _read_input(args)
     radii = args.radii
+    matrix, labels = _load_distances(text, fmt, metric)
     profiles = []
     for radius in radii:
-        complex_, labels = _build_at_radius(text, fmt, metric, radius)
-        result = _run_engine(args, complex_, labels)
+        result = _run_engine(args, build_complex(matrix, radius), labels)
         profiles.append(_profile_payload(result, radius))
     config = {
         "subcommand": "sweep",
@@ -411,36 +404,40 @@ def _cmd_mask(args) -> int:
     return EXIT_OK
 
 
-def _int_range(text: str) -> tuple[int, int]:
+def _parse_range(text: str, kind) -> tuple:
     try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
+        lo, hi = (kind(x) for x in text.split(":"))
+        if lo <= hi:
+            return lo, hi
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"expected LO:HI with LO <= HI, got {text!r}")
+
+
+def _parse_list(text: str, kind, noun: str) -> list:
+    try:
+        values = [kind(x) for x in text.split(",") if x]
+        if values:
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+
+
+def _int_range(text: str) -> tuple[int, int]:
+    return _parse_range(text, int)
 
 
 def _float_range(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
+    return _parse_range(text, float)
 
 
 def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
+    return _parse_list(text, int, "ints")
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(x) for x in text.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated reals, got {text!r}"
-        )
+    return _parse_list(text, float, "reals")
 
 
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
@@ -594,9 +591,6 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapError as exc:
         print(f"topoinfluence: size cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except EigensolverError as exc:
-        print(f"topoinfluence: numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except EmptyLanguageError as exc:
         print(f"topoinfluence: empty dataset: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -223,10 +223,9 @@ def sampled_shapley(
     for j in range(permutations):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=j << 64))
         order = rng.permutation(n).tolist()
-        marginals = permutation_marginals(complex_, order)
-        for i, m in enumerate(marginals):
-            sums[i] += m
-            sumsq[i] += m * m
+        marginals = np.array(permutation_marginals(complex_, order), dtype=np.int64)
+        sums += marginals
+        sumsq += marginals * marginals
     p = permutations
     scores = sums / p
     if p > 1:

@@ -13,10 +13,6 @@ class SizeCapError(TopoInfluenceError):
     """Exact enumeration was requested above the configured subset cap."""
 
 
-class EigensolverError(TopoInfluenceError):
-    """The symmetric eigensolver did not converge; fall back to union-find."""
-
-
 class EmptyLanguageError(TopoInfluenceError):
     """A grammar defines no strings at the requested length."""
 

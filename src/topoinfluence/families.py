@@ -96,12 +96,17 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> NeighborComplex:
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
     rng = np.random.Generator(np.random.Philox(key=seed))
+    return NeighborComplex.from_edges(
+        n, _er_edges(rng, n, p), source=f"erdos_renyi:{n},{p},{seed}"
+    )
+
+
+def _er_edges(rng: np.random.Generator, n: int, p: float) -> list[tuple[int, int]]:
+    """One uniform draw per pair i < j in row-major order; the pair is an
+    edge when its draw falls below p."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     draws = rng.random(len(pairs))
-    edges = [pair for pair, u in zip(pairs, draws) if u < p]
-    return NeighborComplex.from_edges(
-        n, edges, source=f"erdos_renyi:{n},{p},{seed}"
-    )
+    return [pair for pair, u in zip(pairs, draws) if u < p]
 
 
 def complete_scores(n: int) -> tuple[Fraction, ...]:

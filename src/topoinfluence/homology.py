@@ -1,31 +1,25 @@
-"""Connected-component counting, two independent ways.
+"""Connected-component counting, as the pipelines run it.
 
-The production route is a union-find pass over the edges.  The reference
-route counts zero eigenvalues of the graph Laplacian L = D - A; for an
-undirected graph the multiplicity of eigenvalue 0 equals the number of
-components, so the two must agree exactly.  Tests hold them to that.
-Keeping both alive is the point: a bug in one is caught by the other.
+Single graphs and the sampled walk count components with union-find.
+Exact mode needs more: the component count of the induced subgraph on
+every subset S of vertices, all 2^n of them.  ``betti0_table`` fills
+that table with a peeling recurrence instead of 2^n independent
+traversals: the count for S is one more than the count for S minus the
+component containing S's highest vertex, and that smaller subset was
+already solved.  The fill runs as numpy passes over chunks of subsets,
+never as a Python loop over all 2^n of them.
 
-Also here: the subset table.  Influence attribution needs the component
-count of the induced subgraph on every subset S of vertices, all 2^n of
-them.  ``betti0_table`` fills that table with a peeling recurrence
-instead of 2^n independent traversals: the count for S is one more than
-the count for S minus the component containing S's highest vertex, and
-that smaller subset was already solved.  The fill runs as numpy passes
-over chunks of subsets, never as a Python loop over all 2^n of them.
+The slower, independent counters these are tested against (per-subset
+union-find, a bitmask flood fill, and the zero eigenvalues of the graph
+Laplacian) live in ``tests/oracles.py``, outside the package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import EigensolverError, SizeCapError
+from .errors import SizeCapError
 from .metric_complex import NeighborComplex
-
-# Eigenvalues of L within this of zero count as zero.  L is PSD with
-# integer entries and its smallest nonzero eigenvalue for graphs this
-# size is far above the bound, so the gap is unambiguous.
-ZERO_TOLERANCE = 1e-8
 
 # betti0_table allocates 2^n bytes and touches every subset once.
 # Above this the table will not fit in reasonable memory or time.
@@ -71,55 +65,6 @@ def betti0(complex_: NeighborComplex) -> int:
     for u, v in complex_.edges():
         uf.union(u, v)
     return uf.count
-
-
-def betti0_of_subset(complex_: NeighborComplex, mask: int) -> int:
-    """Component count of the induced subgraph on the vertices in ``mask``.
-
-    The empty subset has zero components by convention; that choice makes
-    the first vertex added to an empty coalition worth exactly one
-    component, which the closed-form results downstream assume.
-    """
-    if mask == 0:
-        return 0
-    members = []
-    m = mask
-    while m:
-        low = m & -m
-        members.append(low.bit_length() - 1)
-        m ^= low
-    index = {v: k for k, v in enumerate(members)}
-    uf = UnionFind(len(members))
-    for k, v in enumerate(members):
-        row = complex_.rows[v] & mask
-        while row:
-            low = row & -row
-            w = low.bit_length() - 1
-            if w > v:
-                uf.union(k, index[w])
-            row ^= low
-    return uf.count
-
-
-def laplacian(complex_: NeighborComplex) -> np.ndarray:
-    n = complex_.n
-    a = np.zeros((n, n), dtype=np.float64)
-    for u, v in complex_.edges():
-        a[u, v] = a[v, u] = 1.0
-    return np.diag(a.sum(axis=1)) - a
-
-
-def betti0_spectral(complex_: NeighborComplex) -> int:
-    """Component count as the multiplicity of the zero Laplacian eigenvalue.
-
-    Reference implementation: O(n^3) dense symmetric eigensolve, used in
-    tests as an independent check on :func:`betti0`, never on the hot path.
-    """
-    try:
-        eigenvalues = np.linalg.eigvalsh(laplacian(complex_))
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigvalsh failed: {exc}") from exc
-    return int(np.count_nonzero(np.abs(eigenvalues) <= ZERO_TOLERANCE))
 
 
 def _union_table(rows) -> np.ndarray:
@@ -173,29 +118,3 @@ def betti0_table(complex_: NeighborComplex) -> np.ndarray:
                 live, m, c = live[moving], m[moving], grown[moving]
             table[start : start + len(masks)] = table[masks ^ comp] + 1
     return table
-
-
-def component_masks(complex_: NeighborComplex, mask: int | None = None) -> list[int]:
-    """Bitmasks of the connected components of the induced subgraph,
-    ordered by their lowest vertex."""
-    if mask is None:
-        mask = complex_.full_mask
-    rows = complex_.rows
-    out = []
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        component = low
-        frontier = low
-        while frontier:
-            neighbors = 0
-            f = frontier
-            while f:
-                b = f & -f
-                neighbors |= rows[b.bit_length() - 1]
-                f ^= b
-            frontier = neighbors & mask & ~component
-            component |= frontier
-        out.append(component)
-        remaining &= ~component
-    return out

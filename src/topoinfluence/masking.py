@@ -20,6 +20,7 @@ import numpy as np
 
 from .engine import compute_influence
 from .errors import GenerationBudgetError, InputError
+from .families import _er_edges
 from .homology import betti0
 from .metric_complex import NeighborComplex
 
@@ -106,11 +107,8 @@ def generate_er_dataset(
         attempt += 1
         n = int(rng.integers(n_lo, n_hi + 1))
         p = float(rng.uniform(p_lo, p_hi))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        draws = rng.random(len(pairs))
-        edges = [pair for pair, u in zip(pairs, draws) if u < p]
         graph = NeighborComplex.from_edges(
-            n, edges, source=f"er_dataset:{seed}/{attempt - 1}"
+            n, _er_edges(rng, n, p), source=f"er_dataset:{seed}/{attempt - 1}"
         )
         label = betti0(graph)
         if label in quota and filled[label] < quota[label]:

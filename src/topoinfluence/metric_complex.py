@@ -164,9 +164,6 @@ class DistanceMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> float:
         return float(self._values[ij])
 
-    def max_distance(self) -> float:
-        return float(self._values.max())
-
     def fingerprint(self) -> str:
         return hashlib.sha256(self._values.tobytes()).hexdigest()[:12]
 
@@ -234,10 +231,16 @@ class NeighborComplex:
                 raise InputError(f"adjacency row {i} has bits outside 0..n-1")
             if row >> i & 1:
                 raise InputError(f"self-loop on vertex {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.rows[i] >> j & 1) != (self.rows[j] >> i & 1):
-                    raise InputError(f"adjacency not symmetric at ({i}, {j})")
+        # Every set bit j of row i needs bit i of row j: O(n + m) checks.
+        for i, row in enumerate(self.rows):
+            while row:
+                low = row & -row
+                j = low.bit_length() - 1
+                if not self.rows[j] >> i & 1:
+                    raise InputError(
+                        f"adjacency not symmetric at ({min(i, j)}, {max(i, j)})"
+                    )
+                row ^= low
 
     @property
     def full_mask(self) -> int:

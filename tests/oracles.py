@@ -1,7 +1,9 @@
-"""Slow reference routes for the subset table and the marginal tallies.
+"""Slow reference routes for component counts, the subset table and the
+marginal tallies.
 
-Both share no code with the package's chunked numpy kernels, so tests can
-hold those kernels to them bit for bit.
+None of them is on a pipeline's path.  The table and tallies share no code
+with the package's chunked numpy kernels, so tests can hold those kernels
+to them bit for bit; the spectral count shares no code with union-find.
 """
 
 import functools
@@ -10,11 +12,64 @@ import numpy as np
 
 from topoinfluence import (
     NeighborComplex,
+    UnionFind,
     complete_bipartite_graph,
     cycle_graph,
     path_graph,
     star_graph,
 )
+
+# Eigenvalues of L within this of zero count as zero.  L is PSD with
+# integer entries and its smallest nonzero eigenvalue for graphs this
+# size is far above the bound, so the gap is unambiguous.
+ZERO_TOLERANCE = 1e-8
+
+
+def betti0_of_subset(complex_: NeighborComplex, mask: int) -> int:
+    """Component count of the induced subgraph on the vertices in ``mask``.
+
+    The empty subset has zero components by convention; that choice makes
+    the first vertex added to an empty coalition worth exactly one
+    component, which the closed-form results downstream assume.
+    """
+    if mask == 0:
+        return 0
+    members = []
+    m = mask
+    while m:
+        low = m & -m
+        members.append(low.bit_length() - 1)
+        m ^= low
+    index = {v: k for k, v in enumerate(members)}
+    uf = UnionFind(len(members))
+    for k, v in enumerate(members):
+        row = complex_.rows[v] & mask
+        while row:
+            low = row & -row
+            w = low.bit_length() - 1
+            if w > v:
+                uf.union(k, index[w])
+            row ^= low
+    return uf.count
+
+
+def laplacian(complex_: NeighborComplex) -> np.ndarray:
+    n = complex_.n
+    a = np.zeros((n, n), dtype=np.float64)
+    for u, v in complex_.edges():
+        a[u, v] = a[v, u] = 1.0
+    return np.diag(a.sum(axis=1)) - a
+
+
+def betti0_spectral(complex_: NeighborComplex) -> int:
+    """Component count as the multiplicity of the zero Laplacian eigenvalue.
+
+    O(n^3) dense symmetric eigensolve, an independent check on
+    :func:`topoinfluence.betti0`.  A ``np.linalg.LinAlgError`` propagates:
+    in a test, a solver breakdown is a failure to see, not to recover from.
+    """
+    eigenvalues = np.linalg.eigvalsh(laplacian(complex_))
+    return int(np.count_nonzero(np.abs(eigenvalues) <= ZERO_TOLERANCE))
 
 
 def reference_betti0_table(complex_: NeighborComplex) -> np.ndarray:

@@ -18,8 +18,6 @@ from topoinfluence import (
     FAMILIES,
     builtin_grammar,
     accepts,
-    betti0_of_subset,
-    betti0_spectral,
     build_complex,
     build_distance_matrix,
     complete_graph,
@@ -36,6 +34,8 @@ from topoinfluence import (
     sampled_shapley,
     verify_combinatorial_identities,
 )
+
+from oracles import betti0_of_subset, betti0_spectral
 
 
 @pytest.fixture()

@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from topoinfluence import cli
 from topoinfluence.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 G3_STRINGS = "1111\n0000\n0001\n"
 
@@ -203,6 +208,22 @@ class TestSweep:
         assert len(rows) == 9
         assert {r["radius"] for r in rows} == {"1", "2", "4"}
 
+    def test_distances_built_once_per_sweep(self, capsys, g3_file, monkeypatch):
+        calls = []
+        original = cli.build_distance_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(cli, "build_distance_matrix", counted)
+        code, _, err = run_cli(
+            capsys, "sweep", "--input", g3_file, "--metric", "edit",
+            "--radii", "1,2,4",
+        )
+        assert code == 0, err
+        assert len(calls) == 1
+
     def test_sweep_rejects_edges(self, capsys, tmp_path):
         p = tmp_path / "g.edges"
         p.write_text("2\n0 1\n", encoding="utf-8")
@@ -385,3 +406,41 @@ def test_threads_flag_accepted(capsys, tmp_path):
         "--threads", "4", "--format", "csv",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("grammar", "--g", "3", "--range", "5:3"), "--range"),
+        (("sweep", "--metric", "edit", "--radii", ""), "--radii"),
+        (("mask", "--j", ""), "--j"),
+    ],
+)
+def test_empty_list_or_range_exits_2(capsys, g3_file, argv, flag):
+    if argv[0] == "sweep":
+        argv += ("--input", g3_file)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {flag}:" in err
+
+
+def _readme_example(command: str) -> str:
+    """Output shown under ``$ topoinfluence <command>`` in README.md."""
+    text = README.read_text(encoding="utf-8")
+    pattern = rf"```\n\$ topoinfluence {re.escape(command)}\n(.*?)```"
+    block = re.search(pattern, text, re.S)
+    assert block, f"no README example for {command!r}"
+    return block.group(1)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["influence --input demo.txt --metric edit --radius 1", "grammar --g 3 --len 4"],
+)
+def test_readme_examples_match_output(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "demo.txt").write_text(G3_STRINGS, encoding="utf-8")
+    code, out, err = run_cli(capsys, *command.split())
+    assert code == 0, err
+    assert out == _readme_example(command)

@@ -24,7 +24,6 @@ from topoinfluence import (
     InputError,
     NeighborComplex,
     SizeCapError,
-    betti0_of_subset,
     complete_graph,
     compute_influence,
     cycle_graph,
@@ -41,6 +40,7 @@ from topoinfluence import (
 
 from oracles import (
     MULTI_CHUNK_GRAPHS,
+    betti0_of_subset,
     multi_chunk_case,
     reference_betti0_table,
     reference_tallies,
@@ -206,6 +206,20 @@ class TestSampled:
                 sums[i] += m
         assert tuple(sums / 100) == short.shapley
         assert long.permutations == 200
+
+    def test_std_error_from_walk_marginals(self):
+        # The star's center merges up to four leaves at once, so its
+        # marginals reach 3 and the second moment is not the first.
+        g = star_graph(5)
+        est = sampled_shapley(g, 100, seed=7)
+        walks = []
+        for j in range(100):
+            rng = np.random.Generator(np.random.Philox(key=7, counter=j << 64))
+            walks.append(permutation_marginals(g, rng.permutation(g.n).tolist()))
+        walks = np.array(walks)
+        assert walks.max() > 1
+        expected = walks.std(axis=0, ddof=1) / math.sqrt(100)
+        assert est.std_error == pytest.approx(tuple(expected), rel=1e-9)
 
     def test_estimates_near_exact(self):
         g = wheel_graph(6)

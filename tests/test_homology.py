@@ -11,18 +11,21 @@ from topoinfluence import (
     SizeCapError,
     UnionFind,
     betti0,
-    betti0_of_subset,
-    betti0_spectral,
     betti0_table,
     complete_graph,
-    component_masks,
     cycle_graph,
-    laplacian,
     path_graph,
     star_graph,
 )
 
-from oracles import MULTI_CHUNK_GRAPHS, multi_chunk_case, reference_betti0_table
+from oracles import (
+    MULTI_CHUNK_GRAPHS,
+    betti0_of_subset,
+    betti0_spectral,
+    laplacian,
+    multi_chunk_case,
+    reference_betti0_table,
+)
 
 
 @st.composite
@@ -142,11 +145,3 @@ class TestBetti0Table:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20  # refused before the 2^27-byte table
-
-
-def test_component_masks():
-    g = NeighborComplex.from_edges(6, [(0, 3), (1, 2), (2, 4)])
-    masks = component_masks(g)
-    assert masks == [0b001001, 0b010110, 0b100000]
-    sub = component_masks(g, mask=0b011110)  # drop vertex 0
-    assert sub == [0b010110, 0b001000]

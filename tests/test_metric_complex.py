@@ -15,6 +15,7 @@ from topoinfluence import (
     edit_distance,
     euclidean_distance,
     hamming_distance,
+    path_graph,
 )
 
 bitstrings = st.text(alphabet="01", max_size=12)
@@ -187,5 +188,12 @@ class TestNeighborComplex:
             NeighborComplex(n=2, rows=(0b01, 0b01))
         with pytest.raises(InputError, match="symmetric"):
             NeighborComplex(n=2, rows=(0b10, 0b00))
+        # Past one machine word, one-sided at a single high pair, either side.
+        rows = list(path_graph(70).rows)
+        for u, v in ((3, 68), (68, 3)):
+            bad = rows.copy()
+            bad[u] |= 1 << v
+            with pytest.raises(InputError, match=r"symmetric at \(3, 68\)"):
+                NeighborComplex(n=70, rows=tuple(bad))
         with pytest.raises(InputError, match="outside"):
             NeighborComplex(n=2, rows=(0b100, 0b000))
