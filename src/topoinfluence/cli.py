@@ -22,18 +22,12 @@ from itertools import product
 
 from . import __version__
 from .engine import DEFAULT_EXACT_CAP, InfluenceResult, compute_influence
-from .errors import (
-    EmptyLanguageError,
-    InputError,
-    SizeCapError,
-    TopoInfluenceError,
-)
+from .errors import InputError, SizeCapError, TopoInfluenceError
 from .families import (
     FAMILIES,
     closed_form_entropy,
     closed_form_mu,
     erdos_renyi_graph,
-    get_family,
     verify_combinatorial_identities,
 )
 from .grammars import BUILTIN_INDICES, builtin_grammar, enumerate_strings
@@ -77,8 +71,13 @@ def _write_output(text: str, path: str | None) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _emit(args, kind: str, config: dict, payload: dict) -> None:
+    envelope = make_envelope(kind, __version__, config, payload)
+    _write_output(render(envelope, args.format, bits=args.bits), args.output)
+
+
 def _sample_rows(result: InfluenceResult) -> list[dict]:
-    exact = result.method == "exact"
+    exact = result.method != "sampled"
     rows = []
     for i in range(result.n):
         row = {
@@ -107,6 +106,10 @@ def _profile_payload(result: InfluenceResult, radius: float | None = None) -> di
         payload["permutations"] = result.permutations
     payload["entropy_nats"] = result.entropy
     payload["total_s"] = float(result.total)
+    if result.method == "closed_form":
+        # Closed-form labels are vertex roles; count each in first-seen order.
+        roles = result.labels
+        payload["roles"] = [[role, roles.count(role)] for role in dict.fromkeys(roles)]
     payload["samples"] = _sample_rows(result)
     return payload
 
@@ -140,22 +143,7 @@ def _resolve_input_plan(args) -> tuple[str, str]:
     return fmt, metric
 
 
-def _read_input(args) -> str:
-    if args.input == "-":
-        return sys.stdin.read()
-    return read_text(args.input)
-
-
-def _load_distances(text: str, fmt: str, metric: str):
-    """(distance matrix, labels) of a distance-bearing input."""
-    if fmt == "matrix":
-        matrix = load_matrix(text)
-        return matrix, tuple(str(i) for i in range(matrix.n))
-    points = load_strings(text) if fmt == "strings" else load_vectors(text)
-    return build_distance_matrix(points, metric), points.labels
-
-
-def _run_engine(args, complex_, labels) -> InfluenceResult:
+def _run_engine(args, complex_, labels=None) -> InfluenceResult:
     mode = "exact" if args.sample is None else "sampled"
     return compute_influence(
         complex_,
@@ -167,133 +155,106 @@ def _run_engine(args, complex_, labels) -> InfluenceResult:
     )
 
 
-def _cmd_influence(args) -> int:
+def _profile_payloads(args, radii) -> tuple[str, str, list[dict]]:
+    """(input format, metric, one profile payload per radius).
+
+    The input is read and its distances computed once for all radii.
+    Edge lists are already a graph: they give one payload, and ``radii``
+    must be ``[None]``.
+    """
     fmt, metric = _resolve_input_plan(args)
-    text = _read_input(args)
+    text = sys.stdin.read() if args.input == "-" else read_text(args.input)
     if fmt == "edges":
-        if args.radius is not None:
+        if radii != [None]:
             raise InputError("edge-list input has no distances; drop --radius")
-        complex_ = load_edges(text)
-        labels = tuple(str(i) for i in range(complex_.n))
-        radius = None
+        return fmt, metric, [_profile_payload(_run_engine(args, load_edges(text)))]
+    if None in radii:
+        raise InputError(f"{fmt} input needs --radius")
+    if fmt == "matrix":
+        matrix, labels = load_matrix(text), None
     else:
-        if args.radius is None:
-            raise InputError(f"{fmt} input needs --radius")
-        matrix, labels = _load_distances(text, fmt, metric)
-        complex_ = build_complex(matrix, args.radius)
-        radius = args.radius
-    result = _run_engine(args, complex_, labels)
-    config = {
-        "subcommand": "influence",
+        points = load_strings(text) if fmt == "strings" else load_vectors(text)
+        matrix, labels = build_distance_matrix(points, metric), points.labels
+    payloads = [
+        _profile_payload(_run_engine(args, build_complex(matrix, r), labels), r)
+        for r in radii
+    ]
+    return fmt, metric, payloads
+
+
+def _profile_config(args, fmt: str, metric: str, **radius) -> dict:
+    """Config echo of ``influence`` and ``sweep``; ``radius`` is the one
+    key that differs between them."""
+    return {
+        "subcommand": args.subcommand,
         "input": args.input,
         "input_format": fmt,
         "metric": metric or "none",
-        "radius": "none" if radius is None else radius,
-        "mode": result.method,
-        "permutations": result.permutations,
-        "seed": args.seed,
-        "cap": args.cap,
-        "threads": args.threads,
-    }
-    envelope = make_envelope(
-        "profile", __version__, config, _profile_payload(result, radius)
-    )
-    _write_output(render(envelope, args.format, bits=args.bits), args.output)
-    return EXIT_OK
-
-
-def _cmd_sweep(args) -> int:
-    fmt, metric = _resolve_input_plan(args)
-    if fmt == "edges":
-        raise InputError("sweep needs distances to threshold; edge lists fix one graph")
-    text = _read_input(args)
-    radii = args.radii
-    matrix, labels = _load_distances(text, fmt, metric)
-    profiles = []
-    for radius in radii:
-        result = _run_engine(args, build_complex(matrix, radius), labels)
-        profiles.append(_profile_payload(result, radius))
-    config = {
-        "subcommand": "sweep",
-        "input": args.input,
-        "input_format": fmt,
-        "metric": metric,
-        "radii": ",".join(str(r) for r in radii),
+        **radius,
         "mode": "exact" if args.sample is None else "sampled",
         "permutations": args.sample or 0,
         "seed": args.seed,
         "cap": args.cap,
         "threads": args.threads,
     }
-    envelope = make_envelope(
-        "sweep", __version__, config, {"profiles": profiles}
-    )
-    _write_output(render(envelope, args.format, bits=args.bits), args.output)
+
+
+def _cmd_influence(args) -> int:
+    fmt, metric, (payload,) = _profile_payloads(args, [args.radius])
+    radius = "none" if args.radius is None else args.radius
+    _emit(args, "profile", _profile_config(args, fmt, metric, radius=radius), payload)
+    return EXIT_OK
+
+
+def _cmd_sweep(args) -> int:
+    fmt, metric, profiles = _profile_payloads(args, args.radii)
+    radii = ",".join(str(r) for r in args.radii)
+    _emit(args, "sweep", _profile_config(args, fmt, metric, radii=radii),
+          {"profiles": profiles})
     return EXIT_OK
 
 
 def _cmd_family(args) -> int:
-    kind = args.kind.replace("-", "_")
     config = {
         "subcommand": "family",
-        "kind": kind,
+        "kind": args.kind,
         "n": args.n,
         "seed": args.seed,
     }
-    if kind == "erdos_renyi":
+    if args.kind == "erdos_renyi":
         if args.p is None:
             raise InputError("erdos_renyi needs --p")
         if args.m is not None:
             raise InputError("erdos_renyi takes --n and --p, not --m")
         config["p"] = args.p
         graph = erdos_renyi_graph(args.n, args.p, args.seed)
-        if args.emit_edges:
-            _write_output(dump_edges(graph, comment=graph.source), args.output)
-            return EXIT_OK
-        result = compute_influence(graph, mode="exact", cap=args.cap)
-        payload = _profile_payload(result)
     else:
-        family = get_family(kind)
+        family = FAMILIES[args.kind]
         if family.arity == 2:
             if args.m is None:
-                raise InputError(f"{kind} needs --m for the left side size")
+                raise InputError(f"{args.kind} needs --m for the left side size")
             params = (args.m, args.n)
             config["m"] = args.m
         else:
             if args.m is not None:
-                raise InputError(f"{kind} takes only --n")
+                raise InputError(f"{args.kind} takes only --n")
             params = (args.n,)
         graph = family.build(*params)
-        if args.emit_edges:
-            _write_output(dump_edges(graph, comment=graph.source), args.output)
-            return EXIT_OK
+    if args.emit_edges:
+        _write_output(dump_edges(graph, comment=graph.source), args.output)
+        return EXIT_OK
+    if args.kind == "erdos_renyi":
+        result = compute_influence(graph, mode="exact", cap=args.cap)
+    else:
         scores = family.scores(*params)
-        mu = closed_form_mu(scores)
-        roles = family.roles(*params)
-        samples = [
-            {
-                "index": i,
-                "label": roles[i],
-                "s": float(scores[i]),
-                "mu": float(mu[i]),
-                "s_exact": str(scores[i]),
-                "mu_exact": str(mu[i]),
-            }
-            for i in range(len(scores))
-        ]
-        role_counts = []
-        for role in dict.fromkeys(roles):
-            role_counts.append([role, roles.count(role)])
-        payload = {
-            "n": len(scores),
-            "method": "closed_form",
-            "entropy_nats": closed_form_entropy(scores),
-            "total_s": float(sum(scores)),
-            "roles": role_counts,
-            "samples": samples,
-        }
-    envelope = make_envelope("family", __version__, config, payload)
-    _write_output(render(envelope, args.format, bits=args.bits), args.output)
+        result = InfluenceResult(
+            labels=family.roles(*params),
+            shapley=scores,
+            mu=closed_form_mu(scores),
+            entropy=closed_form_entropy(scores),
+            method="closed_form",
+        )
+    _emit(args, "family", config, _profile_payload(result))
     return EXIT_OK
 
 
@@ -322,8 +283,7 @@ def _cmd_identities(args) -> int:
         ],
     }
     config = {"subcommand": "identities", "n_max": args.n_max, "seed": 0}
-    envelope = make_envelope("identities", __version__, config, payload)
-    _write_output(render(envelope, args.format, bits=args.bits), args.output)
+    _emit(args, "identities", config, payload)
     return EXIT_OK if report.ok else EXIT_NUMERIC
 
 
@@ -399,8 +359,7 @@ def _cmd_mask(args) -> int:
         "seed": args.seed,
         "threads": args.threads,
     }
-    envelope = make_envelope("masking", __version__, config, payload)
-    _write_output(render(envelope, args.format, bits=args.bits), args.output)
+    _emit(args, "masking", config, payload)
     return EXIT_OK
 
 
@@ -454,6 +413,17 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_input_flags(parser: argparse.ArgumentParser, formats: tuple) -> None:
+    parser.add_argument(
+        "--input", required=True, metavar="PATH", help="dataset file, or - for stdin"
+    )
+    parser.add_argument(
+        "--input-format", choices=formats,
+        help="override the format inferred from --metric",
+    )
+    parser.add_argument("--metric", choices=METRICS + ("precomputed",))
+
+
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
@@ -491,14 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inf = sub.add_parser(
         "influence", help="influence profile of one dataset at one radius"
     )
-    p_inf.add_argument(
-        "--input", required=True, metavar="PATH", help="dataset file, or - for stdin"
-    )
-    p_inf.add_argument(
-        "--input-format", choices=FORMATS,
-        help="override the format inferred from --metric",
-    )
-    p_inf.add_argument("--metric", choices=METRICS + ("precomputed",))
+    _add_input_flags(p_inf, FORMATS)
     p_inf.add_argument("--radius", type=float, help="neighbor threshold r")
     _add_engine_flags(p_inf)
     _add_output_flags(p_inf)
@@ -507,9 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "sweep", help="influence profiles at several radii over one dataset"
     )
-    p_sweep.add_argument("--input", required=True, metavar="PATH")
-    p_sweep.add_argument("--input-format", choices=("strings", "vectors", "matrix"))
-    p_sweep.add_argument("--metric", choices=METRICS + ("precomputed",))
+    _add_input_flags(p_sweep, ("strings", "vectors", "matrix"))
     p_sweep.add_argument(
         "--radii", type=_float_list, required=True, metavar="R1,R2,...",
     )
@@ -591,9 +552,6 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapError as exc:
         print(f"topoinfluence: size cap: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except EmptyLanguageError as exc:
-        print(f"topoinfluence: empty dataset: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except TopoInfluenceError as exc:
         print(f"topoinfluence: error: {exc}", file=sys.stderr)
         return EXIT_INPUT

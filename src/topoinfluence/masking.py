@@ -107,9 +107,7 @@ def generate_er_dataset(
         attempt += 1
         n = int(rng.integers(n_lo, n_hi + 1))
         p = float(rng.uniform(p_lo, p_hi))
-        graph = NeighborComplex.from_edges(
-            n, _er_edges(rng, n, p), source=f"er_dataset:{seed}/{attempt - 1}"
-        )
+        graph = NeighborComplex.from_edges(n, _er_edges(rng, n, p))
         label = betti0(graph)
         if label in quota and filled[label] < quota[label]:
             filled[label] += 1
@@ -154,9 +152,7 @@ def mask_nodes(graph: NeighborComplex, vertices: set[int]) -> NeighborComplex:
         for u, v in graph.edges()
         if u in position and v in position
     ]
-    return NeighborComplex.from_edges(
-        len(keep), edges, source=f"masked:{graph.source}"
-    )
+    return NeighborComplex.from_edges(len(keep), edges)
 
 
 def run_masking_experiment(

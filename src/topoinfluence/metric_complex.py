@@ -16,7 +16,6 @@ distance 1) require the verbatim rule, so it is the contract here.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -164,9 +163,6 @@ class DistanceMatrix:
     def __getitem__(self, ij: tuple[int, int]) -> float:
         return float(self._values[ij])
 
-    def fingerprint(self) -> str:
-        return hashlib.sha256(self._values.tobytes()).hexdigest()[:12]
-
 
 def build_distance_matrix(points: LabeledPointSet, metric: str) -> DistanceMatrix:
     """Evaluate the metric on all O(n^2) pairs.
@@ -211,13 +207,12 @@ class NeighborComplex:
     """Graph realizing the neighbor complex at a fixed resolution.
 
     ``rows[i]`` is an n-bit adjacency set (bit j set iff i ~ j).  The
-    structure is immutable; ``resolution`` is None when the graph was
-    taken verbatim rather than thresholded from distances.
+    structure is immutable; ``source`` names the generator that made it,
+    for the comment line of an emitted edge list.
     """
 
     n: int
     rows: tuple[int, ...]
-    resolution: float | None = None
     source: str = ""
 
     def __post_init__(self) -> None:
@@ -268,7 +263,6 @@ class NeighborComplex:
         cls,
         n: int,
         edges: Sequence[tuple[int, int]],
-        resolution: float | None = None,
         source: str = "edges",
     ) -> "NeighborComplex":
         rows = [0] * n
@@ -279,7 +273,7 @@ class NeighborComplex:
                 continue  # self-loops carry no component information
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n=n, rows=tuple(rows), resolution=resolution, source=source)
+        return cls(n=n, rows=tuple(rows), source=source)
 
 
 def build_complex(dm: DistanceMatrix, r: float) -> NeighborComplex:
@@ -299,9 +293,4 @@ def build_complex(dm: DistanceMatrix, r: float) -> NeighborComplex:
             if j != i:
                 row |= 1 << int(j)
         rows.append(row)
-    return NeighborComplex(
-        n=n,
-        rows=tuple(rows),
-        resolution=float(r),
-        source=f"matrix:{dm.fingerprint()}",
-    )
+    return NeighborComplex(n=n, rows=tuple(rows))

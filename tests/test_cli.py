@@ -425,6 +425,48 @@ def test_empty_list_or_range_exits_2(capsys, g3_file, argv, flag):
     assert f"argument {flag}:" in err
 
 
+EXACT_ROW = ["index", "label", "s", "mu", "s_exact", "mu_exact"]
+
+
+@pytest.mark.parametrize(
+    "argv, payload_keys, row_keys",
+    [
+        (
+            ("family", "--kind", "wheel", "--n", "6"),
+            ["n", "method", "entropy_nats", "total_s", "roles", "samples"],
+            EXACT_ROW,
+        ),
+        (
+            ("influence", "--input", "g3.txt", "--radius", "1"),
+            ["n", "method", "radius", "entropy_nats", "total_s", "samples"],
+            EXACT_ROW,
+        ),
+        (
+            ("influence", "--input", "g3.txt", "--radius", "1", "--sample", "40"),
+            ["n", "method", "radius", "permutations", "entropy_nats", "total_s",
+             "samples"],
+            ["index", "label", "s", "mu", "std_error"],
+        ),
+        (
+            ("influence", "--input", "g.edges", "--input-format", "edges"),
+            ["n", "method", "entropy_nats", "total_s", "samples"],
+            EXACT_ROW,
+        ),
+    ],
+)
+def test_profile_payload_key_order(
+    capsys, tmp_path, monkeypatch, argv, payload_keys, row_keys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g3.txt").write_text(G3_STRINGS, encoding="utf-8")
+    (tmp_path / "g.edges").write_text("3\n0 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)["payload"]
+    assert list(payload) == payload_keys
+    assert list(payload["samples"][0]) == row_keys
+
+
 def _readme_example(command: str) -> str:
     """Output shown under ``$ topoinfluence <command>`` in README.md."""
     text = README.read_text(encoding="utf-8")
@@ -436,7 +478,11 @@ def _readme_example(command: str) -> str:
 
 @pytest.mark.parametrize(
     "command",
-    ["influence --input demo.txt --metric edit --radius 1", "grammar --g 3 --len 4"],
+    [
+        "influence --input demo.txt --metric edit --radius 1",
+        "family --kind wheel --n 6",
+        "grammar --g 3 --len 4",
+    ],
 )
 def test_readme_examples_match_output(capsys, tmp_path, monkeypatch, command):
     monkeypatch.chdir(tmp_path)

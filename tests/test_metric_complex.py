@@ -109,12 +109,6 @@ class TestDistanceMatrix:
         dm = DistanceMatrix(np.array([[0.0, 1.0], [1.0 + eps, 0.0]]))
         assert dm[0, 1] == dm[1, 0] == 1.0
 
-    def test_fingerprint_tracks_contents(self):
-        a = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        b = DistanceMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        c = DistanceMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        assert a.fingerprint() == b.fingerprint() != c.fingerprint()
-
     def test_values_read_only(self):
         dm = DistanceMatrix(np.zeros((2, 2)))
         with pytest.raises(ValueError):
