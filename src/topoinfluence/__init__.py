@@ -19,10 +19,8 @@ from .engine import (
     permutation_marginals,
     sampled_shapley,
     shannon_entropy,
-    subset_weights,
 )
 from .errors import (
-    EmptyLanguageError,
     GenerationBudgetError,
     InputError,
     SizeCapError,
@@ -50,15 +48,7 @@ from .families import (
     wheel_graph,
     wheel_scores,
 )
-from .grammars import (
-    Grammar,
-    accepts,
-    builtin_grammar,
-    count_strings,
-    enumerate_range,
-    enumerate_strings,
-    grammar_influence,
-)
+from .grammars import Grammar, builtin_grammar, enumerate_strings
 from .homology import UnionFind, betti0, betti0_table
 from .masking import (
     LabeledGraph,
@@ -84,7 +74,6 @@ __all__ = [
     "__version__",
     "DEFAULT_EXACT_CAP",
     "DistanceMatrix",
-    "EmptyLanguageError",
     "FAMILIES",
     "Family",
     "GenerationBudgetError",
@@ -100,7 +89,6 @@ __all__ = [
     "SizeCapError",
     "TopoInfluenceError",
     "UnionFind",
-    "accepts",
     "betti0",
     "betti0_table",
     "builtin_grammar",
@@ -113,18 +101,15 @@ __all__ = [
     "complete_graph",
     "complete_scores",
     "compute_influence",
-    "count_strings",
     "cycle_graph",
     "cycle_scores",
     "edit_distance",
-    "enumerate_range",
     "enumerate_strings",
     "erdos_renyi_graph",
     "euclidean_distance",
     "exact_shapley",
     "generate_er_dataset",
     "get_family",
-    "grammar_influence",
     "hamming_distance",
     "mask_nodes",
     "path_graph",
@@ -136,7 +121,6 @@ __all__ = [
     "shannon_entropy",
     "star_graph",
     "star_scores",
-    "subset_weights",
     "verify_combinatorial_identities",
     "wheel_graph",
     "wheel_scores",

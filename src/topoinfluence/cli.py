@@ -18,10 +18,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from itertools import product
 
 from . import __version__
-from .engine import DEFAULT_EXACT_CAP, InfluenceResult, compute_influence
+from .engine import (
+    DEFAULT_EXACT_CAP,
+    InfluenceResult,
+    check_exact_cap,
+    compute_influence,
+)
 from .errors import InputError, SizeCapError, TopoInfluenceError
 from .families import (
     FAMILIES,
@@ -174,6 +180,8 @@ def _profile_payloads(args, radii) -> tuple[str, str, list[dict]]:
         matrix, labels = load_matrix(text), None
     else:
         points = load_strings(text) if fmt == "strings" else load_vectors(text)
+        if args.sample is None:
+            check_exact_cap(len(points), args.cap)
         matrix, labels = build_distance_matrix(points, metric), points.labels
     payloads = [
         _profile_payload(_run_engine(args, build_complex(matrix, r), labels), r)
@@ -294,15 +302,16 @@ def _cmd_grammar(args) -> int:
     else:
         lo, hi = args.range
         lengths = list(range(lo, hi + 1))
+    too_long = [length for length in lengths if length > NEG_LENGTH_MAX]
+    if args.neg and too_long:
+        raise InputError(
+            f"--neg labels all 2^{too_long[0]} strings; max length "
+            f"{NEG_LENGTH_MAX}"
+        )
     lines: list[str] = []
     for length in lengths:
         accepted = enumerate_strings(grammar, length)
         if args.neg:
-            if length > NEG_LENGTH_MAX:
-                raise InputError(
-                    f"--neg labels all 2^{length} strings; max length "
-                    f"{NEG_LENGTH_MAX}"
-                )
             good = set(accepted)
             lines.append(
                 f"# {grammar.name} length {length}: {len(accepted)} of "
@@ -547,14 +556,24 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except SizeCapError as exc:
-        print(f"topoinfluence: size cap: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except TopoInfluenceError as exc:
-        print(f"topoinfluence: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    shown: set[str] = set()
+
+    def show_warning(message, *_) -> None:
+        # One stable line per distinct warning, without Python's source path.
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"topoinfluence: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_warning
+        try:
+            return args.handler(args)
+        except SizeCapError as exc:
+            print(f"topoinfluence: size cap: {exc}", file=sys.stderr)
+            return EXIT_CAP
+        except TopoInfluenceError as exc:
+            print(f"topoinfluence: error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -68,12 +68,6 @@ class InfluenceResult:
     def total(self):
         return sum(self.shapley)
 
-    def shapley_floats(self) -> tuple[float, ...]:
-        return tuple(float(s) for s in self.shapley)
-
-    def mu_floats(self) -> tuple[float, ...]:
-        return tuple(float(m) for m in self.mu)
-
 
 def shannon_entropy(mu: Sequence) -> float:
     """Entropy in nats with the 0 log 0 = 0 convention."""
@@ -85,15 +79,6 @@ def shannon_entropy(mu: Sequence) -> float:
         if p > 0:
             h -= p * math.log(p)
     return 0.0 if h == 0.0 else h
-
-
-def subset_weights(n: int) -> list[Fraction]:
-    """weights[k] = k! (n-1-k)! / n! for coalition size k, exact."""
-    n_fact = math.factorial(n)
-    return [
-        Fraction(math.factorial(k) * math.factorial(n - 1 - k), n_fact)
-        for k in range(n)
-    ]
 
 
 def _marginal_tallies(complex_: NeighborComplex) -> np.ndarray:
@@ -133,6 +118,17 @@ def _marginal_tallies(complex_: NeighborComplex) -> np.ndarray:
     return counts.reshape(n, n, width) @ np.abs(np.arange(-n, n + 1))
 
 
+def check_exact_cap(n: int, cap: int) -> None:
+    """Refuse exact enumeration of n vertices above ``cap``, which is
+    itself clamped to the table's hard maximum."""
+    cap = min(cap, TABLE_HARD_MAX)
+    if n > cap:
+        raise SizeCapError(
+            f"exact enumeration for n={n} exceeds cap {cap}; "
+            f"raise the cap (hard max {TABLE_HARD_MAX}) or sample"
+        )
+
+
 def exact_shapley(
     complex_: NeighborComplex, cap: int = DEFAULT_EXACT_CAP
 ) -> InfluenceResult:
@@ -141,15 +137,13 @@ def exact_shapley(
     Refuses n above ``cap``; raising the cap past the default is allowed
     up to the table's hard maximum but warns, since time grows as
     O(n 2^n) and memory as 2^n bytes.
+
+    n! s(i) = sum_k k! (n-1-k)! tallies[i, k] is an integer, built with
+    Python ints (n! overflows int64 past n = 20); each score and each mu
+    entry is then one Fraction of two integers.
     """
     n = complex_.n
-    if cap > TABLE_HARD_MAX:
-        cap = TABLE_HARD_MAX
-    if n > cap:
-        raise SizeCapError(
-            f"exact enumeration for n={n} exceeds cap {cap}; "
-            f"raise the cap (hard max {TABLE_HARD_MAX}) or sample"
-        )
+    check_exact_cap(n, cap)
     if n > DEFAULT_EXACT_CAP:
         warnings.warn(
             f"exact enumeration at n={n} fills a 2^{n}-entry subset table; "
@@ -157,20 +151,16 @@ def exact_shapley(
             RuntimeWarning,
             stacklevel=2,
         )
-    tallies = _marginal_tallies(complex_)
-    weights = subset_weights(n)
-    scores = tuple(
-        sum(
-            (weights[k] * int(tallies[i, k]) for k in range(n)),
-            start=Fraction(0),
-        )
-        for i in range(n)
-    )
-    total = sum(scores)
-    mu = tuple(s / total for s in scores)
+    weights = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
+    numerators = [
+        sum(w * t for w, t in zip(weights, row))
+        for row in _marginal_tallies(complex_).tolist()
+    ]
+    n_fact, total = math.factorial(n), sum(numerators)
+    mu = tuple(Fraction(num, total) for num in numerators)
     return InfluenceResult(
         labels=_labels_of(complex_),
-        shapley=scores,
+        shapley=tuple(Fraction(num, n_fact) for num in numerators),
         mu=mu,
         entropy=shannon_entropy(mu),
         method="exact",

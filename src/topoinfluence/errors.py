@@ -13,9 +13,5 @@ class SizeCapError(TopoInfluenceError):
     """Exact enumeration was requested above the configured subset cap."""
 
 
-class EmptyLanguageError(TopoInfluenceError):
-    """A grammar defines no strings at the requested length."""
-
-
 class GenerationBudgetError(TopoInfluenceError):
     """Rejection sampling could not fill a class quota within its budget."""

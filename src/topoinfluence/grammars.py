@@ -18,9 +18,8 @@ in sorted order emits exactly the accepted strings, lexicographically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
-from .errors import EmptyLanguageError, InputError
+from .errors import InputError
 
 BUILTIN_INDICES = (1, 2, 3, 4)
 
@@ -58,21 +57,6 @@ class Grammar:
                         f"transition ({state!r}, {symbol!r}) -> undeclared "
                         f"{target!r}"
                     )
-
-    def step(self, state: str, symbol: str) -> str:
-        try:
-            return self.transitions[(state, symbol)]
-        except KeyError:
-            raise InputError(
-                f"symbol {symbol!r} outside alphabet {self.alphabet}"
-            ) from None
-
-
-def accepts(grammar: Grammar, string: str) -> bool:
-    state = grammar.start
-    for symbol in string:
-        state = grammar.step(state, symbol)
-    return state in grammar.accepting
 
 
 def _live_table(grammar: Grammar, length: int) -> list[set[str]]:
@@ -120,32 +104,6 @@ def enumerate_strings(grammar: Grammar, length: int) -> list[str]:
 
     walk(grammar.start, [], length)
     return out
-
-
-def count_strings(grammar: Grammar, length: int) -> int:
-    """|L ∩ Σ^length| by dynamic programming, without enumeration."""
-    if length < 0:
-        raise InputError(f"length must be nonnegative, got {length}")
-    counts = {s: int(s in grammar.accepting) for s in grammar.states}
-    for _ in range(length):
-        counts = {
-            s: sum(
-                counts[grammar.transitions[(s, a)]] for a in grammar.alphabet
-            )
-            for s in grammar.states
-        }
-    return counts[grammar.start]
-
-
-def enumerate_range(
-    grammar: Grammar, lo: int, hi: int
-) -> Iterator[tuple[str, int]]:
-    """(string, length) for every accepted string with lo <= length <= hi."""
-    if lo < 0 or hi < lo:
-        raise InputError(f"bad length range {lo}:{hi}")
-    for length in range(lo, hi + 1):
-        for s in enumerate_strings(grammar, length):
-            yield s, length
 
 
 def _g1() -> Grammar:
@@ -247,52 +205,3 @@ def builtin_grammar(index: int) -> Grammar:
         )
     return _BUILTINS[index]()
 
-
-def require_nonempty(grammar: Grammar, length: int) -> list[str]:
-    """Enumerate and refuse an empty result with a clear message.
-
-    Some built-ins are legitimately empty at certain lengths (g2 accepts
-    no odd-length string at all), and downstream influence math needs at
-    least one sample, so emptiness is its own error type.
-    """
-    strings = enumerate_strings(grammar, length)
-    if not strings:
-        raise EmptyLanguageError(
-            f"{grammar.name} contains no strings of length {length}"
-        )
-    return strings
-
-
-def grammar_influence(
-    index: int,
-    length: int,
-    radius: float,
-    mode: str = "exact",
-    permutations: int = 0,
-    seed: int = 0,
-):
-    """Influence profile of a built-in grammar's length-N string set.
-
-    The pipeline the built-ins exist for: enumerate, measure pairwise
-    edit distances, threshold at ``radius``, attribute.  Raises
-    EmptyLanguageError when the grammar has no strings at this length.
-    """
-    from .engine import compute_influence
-    from .metric_complex import (
-        LabeledPointSet,
-        build_complex,
-        build_distance_matrix,
-    )
-
-    grammar = builtin_grammar(index)
-    strings = require_nonempty(grammar, length)
-    points = LabeledPointSet.from_strings(strings)
-    matrix = build_distance_matrix(points, "edit")
-    complex_ = build_complex(matrix, radius)
-    return compute_influence(
-        complex_,
-        labels=points.labels,
-        mode=mode,
-        permutations=permutations,
-        seed=seed,
-    )

@@ -60,7 +60,6 @@ class MaskingReport:
 
     graph_count: int
     j_values: tuple[int, ...]
-    seed: int
     rows: tuple[MaskRow, ...] = field(default_factory=tuple)
 
     def rate(self, j: int, variant: str) -> float:
@@ -205,6 +204,5 @@ def run_masking_experiment(
     return MaskingReport(
         graph_count=len(dataset),
         j_values=tuple(j_values),
-        seed=seed,
         rows=tuple(rows),
     )

@@ -160,9 +160,6 @@ class DistanceMatrix:
     def values(self) -> np.ndarray:
         return self._values
 
-    def __getitem__(self, ij: tuple[int, int]) -> float:
-        return float(self._values[ij])
-
 
 def build_distance_matrix(points: LabeledPointSet, metric: str) -> DistanceMatrix:
     """Evaluate the metric on all O(n^2) pairs.
@@ -236,13 +233,6 @@ class NeighborComplex:
                         f"adjacency not symmetric at ({min(i, j)}, {max(i, j)})"
                     )
                 row ^= low
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.rows[i] >> j & 1)
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()

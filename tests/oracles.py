@@ -1,20 +1,30 @@
-"""Slow reference routes for component counts, the subset table and the
-marginal tallies.
+"""Slow reference routes and test helpers.
 
 None of them is on a pipeline's path.  The table and tallies share no code
 with the package's chunked numpy kernels, so tests can hold those kernels
-to them bit for bit; the spectral count shares no code with union-find.
+to them bit for bit; the spectral count shares no code with union-find;
+the grammar membership and count oracles share no code with the lazy
+enumeration.
 """
 
 import functools
 
 import numpy as np
+from hypothesis import strategies as st
 
 from topoinfluence import (
+    Grammar,
+    InputError,
+    LabeledPointSet,
     NeighborComplex,
     UnionFind,
+    build_complex,
+    build_distance_matrix,
+    builtin_grammar,
     complete_bipartite_graph,
+    compute_influence,
     cycle_graph,
+    enumerate_strings,
     path_graph,
     star_graph,
 )
@@ -130,3 +140,59 @@ def multi_chunk_case(name: str) -> tuple[NeighborComplex, np.ndarray]:
     """A multi-chunk graph and its reference table, built once per test run."""
     g = MULTI_CHUNK_GRAPHS[name]
     return g, reference_betti0_table(g)
+
+
+@st.composite
+def small_graphs(draw, max_n=7):
+    """A graph on 1..max_n vertices with any subset of the possible edges."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return NeighborComplex.from_edges(n, sorted(chosen))
+
+
+def accepts(grammar: Grammar, string: str) -> bool:
+    """Membership by running the DFA over the whole string."""
+    state = grammar.start
+    for symbol in string:
+        state = grammar.transitions[(state, symbol)]
+    return state in grammar.accepting
+
+
+def count_strings(grammar: Grammar, length: int) -> int:
+    """|L ∩ Σ^length| by dynamic programming, without enumeration."""
+    if length < 0:
+        raise InputError(f"length must be nonnegative, got {length}")
+    counts = {s: int(s in grammar.accepting) for s in grammar.states}
+    for _ in range(length):
+        counts = {
+            s: sum(
+                counts[grammar.transitions[(s, a)]] for a in grammar.alphabet
+            )
+            for s in grammar.states
+        }
+    return counts[grammar.start]
+
+
+def grammar_influence(
+    index: int,
+    length: int,
+    radius: float,
+    mode: str = "exact",
+    permutations: int = 0,
+    seed: int = 0,
+):
+    """Influence profile of a built-in grammar's length-N strings, through
+    the README's library calls: enumerate, edit distances, threshold at
+    ``radius``, attribute.  An empty language is an empty point set, which
+    ``LabeledPointSet`` refuses with InputError."""
+    strings = enumerate_strings(builtin_grammar(index), length)
+    points = LabeledPointSet.from_strings(strings)
+    complex_ = build_complex(build_distance_matrix(points, "edit"), radius)
+    return compute_influence(
+        complex_,
+        labels=points.labels,
+        mode=mode,
+        permutations=permutations,
+        seed=seed,
+    )

@@ -185,6 +185,48 @@ class TestInfluence:
         assert "cap" in err
 
 
+    def test_past_cap_warning_is_one_stable_line(self, capsys, tmp_path):
+        p = tmp_path / "many.txt"
+        p.write_text("\n".join(str(i) for i in range(21)) + "\n", encoding="utf-8")
+        warning = (
+            "topoinfluence: warning: exact enumeration at n=21 fills a "
+            "2^21-entry subset table; time and memory roughly double with "
+            "each vertex past the default cap\n"
+        )
+        code, out, err = run_cli(
+            capsys, "influence", "--input", str(p), "--radius", "1", "--cap", "21",
+        )
+        assert code == 0
+        assert out.startswith("# topoinfluence")
+        assert err == warning
+        code, _, err = run_cli(
+            capsys, "sweep", "--input", str(p), "--radii", "1,2", "--cap", "21",
+        )
+        assert code == 0
+        assert err == warning
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("influence", "--radius", "1"), ("sweep", "--radii", "1,2", "--cap", "30")],
+)
+def test_cap_checked_before_distances(capsys, tmp_path, monkeypatch, argv):
+    def refuse(*args):
+        raise AssertionError("distances computed for an input over the cap")
+
+    monkeypatch.setattr(cli, "build_distance_matrix", refuse)
+    p = tmp_path / "many.txt"
+    p.write_text("\n".join(str(i) for i in range(27)) + "\n", encoding="utf-8")
+    cap = 26 if "--cap" in argv else 20
+    code, out, err = run_cli(capsys, argv[0], "--input", str(p), *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"topoinfluence: size cap: exact enumeration for n=27 exceeds cap {cap}; "
+        "raise the cap (hard max 26) or sample\n"
+    )
+
+
 class TestSweep:
     def test_profiles_per_radius(self, capsys, g3_file):
         code, out, _ = run_cli(
@@ -358,6 +400,20 @@ class TestGrammar:
         code, _, err = run_cli(capsys, "grammar", "--g", "2", "--len", "17", "--neg")
         assert code == 2
         assert "--neg" in err or "2^17" in err
+
+    def test_neg_length_checked_before_enumeration(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated before the --neg length check")
+
+        monkeypatch.setattr(cli, "enumerate_strings", refuse)
+        code, out, err = run_cli(
+            capsys, "grammar", "--g", "2", "--range", "15:22", "--neg"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "topoinfluence: error: --neg labels all 2^17 strings; max length 16\n"
+        )
 
 
 class TestMask:

@@ -34,7 +34,6 @@ from topoinfluence import (
     sampled_shapley,
     shannon_entropy,
     star_graph,
-    subset_weights,
     wheel_graph,
 )
 
@@ -44,6 +43,7 @@ from oracles import (
     multi_chunk_case,
     reference_betti0_table,
     reference_tallies,
+    small_graphs,
 )
 
 
@@ -71,14 +71,6 @@ def definition_shapley(g: NeighborComplex) -> tuple[Fraction, ...]:
                 total += weight * gain
         scores.append(total)
     return tuple(scores)
-
-
-@st.composite
-def small_graphs(draw, max_n=7):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return NeighborComplex.from_edges(n, sorted(chosen))
 
 
 class TestExact:
@@ -149,10 +141,11 @@ class TestMarginalTallies:
 
 def test_subset_weights_total_probability():
     # Summed over all coalitions of the other n-1 vertices, the Shapley
-    # weights form a probability distribution.
+    # weights form a probability distribution.  With no edges every
+    # marginal is 1, so each exact score is that sum.
     for n in range(1, 12):
-        w = subset_weights(n)
-        assert sum(math.comb(n - 1, k) * w[k] for k in range(n)) == 1
+        res = exact_shapley(NeighborComplex.from_edges(n, []))
+        assert res.shapley == (Fraction(1),) * n
 
 
 class TestPermutationWalk:

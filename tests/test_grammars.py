@@ -13,18 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topoinfluence import (
-    EmptyLanguageError,
-    Grammar,
-    InputError,
-    accepts,
-    builtin_grammar,
-    count_strings,
-    enumerate_range,
-    enumerate_strings,
-    grammar_influence,
-)
-from topoinfluence.grammars import require_nonempty
+from topoinfluence import Grammar, InputError, builtin_grammar, enumerate_strings
+
+from oracles import accepts, count_strings, grammar_influence
 
 bitstrings = st.text(alphabet="01", max_size=14)
 
@@ -118,6 +109,8 @@ def test_g3_three_strings_from_length_two():
         assert enumerate_strings(grammar, length) == sorted(expected)
     assert enumerate_strings(grammar, 1) == ["0", "1"]
     assert enumerate_strings(grammar, 0) == [""]
+    with pytest.raises(InputError):
+        enumerate_strings(grammar, -1)
 
 
 def test_g4_ten_strings_at_length_four():
@@ -131,8 +124,7 @@ def test_g2_empty_at_odd_lengths():
     grammar = builtin_grammar(2)
     for length in (1, 3, 5, 7):
         assert enumerate_strings(grammar, length) == []
-    with pytest.raises(EmptyLanguageError):
-        require_nonempty(grammar, 5)
+        assert count_strings(grammar, length) == 0
 
 
 @given(bitstrings)
@@ -154,27 +146,9 @@ def test_g2_accepted_strings_pairwise_edit_distance_at_least_two():
         assert edit_distance(a, b) >= 2
 
 
-def test_enumerate_range_concatenates_lengths():
-    pairs = list(enumerate_range(builtin_grammar(3), 2, 4))
-    assert [p[1] for p in pairs] == [2, 2, 2, 3, 3, 3, 4, 4, 4]
-    assert ("0001", 4) in pairs
-
-
-def test_enumerate_range_validation():
-    with pytest.raises(InputError):
-        list(enumerate_range(builtin_grammar(1), 3, 2))
-    with pytest.raises(InputError):
-        enumerate_strings(builtin_grammar(1), -1)
-
-
 def test_unknown_grammar_index():
     with pytest.raises(InputError):
         builtin_grammar(5)
-
-
-def test_accepts_foreign_symbol():
-    with pytest.raises(InputError):
-        accepts(builtin_grammar(1), "102")
 
 
 def test_grammar_validation():
@@ -219,7 +193,7 @@ class TestGrammarInfluence:
         assert float(by_label["0001"]) == 0.25
 
     def test_empty_language_raises(self):
-        with pytest.raises(EmptyLanguageError):
+        with pytest.raises(InputError, match="point set must be nonempty"):
             grammar_influence(2, 3, 1.0)
 
     def test_sampled_mode_passes_through(self):

@@ -47,7 +47,7 @@ def test_load_vectors_non_numeric():
 def test_load_matrix_round_trip():
     dm = load_matrix("0 1 2\n1 0 1\n2 1 0\n")
     assert dm.n == 3
-    assert dm[0, 2] == 2.0
+    assert dm.values[0, 2] == 2.0
 
 
 def test_load_matrix_rejects_nonsquare():

@@ -107,7 +107,7 @@ class TestDistanceMatrix:
     def test_asymmetry_within_tolerance_mirrors_upper_triangle(self):
         eps = 1e-10
         dm = DistanceMatrix(np.array([[0.0, 1.0], [1.0 + eps, 0.0]]))
-        assert dm[0, 1] == dm[1, 0] == 1.0
+        assert dm.values[0, 1] == dm.values[1, 0] == 1.0
 
     def test_values_read_only(self):
         dm = DistanceMatrix(np.zeros((2, 2)))
@@ -131,9 +131,9 @@ def test_build_distance_matrix_metric_kind_mismatch():
 def test_build_distance_matrix_edit():
     ps = LabeledPointSet.from_strings(["1111", "0000", "0001"])
     dm = build_distance_matrix(ps, "edit")
-    assert dm[0, 1] == 4.0
-    assert dm[0, 2] == 3.0
-    assert dm[1, 2] == 1.0
+    assert dm.values[0, 1] == 4.0
+    assert dm.values[0, 2] == 3.0
+    assert dm.values[1, 2] == 1.0
 
 
 class TestNeighborComplex:
@@ -143,8 +143,8 @@ class TestNeighborComplex:
             np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
         )
         cx = build_complex(dm, 1.0)
-        assert cx.has_edge(0, 1) and cx.has_edge(1, 2)
-        assert not cx.has_edge(0, 2)
+        assert cx.rows[0] >> 1 & 1 and cx.rows[1] >> 2 & 1
+        assert not cx.rows[0] >> 2 & 1
         assert build_complex(dm, 0.999).num_edges() == 0
         assert build_complex(dm, 2.0).num_edges() == 3
 
@@ -171,7 +171,7 @@ class TestNeighborComplex:
         assert sorted(cx.edges()) == [(0, 1), (1, 2)]
         assert cx.degree(1) == 2
         assert cx.degree(3) == 0
-        assert cx.full_mask == 0b1111
+        assert cx.rows == (0b0010, 0b0101, 0b0010, 0)
 
     def test_from_edges_rejects_bad_vertices(self):
         with pytest.raises(InputError):
