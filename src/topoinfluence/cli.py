@@ -36,7 +36,12 @@ from .families import (
     erdos_renyi_graph,
     verify_combinatorial_identities,
 )
-from .grammars import BUILTIN_INDICES, builtin_grammar, enumerate_strings
+from .grammars import (
+    BUILTIN_INDICES,
+    builtin_grammar,
+    count_accepted,
+    enumerate_strings,
+)
 from .loaders import (
     FORMATS,
     dump_edges,
@@ -55,15 +60,9 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_NUMERIC = 4
 
-# Labeling every string of length N enumerates all 2^N of them.
+# ``grammar`` emits at most 2^NEG_LENGTH_MAX strings per length: --neg
+# labels all 2^N strings of length N, plain emission the accepted ones.
 NEG_LENGTH_MAX = 16
-
-_METRIC_FORMAT = {
-    "edit": "strings",
-    "hamming": "vectors",
-    "euclidean": "vectors",
-    "precomputed": "matrix",
-}
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -130,23 +129,18 @@ def _resolve_input_plan(args) -> tuple[str, str]:
                 "edge-list input is already a graph; --metric does not apply"
             )
         return fmt, ""
-    if metric is None and fmt is None:
-        metric, fmt = "edit", "strings"
-    elif fmt is None:
-        fmt = _METRIC_FORMAT[metric]
-    elif metric is None:
-        by_format = {"strings": "edit", "matrix": "precomputed"}
-        if fmt not in by_format:
+    if metric is None:
+        # Strings, the default input, and matrices are read by one metric each.
+        fits = [m for m, (_, kind) in METRICS.items() if kind == (fmt or "strings")]
+        if len(fits) != 1:
             raise InputError(
-                f"{fmt} input needs an explicit --metric (hamming or euclidean)"
+                f"{fmt} input needs an explicit --metric ({' or '.join(fits)})"
             )
-        metric = by_format[fmt]
-    if _METRIC_FORMAT[metric] != fmt:
-        raise InputError(
-            f"--metric {metric} expects {_METRIC_FORMAT[metric]} input, "
-            f"not {fmt}"
-        )
-    return fmt, metric
+        (metric,) = fits
+    expected = METRICS[metric][1]
+    if fmt is not None and fmt != expected:
+        raise InputError(f"--metric {metric} expects {expected} input, not {fmt}")
+    return expected, metric
 
 
 def _run_engine(args, complex_, labels=None) -> InfluenceResult:
@@ -302,12 +296,17 @@ def _cmd_grammar(args) -> int:
     else:
         lo, hi = args.range
         lengths = list(range(lo, hi + 1))
-    too_long = [length for length in lengths if length > NEG_LENGTH_MAX]
-    if args.neg and too_long:
-        raise InputError(
-            f"--neg labels all 2^{too_long[0]} strings; max length "
-            f"{NEG_LENGTH_MAX}"
-        )
+    for length in lengths:
+        if args.neg:
+            if length > NEG_LENGTH_MAX:
+                raise InputError(
+                    f"--neg labels all 2^{length} strings; max length {NEG_LENGTH_MAX}"
+                )
+        elif (count := count_accepted(grammar, length)) > 1 << NEG_LENGTH_MAX:
+            raise InputError(
+                f"{grammar.name} has {count} strings of length {length}; max "
+                f"2^{NEG_LENGTH_MAX} per length"
+            )
     lines: list[str] = []
     for length in lengths:
         accepted = enumerate_strings(grammar, length)
@@ -346,18 +345,8 @@ def _cmd_mask(args) -> int:
         "graph_count": report.graph_count,
         "j_values": list(report.j_values),
         "rates": rates,
-        "rows": [
-            {
-                "graph": r.graph,
-                "n": r.n,
-                "j": r.j,
-                "variant": r.variant,
-                "label_before": r.label_before,
-                "label_after": r.label_after,
-                "flipped": r.flipped,
-            }
-            for r in report.rows
-        ],
+        # A row's fields in declaration order, then whether its label moved.
+        "rows": [{**vars(r), "flipped": r.flipped} for r in report.rows],
     }
     config = {
         "subcommand": "mask",
@@ -430,7 +419,7 @@ def _add_input_flags(parser: argparse.ArgumentParser, formats: tuple) -> None:
         "--input-format", choices=formats,
         help="override the format inferred from --metric",
     )
-    parser.add_argument("--metric", choices=METRICS + ("precomputed",))
+    parser.add_argument("--metric", choices=tuple(METRICS))
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:

@@ -66,6 +66,9 @@ class InfluenceResult:
 
     @property
     def total(self):
+        """Sum of the scores; in sampled mode numpy's sum, the divisor of ``mu``."""
+        if self.method == "sampled":
+            return float(np.sum(self.shapley))
         return sum(self.shapley)
 
 

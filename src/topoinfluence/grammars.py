@@ -10,9 +10,11 @@ g4  every odd-length run of 1s is followed by an even-length run of 0s;
     follows it
 
 Enumeration at a given length never materializes all 2^N candidates: a
-backward-reachability table marks the states that can still reach
-acceptance in the remaining steps, and a depth-first walk over symbols
-in sorted order emits exactly the accepted strings, lexicographically.
+backward table counts, for each state, the suffixes of each length that
+lead from it to acceptance.  Its entry for the start state is the size
+of the output, known before any string is built, and a depth-first walk
+over symbols in sorted order enters only states with a nonzero count,
+so it emits exactly the accepted strings, lexicographically.
 """
 
 from __future__ import annotations
@@ -59,22 +61,27 @@ class Grammar:
                     )
 
 
-def _live_table(grammar: Grammar, length: int) -> list[set[str]]:
-    """live[k] = states from which some length-k suffix reaches acceptance."""
-    live = [set(grammar.accepting)]
+def _suffix_counts(grammar: Grammar, length: int) -> list[dict[str, int]]:
+    """counts[k][s] = number of length-k suffixes leading from state s to
+    acceptance; s is live with k symbols left iff the count is nonzero."""
+    if length < 0:
+        raise InputError(f"length must be nonnegative, got {length}")
+    counts = [{s: int(s in grammar.accepting) for s in grammar.states}]
     for _ in range(length):
-        previous = live[-1]
-        live.append(
+        previous = counts[-1]
+        counts.append(
             {
-                s
+                s: sum(previous[grammar.transitions[(s, a)]] for a in grammar.alphabet)
                 for s in grammar.states
-                if any(
-                    grammar.transitions[(s, a)] in previous
-                    for a in grammar.alphabet
-                )
             }
         )
-    return live
+    return counts
+
+
+def count_accepted(grammar: Grammar, length: int) -> int:
+    """How many strings of exactly ``length`` the grammar accepts, without
+    enumerating them."""
+    return _suffix_counts(grammar, length)[length][grammar.start]
 
 
 def enumerate_strings(grammar: Grammar, length: int) -> list[str]:
@@ -83,12 +90,10 @@ def enumerate_strings(grammar: Grammar, length: int) -> list[str]:
     The walk only enters subtrees that can still be completed, so the
     cost is proportional to the output plus the DFA size, not to 2^N.
     """
-    if length < 0:
-        raise InputError(f"length must be nonnegative, got {length}")
-    live = _live_table(grammar, length)
+    live = _suffix_counts(grammar, length)
     symbols = tuple(sorted(grammar.alphabet))
     out: list[str] = []
-    if grammar.start not in live[length]:
+    if not live[length][grammar.start]:
         return out
 
     def walk(state: str, prefix: list[str], remaining: int) -> None:
@@ -97,7 +102,7 @@ def enumerate_strings(grammar: Grammar, length: int) -> list[str]:
             return
         for symbol in symbols:
             target = grammar.transitions[(state, symbol)]
-            if target in live[remaining - 1]:
+            if live[remaining - 1][target]:
                 prefix.append(symbol)
                 walk(target, prefix, remaining - 1)
                 prefix.pop()

@@ -1,13 +1,14 @@
 """Connected-component counting, as the pipelines run it.
 
-Single graphs and the sampled walk count components with union-find.
-Exact mode needs more: the component count of the induced subgraph on
-every subset S of vertices, all 2^n of them.  ``betti0_table`` fills
-that table with a peeling recurrence instead of 2^n independent
-traversals: the count for S is one more than the count for S minus the
-component containing S's highest vertex, and that smaller subset was
-already solved.  The fill runs as numpy passes over chunks of subsets,
-never as a Python loop over all 2^n of them.
+Single graphs, the masked subgraphs the masking harness labels, and the
+sampled walk count components with union-find.  Exact mode needs more:
+the component count of the induced subgraph on every subset S of
+vertices, all 2^n of them.  ``betti0_table`` fills that table with a
+peeling recurrence instead of 2^n independent traversals: the count for
+S is one more than the count for S minus the component containing S's
+highest vertex, and that smaller subset was already solved.  The fill
+runs as numpy passes over chunks of subsets, never as a Python loop
+over all 2^n of them.
 
 The slower, independent counters these are tested against (per-subset
 union-find, a bitmask flood fill, and the zero eigenvalues of the graph
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SizeCapError
+from .errors import InputError, SizeCapError
 from .metric_complex import NeighborComplex
 
 # betti0_table allocates 2^n bytes and touches every subset once.
@@ -58,13 +59,26 @@ class UnionFind:
         return True
 
 
-def betti0(complex_: NeighborComplex) -> int:
-    """Number of connected components, by union-find.  b0 of n isolated
-    vertices is n; every edge merges at most one pair."""
-    uf = UnionFind(complex_.n)
-    for u, v in complex_.edges():
-        uf.union(u, v)
-    return uf.count
+def betti0(complex_: NeighborComplex, keep: int | None = None) -> int:
+    """Number of connected components of the subgraph induced on the set
+    bits of ``keep`` (default: every vertex), by union-find on
+    ``rows[v] & keep``.  Vertices outside ``keep`` stay singletons and are
+    subtracted from the count, so b0 of the empty set is 0."""
+    n = complex_.n
+    keep = (1 << n) - 1 if keep is None else keep
+    if not 0 <= keep < 1 << n:
+        raise InputError(f"keep mask has bits outside 0..{n - 1}")
+    uf = UnionFind(n)
+    later = keep
+    while later:
+        v = (later & -later).bit_length() - 1
+        later ^= 1 << v
+        row = complex_.rows[v] & later  # kept neighbors above v
+        while row:
+            low = row & -row
+            uf.union(v, low.bit_length() - 1)
+            row ^= low
+    return uf.count - (n - keep.bit_count())
 
 
 def _union_table(rows) -> np.ndarray:

@@ -7,9 +7,11 @@ label.  If influence scores mean anything, removing the most
 influential vertices should disturb the label most and the least
 influential ones least, with random deletion in between.
 
-Labels come from the exact component count, recomputed from scratch on
-every masked graph.  No learned classifier stands in the loop, so the
-measured quantity is ground-truth label disruption, not model accuracy.
+Labels come from the exact component count of each masked graph,
+counted on the parent graph restricted to its surviving vertices, with
+no reindexed copy built.  No learned classifier stands in the loop, so
+the measured quantity is ground-truth label disruption, not model
+accuracy.
 """
 
 from __future__ import annotations
@@ -119,17 +121,9 @@ def generate_er_dataset(
     return dataset
 
 
-def rank_nodes(
-    graph: NeighborComplex,
-    mode: str = "exact",
-    permutations: int = 0,
-    seed: int = 0,
-) -> list[int]:
-    """Vertices sorted by influence, highest first, ties by index."""
-    result = compute_influence(
-        graph, mode=mode, permutations=permutations, seed=seed
-    )
-    mu = result.mu
+def rank_nodes(graph: NeighborComplex) -> list[int]:
+    """Vertices sorted by exact influence, highest first, ties by index."""
+    mu = compute_influence(graph).mu
     return sorted(range(graph.n), key=lambda i: (-mu[i], i))
 
 
@@ -137,7 +131,9 @@ def mask_nodes(graph: NeighborComplex, vertices: set[int]) -> NeighborComplex:
     """Induced subgraph on the complement of ``vertices``, reindexed.
 
     Survivors keep their relative order.  Removing every vertex is
-    refused: the empty graph has no component count to compare.
+    refused: the empty graph has no component count to compare.  The
+    experiment itself labels ``betti0(graph, keep)`` on the parent graph
+    and never builds this copy.
     """
     for v in vertices:
         if not 0 <= v < graph.n:
@@ -162,9 +158,10 @@ def run_masking_experiment(
     """Mask top/bottom/random J vertices of every graph; record label flips.
 
     The influence ranking is computed once per graph and shared by all J.
-    Random masks for graph g at level J come from a Philox block keyed by
-    the experiment seed and indexed by (g, J), so any single cell of the
-    experiment can be replayed alone.
+    Each masked label is b0 of the parent graph restricted to the
+    vertices outside the mask.  Random masks for graph g at level J come
+    from a Philox block keyed by the experiment seed and indexed by
+    (g, J), so any single cell of the experiment can be replayed alone.
     """
     if not dataset:
         raise InputError("empty dataset")
@@ -178,29 +175,20 @@ def run_masking_experiment(
     for g_index, item in enumerate(dataset):
         graph, before = item.graph, item.label
         ranking = rank_nodes(graph)
+        full = (1 << graph.n) - 1
         for j in j_values:
             rng = np.random.Generator(
                 np.random.Philox(key=seed, counter=((g_index << 20) | j) << 64)
             )
             picks = {
-                "top": set(ranking[:j]),
-                "bottom": set(ranking[graph.n - j:]) if j else set(),
-                "random": set(
-                    int(v) for v in rng.choice(graph.n, size=j, replace=False)
-                ),
+                "top": ranking[:j],
+                "bottom": ranking[graph.n - j:],
+                "random": rng.choice(graph.n, size=j, replace=False).tolist(),
             }
             for variant in VARIANTS:
-                masked = mask_nodes(graph, picks[variant])
-                rows.append(
-                    MaskRow(
-                        graph=g_index,
-                        n=graph.n,
-                        j=j,
-                        variant=variant,
-                        label_before=before,
-                        label_after=betti0(masked),
-                    )
-                )
+                removed = sum(1 << v for v in picks[variant])
+                label = betti0(graph, full & ~removed)
+                rows.append(MaskRow(g_index, graph.n, j, variant, before, label))
     return MaskingReport(
         graph_count=len(dataset),
         j_values=tuple(j_values),

@@ -28,8 +28,6 @@ from .errors import InputError
 # asymmetric beyond this is rejected rather than silently symmetrized.
 SYMMETRY_TOLERANCE = 1e-9
 
-METRICS = ("edit", "hamming", "euclidean")
-
 Vector = tuple[float, ...]
 
 
@@ -161,35 +159,37 @@ class DistanceMatrix:
         return self._values
 
 
+# Metric name -> (distance function, the kind of input it reads).  The
+# ``precomputed`` metric has no function: its input is the matrix itself.
+METRICS = {
+    "edit": (edit_distance, "strings"),
+    "hamming": (hamming_distance, "vectors"),
+    "euclidean": (euclidean_distance, "vectors"),
+    "precomputed": (None, "matrix"),
+}
+
+
 def build_distance_matrix(points: LabeledPointSet, metric: str) -> DistanceMatrix:
     """Evaluate the metric on all O(n^2) pairs.
 
-    ``edit`` applies to string items; ``hamming`` and ``euclidean`` to
-    vector items.  Mixed item kinds or a metric/kind mismatch raise
-    InputError.  Precomputed matrices do not pass through here: load them
-    with :func:`topoinfluence.loaders.load_matrix` instead.
+    Each metric of ``METRICS`` applies to one item kind.  Mixed item
+    kinds or a metric/kind mismatch raise InputError.  Precomputed
+    matrices do not pass through here: load them with
+    :func:`topoinfluence.loaders.load_matrix` instead.
     """
     kind = points.kind
     if kind == "mixed":
         raise InputError("point set mixes strings and vectors")
-    if metric == "edit":
-        if kind != "strings":
-            raise InputError("edit metric applies to string items only")
-        fn = edit_distance
-    elif metric == "hamming":
-        if kind != "vectors":
-            raise InputError("hamming metric applies to vector items only")
-        fn = hamming_distance
-    elif metric == "euclidean":
-        if kind != "vectors":
-            raise InputError("euclidean metric applies to vector items only")
-        fn = euclidean_distance
-    elif metric == "precomputed":
+    if metric not in METRICS:
+        raise InputError(f"unknown metric {metric!r}")
+    fn, wanted = METRICS[metric]
+    if fn is None:
         raise InputError(
             "precomputed distances must be loaded as a matrix, not rebuilt"
         )
-    else:
-        raise InputError(f"unknown metric {metric!r}")
+    if kind != wanted:
+        # "strings" -> "string items", "vectors" -> "vector items"
+        raise InputError(f"{metric} metric applies to {wanted[:-1]} items only")
 
     n = len(points)
     d = np.zeros((n, n), dtype=np.float64)

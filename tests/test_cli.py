@@ -415,6 +415,33 @@ class TestGrammar:
             "topoinfluence: error: --neg labels all 2^17 strings; max length 16\n"
         )
 
+    def test_output_budget_checked_before_enumeration(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("enumerated before the output budget check")
+
+        monkeypatch.setattr(cli, "enumerate_strings", refuse)
+        for g, argv, count, length in (
+            ("2", ("--len", "18"), 131072, 18),
+            ("4", ("--len", "20"), 93760, 20),
+            ("2", ("--range", "10:20"), 131072, 18),
+        ):
+            code, out, err = run_cli(capsys, "grammar", "--g", g, *argv)
+            assert code == 2
+            assert out == ""
+            assert err == (
+                f"topoinfluence: error: g{g} has {count} strings of length "
+                f"{length}; max 2^16 per length\n"
+            )
+
+    def test_output_budget_admits_lengths_within_it(self, capsys):
+        code, out, _ = run_cli(capsys, "grammar", "--g", "4", "--len", "18")
+        assert code == 0
+        assert out.startswith("# g4 length 18: 29952 strings\n")
+        assert out.count("\n") == 29953
+        for g in ("1", "3"):
+            code, out, _ = run_cli(capsys, "grammar", "--g", g, "--range", "0:40")
+            assert code == 0
+
 
 class TestMask:
     def test_small_run_json(self, capsys):

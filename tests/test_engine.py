@@ -226,6 +226,13 @@ class TestSampled:
         with pytest.raises(InputError):
             sampled_shapley(path_graph(3), 0, seed=0)
 
+    def test_total_is_the_divisor_of_mu(self):
+        # Python's left-to-right sum of these scores is 12.028000000000004;
+        # mu divides by numpy's sum, 12.028, and the total must be that float.
+        est = sampled_shapley(erdos_renyi_graph(60, 0.15, 0), 500, 3)
+        assert est.total == float(np.sum(est.shapley))
+        assert all(m == s / est.total for s, m in zip(est.shapley, est.mu))
+
 
 class TestComputeInfluence:
     def test_dispatch_and_labels(self):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topoinfluence import Grammar, InputError, builtin_grammar, enumerate_strings
+from topoinfluence.grammars import count_accepted
 
 from oracles import accepts, count_strings, grammar_influence
 
@@ -83,6 +84,15 @@ def test_count_matches_enumeration(index):
         assert count_strings(grammar, length) == len(
             enumerate_strings(grammar, length)
         )
+
+
+@pytest.mark.parametrize("index", [1, 2, 3, 4])
+def test_count_accepted_matches_oracle_count(index):
+    grammar = builtin_grammar(index)
+    for length in range(0, 25):
+        assert count_accepted(grammar, length) == count_strings(grammar, length)
+    with pytest.raises(InputError):
+        count_accepted(grammar, -1)
 
 
 def test_spot_memberships():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from topoinfluence import homology
 from topoinfluence import (
+    InputError,
     NeighborComplex,
     SizeCapError,
     UnionFind,
@@ -14,6 +15,7 @@ from topoinfluence import (
     betti0_table,
     complete_graph,
     cycle_graph,
+    mask_nodes,
     path_graph,
     star_graph,
 )
@@ -70,6 +72,25 @@ class TestBetti0:
                         g.n, list(g.edges()) + [(i, j)]
                     )
                     assert base - 1 <= betti0(grown) <= base
+
+
+    @given(small_graphs(max_n=7))
+    @settings(max_examples=60)
+    def test_keep_counts_the_masked_graph(self, g):
+        full = (1 << g.n) - 1
+        assert betti0(g, 0) == 0
+        assert betti0(g, full) == betti0(g)
+        for keep in range(1, full + 1):
+            removed = {v for v in range(g.n) if not keep >> v & 1}
+            want = betti0_of_subset(g, keep)
+            assert betti0(g, keep) == want
+            assert betti0(mask_nodes(g, removed)) == want
+
+    def test_keep_outside_vertices_rejected(self):
+        g = path_graph(3)
+        for keep in (-1, 0b1000, 0b1111):
+            with pytest.raises(InputError, match="outside 0..2"):
+                betti0(g, keep)
 
 
 class TestLaplacian:

@@ -65,12 +65,6 @@ class TestRankNodes:
     def test_ties_break_by_index(self):
         assert rank_nodes(complete_graph(5)) == [0, 1, 2, 3, 4]
 
-    def test_sampled_mode(self):
-        ranking = rank_nodes(
-            star_graph(7), mode="sampled", permutations=500, seed=2
-        )
-        assert ranking[0] == 6
-
 
 class TestGenerateDataset:
     def test_quotas_near_equal(self):

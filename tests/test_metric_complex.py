@@ -128,6 +128,33 @@ def test_build_distance_matrix_metric_kind_mismatch():
         build_distance_matrix(strings, "chebyshev")
 
 
+@pytest.mark.parametrize(
+    "kind, metric, message",
+    [
+        ("mixed", "edit", "point set mixes strings and vectors"),
+        ("mixed", "chebyshev", "point set mixes strings and vectors"),
+        ("strings", "chebyshev", "unknown metric 'chebyshev'"),
+        ("strings", "precomputed",
+         "precomputed distances must be loaded as a matrix, not rebuilt"),
+        ("vectors", "precomputed",
+         "precomputed distances must be loaded as a matrix, not rebuilt"),
+        ("vectors", "edit", "edit metric applies to string items only"),
+        ("strings", "hamming", "hamming metric applies to vector items only"),
+        ("strings", "euclidean", "euclidean metric applies to vector items only"),
+    ],
+)
+def test_build_distance_matrix_error_messages(kind, metric, message):
+    items = {
+        "strings": ("01", "10"),
+        "vectors": ((0.0,), (1.0,)),
+        "mixed": ("01", (1.0,)),
+    }[kind]
+    points = LabeledPointSet(items=items, labels=("a", "b"))
+    with pytest.raises(InputError) as info:
+        build_distance_matrix(points, metric)
+    assert str(info.value) == message
+
+
 def test_build_distance_matrix_edit():
     ps = LabeledPointSet.from_strings(["1111", "0000", "0001"])
     dm = build_distance_matrix(ps, "edit")
