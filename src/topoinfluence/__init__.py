@@ -49,7 +49,7 @@ from .families import (
     wheel_scores,
 )
 from .grammars import Grammar, builtin_grammar, enumerate_strings
-from .homology import UnionFind, betti0, betti0_table
+from .homology import betti0, betti0_table
 from .masking import (
     LabeledGraph,
     MaskingReport,
@@ -88,7 +88,6 @@ __all__ = [
     "NeighborComplex",
     "SizeCapError",
     "TopoInfluenceError",
-    "UnionFind",
     "betti0",
     "betti0_table",
     "builtin_grammar",

@@ -17,10 +17,12 @@ Two evaluation modes:
 
 exact     subset table over all 2^n coalitions, rational arithmetic on
           integer marginal tallies; bit-for-bit reproducible.
-sampled   Monte Carlo over uniformly random insertion orders; the
-          predecessor set of i in a uniform permutation is exactly a
-          coalition drawn with the Shapley weights, so the running mean
-          of the walk marginals is unbiased for s(i).
+sampled   Monte Carlo over uniformly random insertion orders, each
+          walked once by the union-find walk of
+          ``homology.component_changes``; the predecessor set of i in a
+          uniform permutation is exactly a coalition drawn with the
+          Shapley weights, so the running mean of the walk marginals is
+          unbiased for s(i).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, SizeCapError
-from .homology import CHUNK_BITS, TABLE_HARD_MAX, UnionFind, betti0_table
+from .homology import CHUNK_BITS, TABLE_HARD_MAX, betti0_table, component_changes
 from .metric_complex import NeighborComplex
 
 # Exact mode is opt-in above this size because the subset table costs
@@ -175,28 +177,15 @@ def permutation_marginals(
 ) -> list[int]:
     """Absolute component-count marginals along one insertion order.
 
-    marginals[i] belongs to vertex i (not to position).  Incremental
-    union-find walk: adding a vertex changes the count by one minus the
-    number of distinct present components it touches.
+    marginals[i] belongs to vertex i (not to position): |b0(P + i) - b0(P)|
+    for the vertices P before i, the absolute values of
+    :func:`~topoinfluence.homology.component_changes`.  ``order`` must be
+    a permutation of 0..n-1.
     """
     n = complex_.n
-    if sorted(order) != list(range(n)):
-        raise InputError("order must be a permutation of 0..n-1")
-    rows = complex_.rows
-    uf = UnionFind(n)
-    present = 0
-    marginals = [0] * n
-    for v in order:
-        delta = 1
-        row = rows[v] & present
-        while row:
-            low = row & -row
-            if uf.union(v, low.bit_length() - 1):
-                delta -= 1
-            row ^= low
-        present |= 1 << v
-        marginals[v] = abs(delta)
-    return marginals
+    if len(order) != n:
+        raise InputError(f"order must be a permutation of 0..{n - 1}")
+    return [abs(c) for c in component_changes(complex_, order)]
 
 
 def sampled_shapley(

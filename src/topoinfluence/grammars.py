@@ -12,9 +12,10 @@ g4  every odd-length run of 1s is followed by an even-length run of 0s;
 Enumeration at a given length never materializes all 2^N candidates: a
 backward table counts, for each state, the suffixes of each length that
 lead from it to acceptance.  Its entry for the start state is the size
-of the output, known before any string is built, and a depth-first walk
-over symbols in sorted order enters only states with a nonzero count,
-so it emits exactly the accepted strings, lexicographically.
+of the output, known before any string is built.  The live prefixes are
+then extended one symbol at a time, in sorted symbol order, into states
+with a nonzero count only, so the last level holds exactly the accepted
+strings, lexicographically.
 """
 
 from __future__ import annotations
@@ -87,28 +88,25 @@ def count_accepted(grammar: Grammar, length: int) -> int:
 def enumerate_strings(grammar: Grammar, length: int) -> list[str]:
     """All accepted strings of exactly ``length``, lexicographic order.
 
-    The walk only enters subtrees that can still be completed, so the
-    cost is proportional to the output plus the DFA size, not to 2^N.
+    Every live prefix completes to at least one accepted string, so each
+    level holds no more prefixes than the output has strings, and the
+    cost is bounded by the output times the length plus the DFA size,
+    not by 2^N.
     """
     live = _suffix_counts(grammar, length)
     symbols = tuple(sorted(grammar.alphabet))
-    out: list[str] = []
     if not live[length][grammar.start]:
-        return out
-
-    def walk(state: str, prefix: list[str], remaining: int) -> None:
-        if remaining == 0:
-            out.append("".join(prefix))
-            return
-        for symbol in symbols:
-            target = grammar.transitions[(state, symbol)]
-            if live[remaining - 1][target]:
-                prefix.append(symbol)
-                walk(target, prefix, remaining - 1)
-                prefix.pop()
-
-    walk(grammar.start, [], length)
-    return out
+        return []
+    prefixes = [("", grammar.start)]
+    for remaining in range(length - 1, -1, -1):
+        extended = []
+        for prefix, state in prefixes:
+            for symbol in symbols:
+                target = grammar.transitions[(state, symbol)]
+                if live[remaining][target]:
+                    extended.append((prefix + symbol, target))
+        prefixes = extended
+    return [prefix for prefix, _ in prefixes]
 
 
 def _g1() -> Grammar:

@@ -1,21 +1,24 @@
 """Connected-component counting, as the pipelines run it.
 
 Single graphs, the masked subgraphs the masking harness labels, and the
-sampled walk count components with union-find.  Exact mode needs more:
-the component count of the induced subgraph on every subset S of
-vertices, all 2^n of them.  ``betti0_table`` fills that table with a
-peeling recurrence instead of 2^n independent traversals: the count for
-S is one more than the count for S minus the component containing S's
-highest vertex, and that smaller subset was already solved.  The fill
-runs as numpy passes over chunks of subsets, never as a Python loop
-over all 2^n of them.
+sampled walk all count components with one union-find walk,
+``component_changes``: the signed change in b0 as each vertex joins the
+vertices before it in an order.  Exact mode needs more: the component
+count of the induced subgraph on every subset S of vertices, all 2^n of
+them.  ``betti0_table`` fills that table with a peeling recurrence
+instead of 2^n independent traversals: the count for S is one more than
+the count for S minus the component containing S's highest vertex, and
+that smaller subset was already solved.  The fill runs as numpy passes
+over chunks of subsets, never as a Python loop over all 2^n of them.
 
-The slower, independent counters these are tested against (per-subset
-union-find, a bitmask flood fill, and the zero eigenvalues of the graph
-Laplacian) live in ``tests/oracles.py``, outside the package.
+The slower, independent counters these are tested against (a bitmask
+flood fill per subset, and the zero eigenvalues of the graph Laplacian)
+live in ``tests/oracles.py``, outside the package.
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 import numpy as np
 
@@ -31,54 +34,54 @@ TABLE_HARD_MAX = 26
 CHUNK_BITS = 15
 
 
-class UnionFind:
-    """Disjoint sets over 0..n-1 with union by size and path compression."""
+def component_changes(complex_: NeighborComplex, order: Iterable[int]) -> list[int]:
+    """Signed change in b0 as each vertex of ``order`` joins those before it.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-        self.count = n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.count -= 1
-        return True
+    Entry v is 1 minus the number of distinct components that v's
+    already-present neighbours lie in; vertices not in ``order`` get 0.
+    The entries therefore sum to b0 of the subgraph induced on ``order``.
+    One union-find walk: ``parent`` with path halving, each distinct root
+    found linked under v.  A vertex outside 0..n-1 or a repeated one
+    raises InputError, found from the ``present`` bitmask.
+    """
+    n = complex_.n
+    rows = complex_.rows
+    parent = list(range(n))
+    changes = [0] * n
+    present = 0
+    for v in order:
+        if not 0 <= v < n:
+            raise InputError(f"order has vertex {v} outside 0..{n - 1}")
+        if present >> v & 1:
+            raise InputError(f"order repeats vertex {v}")
+        change = 1
+        row = rows[v] & present
+        while row:
+            low = row & -row
+            root = low.bit_length() - 1
+            while parent[root] != root:
+                parent[root] = parent[parent[root]]
+                root = parent[root]
+            if root != v:
+                parent[root] = v
+                change -= 1
+            row ^= low
+        present |= 1 << v
+        changes[v] = change
+    return changes
 
 
 def betti0(complex_: NeighborComplex, keep: int | None = None) -> int:
     """Number of connected components of the subgraph induced on the set
-    bits of ``keep`` (default: every vertex), by union-find on
-    ``rows[v] & keep``.  Vertices outside ``keep`` stay singletons and are
-    subtracted from the count, so b0 of the empty set is 0."""
+    bits of ``keep`` (default: every vertex): the sum of
+    :func:`component_changes` over those vertices in index order, so b0
+    of the empty set is 0."""
     n = complex_.n
     keep = (1 << n) - 1 if keep is None else keep
     if not 0 <= keep < 1 << n:
         raise InputError(f"keep mask has bits outside 0..{n - 1}")
-    uf = UnionFind(n)
-    later = keep
-    while later:
-        v = (later & -later).bit_length() - 1
-        later ^= 1 << v
-        row = complex_.rows[v] & later  # kept neighbors above v
-        while row:
-            low = row & -row
-            uf.union(v, low.bit_length() - 1)
-            row ^= low
-    return uf.count - (n - keep.bit_count())
+    kept = [v for v in range(n) if keep >> v & 1]
+    return sum(component_changes(complex_, kept))
 
 
 def _union_table(rows) -> np.ndarray:

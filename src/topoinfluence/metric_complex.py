@@ -274,13 +274,10 @@ def build_complex(dm: DistanceMatrix, r: float) -> NeighborComplex:
     """
     if not math.isfinite(r) or r < 0:
         raise InputError(f"resolution must be a finite nonnegative real, got {r}")
-    n = dm.n
     close = dm.values <= r
-    rows = []
-    for i in range(n):
-        row = 0
-        for j in np.nonzero(close[i])[0]:
-            if j != i:
-                row |= 1 << int(j)
-        rows.append(row)
-    return NeighborComplex(n=n, rows=tuple(rows))
+    np.fill_diagonal(close, False)
+    # Byte k of a packed row holds bits 8k..8k+7, lowest first: read
+    # little-endian, the row is its adjacency bitset.
+    packed = np.packbits(close, axis=1, bitorder="little")
+    rows = tuple(int.from_bytes(row, "little") for row in packed)
+    return NeighborComplex(n=dm.n, rows=rows)

@@ -29,8 +29,9 @@ LN2 = math.log(2.0)
 
 
 def fmt_float(x: float) -> str:
-    """One canonical spelling per float: shortest 17-significant-digit
-    form, exact on round trip."""
+    """One canonical spelling per float: 17 significant digits (``.17g``),
+    exact on round trip.  Not the shortest round-trip form: 0.1 is
+    written ``0.10000000000000001``."""
     if not math.isfinite(x):
         raise InputError(f"refusing to serialize non-finite value {x!r}")
     return format(float(x), ".17g")

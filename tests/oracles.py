@@ -2,9 +2,9 @@
 
 None of them is on a pipeline's path.  The table and tallies share no code
 with the package's chunked numpy kernels, so tests can hold those kernels
-to them bit for bit; the spectral count shares no code with union-find;
-the grammar membership and count oracles share no code with the lazy
-enumeration.
+to them bit for bit; the flood fill and the spectral count share no code
+with the package's union-find walk; the grammar membership and count
+oracles share no code with the lazy enumeration.
 """
 
 import functools
@@ -17,7 +17,6 @@ from topoinfluence import (
     InputError,
     LabeledPointSet,
     NeighborComplex,
-    UnionFind,
     build_complex,
     build_distance_matrix,
     builtin_grammar,
@@ -35,32 +34,35 @@ from topoinfluence import (
 ZERO_TOLERANCE = 1e-8
 
 
+def _flood(rows, start: int, mask: int) -> int:
+    """The component containing vertex bit ``start`` of the subgraph
+    induced on ``mask``, by a bitmask flood fill over ``rows``."""
+    component = frontier = start
+    while frontier:
+        neighbors = 0
+        f = frontier
+        while f:
+            b = f & -f
+            neighbors |= rows[b.bit_length() - 1]
+            f ^= b
+        frontier = neighbors & mask & ~component
+        component |= frontier
+    return component
+
+
 def betti0_of_subset(complex_: NeighborComplex, mask: int) -> int:
-    """Component count of the induced subgraph on the vertices in ``mask``.
+    """Component count of the induced subgraph on the vertices in ``mask``,
+    flooding and removing one component at a time.
 
     The empty subset has zero components by convention; that choice makes
     the first vertex added to an empty coalition worth exactly one
     component, which the closed-form results downstream assume.
     """
-    if mask == 0:
-        return 0
-    members = []
-    m = mask
-    while m:
-        low = m & -m
-        members.append(low.bit_length() - 1)
-        m ^= low
-    index = {v: k for k, v in enumerate(members)}
-    uf = UnionFind(len(members))
-    for k, v in enumerate(members):
-        row = complex_.rows[v] & mask
-        while row:
-            low = row & -row
-            w = low.bit_length() - 1
-            if w > v:
-                uf.union(k, index[w])
-            row ^= low
-    return uf.count
+    count = 0
+    while mask:
+        mask ^= _flood(complex_.rows, mask & -mask, mask)
+        count += 1
+    return count
 
 
 def laplacian(complex_: NeighborComplex) -> np.ndarray:
@@ -90,18 +92,7 @@ def reference_betti0_table(complex_: NeighborComplex) -> np.ndarray:
     rows = complex_.rows
     table = np.zeros(1 << n, dtype=np.int8)
     for mask in range(1, 1 << n):
-        low = mask & -mask
-        component = low
-        frontier = low
-        while frontier:
-            neighbors = 0
-            f = frontier
-            while f:
-                b = f & -f
-                neighbors |= rows[b.bit_length() - 1]
-                f ^= b
-            frontier = neighbors & mask & ~component
-            component |= frontier
+        component = _flood(rows, mask & -mask, mask)
         table[mask] = table[mask ^ component] + 1
     return table
 

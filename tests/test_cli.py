@@ -396,6 +396,12 @@ class TestGrammar:
         strings = [l for l in out.splitlines() if not l.startswith("#")]
         assert strings == ["00", "01", "11", "000", "001", "111"]
 
+    def test_length_past_recursion_limit(self, capsys):
+        code, out, err = run_cli(capsys, "grammar", "--g", "1", "--len", "1200")
+        assert code == 0, err
+        strings = [l for l in out.splitlines() if not l.startswith("#")]
+        assert strings == ["1" * 1200]
+
     def test_neg_length_guard(self, capsys):
         code, _, err = run_cli(capsys, "grammar", "--g", "2", "--len", "17", "--neg")
         assert code == 2

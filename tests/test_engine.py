@@ -166,6 +166,16 @@ class TestPermutationWalk:
         with pytest.raises(InputError):
             permutation_marginals(g, [0, 0, 2])
 
+    @pytest.mark.parametrize("kind", [list, tuple])
+    @pytest.mark.parametrize(
+        "order",
+        [[0, 1], [0, 1, 2, 3], [0, 1, 3], [-1, 0, 1], [2, 1, 2]],
+        ids=["short", "long", "above", "negative", "repeat"],
+    )
+    def test_rejects_bad_orders(self, order, kind):
+        with pytest.raises(InputError, match="order"):
+            permutation_marginals(path_graph(3), kind(order))
+
     def test_first_vertex_always_scores_one(self):
         g = wheel_graph(5)
         marginals = permutation_marginals(g, [3, 0, 1, 2, 4])

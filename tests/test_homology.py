@@ -10,7 +10,6 @@ from topoinfluence import (
     InputError,
     NeighborComplex,
     SizeCapError,
-    UnionFind,
     betti0,
     betti0_table,
     complete_graph,
@@ -29,18 +28,6 @@ from oracles import (
     reference_betti0_table,
     small_graphs,
 )
-
-
-class TestUnionFind:
-    def test_counts_merges(self):
-        uf = UnionFind(4)
-        assert uf.count == 4
-        assert uf.union(0, 1)
-        assert not uf.union(1, 0)
-        assert uf.union(2, 3)
-        assert uf.count == 2
-        assert uf.find(0) == uf.find(1)
-        assert uf.find(0) != uf.find(2)
 
 
 class TestBetti0:
@@ -91,6 +78,21 @@ class TestBetti0:
         for keep in (-1, 0b1000, 0b1111):
             with pytest.raises(InputError, match="outside 0..2"):
                 betti0(g, keep)
+
+
+class TestComponentChanges:
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_changes_sum_to_betti0_in_any_order(self, data):
+        g = data.draw(small_graphs(max_n=8))
+        order = data.draw(st.permutations(range(g.n)))
+        assert sum(homology.component_changes(g, order)) == betti0(g)
+        # A walk over a prefix leaves the other vertices at 0 and sums to
+        # b0 of the prefix.
+        k = data.draw(st.integers(0, g.n))
+        changes = homology.component_changes(g, order[:k])
+        assert all(changes[v] == 0 for v in order[k:])
+        assert sum(changes) == betti0_of_subset(g, sum(1 << v for v in order[:k]))
 
 
 class TestLaplacian:

@@ -185,6 +185,21 @@ class TestNeighborComplex:
         for i in range(6):
             assert small.rows[i] & ~large.rows[i] == 0
 
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_rows_follow_the_definition(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=20))
+        pairs = n * (n - 1) // 2
+        upper = data.draw(st.lists(st.integers(0, 4), min_size=pairs, max_size=pairs))
+        d = np.zeros((n, n))
+        d[np.triu_indices(n, 1)] = upper
+        d = d + d.T
+        r = data.draw(st.integers(0, 4))
+        cx = build_complex(DistanceMatrix(d), r)
+        for i in range(n):
+            want = sum(1 << j for j in range(n) if d[i, j] <= r and i != j)
+            assert cx.rows[i] == want
+
     def test_invalid_radius(self):
         dm = DistanceMatrix(np.zeros((2, 2)))
         with pytest.raises(InputError):
