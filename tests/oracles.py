@@ -4,7 +4,8 @@ None of them is on a pipeline's path.  The table and tallies share no code
 with the package's chunked numpy kernels, so tests can hold those kernels
 to them bit for bit; the flood fill and the spectral count share no code
 with the package's union-find walk; the grammar membership and count
-oracles share no code with the lazy enumeration.
+oracles share no code with the lazy enumeration; the scalar edit-distance
+dynamic program shares no code with the package's vectorized kernel.
 """
 
 import functools
@@ -63,6 +64,23 @@ def betti0_of_subset(complex_: NeighborComplex, mask: int) -> int:
         mask ^= _flood(complex_.rows, mask & -mask, mask)
         count += 1
     return count
+
+
+def edit_distance_dp(a: str, b: str) -> int:
+    """Levenshtein distance by the scalar dynamic program, one cell at a
+    time, keeping one row of the shorter string's length."""
+    if len(a) < len(b):
+        a, b = b, a
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            cost = 0 if ca == cb else 1
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
+            )
+        previous = current
+    return previous[-1]
 
 
 def laplacian(complex_: NeighborComplex) -> np.ndarray:

@@ -162,6 +162,17 @@ class TestInfluence:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("metric", ["hamming", "euclidean"])
+    def test_non_finite_vector_refused(self, capsys, tmp_path, metric):
+        p = tmp_path / "v.txt"
+        p.write_text("1,2\nnan,0\nnan,0\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "influence", "--input", str(p), "--metric", metric,
+            "--radius", "0",
+        )
+        assert (code, out) == (2, "")
+        assert err == "topoinfluence: error: vector 1 has a non-finite coordinate\n"
+
     def test_precomputed_matrix(self, capsys, tmp_path):
         p = tmp_path / "d.txt"
         p.write_text("0 1 4\n1 0 3\n4 3 0\n", encoding="utf-8")

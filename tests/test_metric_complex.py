@@ -17,8 +17,31 @@ from topoinfluence import (
     hamming_distance,
     path_graph,
 )
+from topoinfluence import metric_complex
+
+from oracles import edit_distance_dp
 
 bitstrings = st.text(alphabet="01", max_size=12)
+
+# Binary, three letters, non-ASCII with a symbol outside the BMP, and one
+# symbol: the kernel compares code points, whatever the alphabet.
+ALPHABETS = ("01", "abc", "é€😀x", "z")
+
+
+@st.composite
+def string_sets(draw, max_n=30, max_len=40):
+    """1..max_n strings of lengths 0..max_len over one of ALPHABETS;
+    small alphabets make empty strings and duplicates common."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    text = st.text(alphabet=alphabet, max_size=max_len)
+    return draw(st.lists(text, min_size=1, max_size=max_n))
+
+
+def oracle_matrix(strings) -> np.ndarray:
+    return np.array(
+        [[edit_distance_dp(a, b) for b in strings] for a in strings],
+        dtype=np.float64,
+    )
 
 
 class TestEditDistance:
@@ -38,6 +61,13 @@ class TestEditDistance:
     )
     def test_known_pairs(self, a, b, d):
         assert edit_distance(a, b) == d
+        assert edit_distance_dp(a, b) == d
+
+    @given(st.sampled_from(ALPHABETS).flatmap(
+        lambda alphabet: st.tuples(*[st.text(alphabet=alphabet, max_size=40)] * 2)
+    ))
+    def test_one_pair_call_equals_scalar_dp(self, pair):
+        assert edit_distance(*pair) == edit_distance_dp(*pair)
 
     @given(bitstrings, bitstrings)
     def test_symmetric(self, a, b):
@@ -81,6 +111,13 @@ class TestLabeledPointSet:
         ps = LabeledPointSet.from_vectors([[1, 2], [3, 4]])
         assert ps.items == ((1.0, 2.0), (3.0, 4.0))
         assert ps.kind == "vectors"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_from_vectors_refuses_non_finite(self, bad):
+        # nan != nan would put two equal vectors at hamming distance 1.
+        with pytest.raises(InputError) as info:
+            LabeledPointSet.from_vectors([[0.0, 1.0], [bad, 0.0]])
+        assert str(info.value) == "vector 1 has a non-finite coordinate"
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):
@@ -161,6 +198,39 @@ def test_build_distance_matrix_edit():
     assert dm.values[0, 1] == 4.0
     assert dm.values[0, 2] == 3.0
     assert dm.values[1, 2] == 1.0
+
+
+class TestEditMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(string_sets(), st.sampled_from([metric_complex.EDIT_CHUNK_CELLS, 1, 24, 200]))
+    def test_matrix_equals_scalar_dp(self, strings, cells):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric_complex, "EDIT_CHUNK_CELLS", cells)
+            dm = build_distance_matrix(LabeledPointSet.from_strings(strings), "edit")
+        assert np.array_equal(dm.values, oracle_matrix(strings))
+
+    def test_small_budget_splits_pairs_into_mixed_length_chunks(self, monkeypatch):
+        strings = ["abba", "", "a", "ab", "ba", "b", "bbbbbbb", "aab", "ab", "abab"]
+        cells = 48
+        chunks = []
+        kernel = metric_complex._levenshtein
+
+        def recording(codes, offsets, lengths, shorter, longer):
+            chunks.append((lengths[shorter], lengths[longer]))
+            return kernel(codes, offsets, lengths, shorter, longer)
+
+        monkeypatch.setattr(metric_complex, "EDIT_CHUNK_CELLS", cells)
+        monkeypatch.setattr(metric_complex, "_levenshtein", recording)
+        dm = build_distance_matrix(LabeledPointSet.from_strings(strings), "edit")
+        assert np.array_equal(dm.values, oracle_matrix(strings))
+        n = len(strings)
+        assert sum(len(short) for short, _ in chunks) == n * (n - 1) // 2
+        assert len(chunks) > 1
+        # Lanes of different lengths share a chunk, within the cell budget.
+        assert any(len(set(short.tolist())) > 1 for short, _ in chunks)
+        for short, long in chunks:
+            assert np.all(np.diff(short) >= 0) and np.all(short <= long)
+            assert len(short) * (long.max() + 1) <= cells
 
 
 class TestNeighborComplex:

@@ -1,4 +1,9 @@
+import re
+from pathlib import Path
+
 import topoinfluence
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = (
     "__version__",
@@ -61,3 +66,14 @@ def test_public_names_are_pinned_and_resolve():
     assert tuple(topoinfluence.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(topoinfluence, name), name
+
+
+def test_readme_library_block_prints_its_comments(capsys):
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    assert len(comments) == 2
+    # The entropy comment names its unit after the printed value.
+    assert printed == [comment.removesuffix(" nats") for comment in comments]
