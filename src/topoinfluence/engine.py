@@ -19,7 +19,8 @@ exact     subset table over all 2^n coalitions, rational arithmetic on
           integer marginal tallies; bit-for-bit reproducible.
 sampled   Monte Carlo over uniformly random insertion orders, each
           walked once by the union-find walk of
-          ``homology.component_changes``; the predecessor set of i in a
+          ``homology.component_changes`` over the complex's neighbour
+          tuples, O(n + m) list reads per order; the predecessor set of i in a
           uniform permutation is exactly a coalition drawn with the
           Shapley weights, so the running mean of the walk marginals is
           unbiased for s(i).

@@ -3,7 +3,9 @@
 Single graphs, the masked subgraphs the masking harness labels, and the
 sampled walk all count components with one union-find walk,
 ``component_changes``: the signed change in b0 as each vertex joins the
-vertices before it in an order.  Exact mode needs more: the component
+vertices before it in an order.  It reads each vertex's neighbours from
+the complex's ``neighbors`` tuples, so a step costs the vertex's degree,
+not a scan of an n-bit row.  Exact mode needs more: the component
 count of the induced subgraph on every subset S of vertices, all 2^n of
 them.  ``betti0_table`` fills that table with a peeling recurrence
 instead of 2^n independent traversals: the count for S is one more than
@@ -40,33 +42,34 @@ def component_changes(complex_: NeighborComplex, order: Iterable[int]) -> list[i
     Entry v is 1 minus the number of distinct components that v's
     already-present neighbours lie in; vertices not in ``order`` get 0.
     The entries therefore sum to b0 of the subgraph induced on ``order``.
-    One union-find walk: ``parent`` with path halving, each distinct root
-    found linked under v.  A vertex outside 0..n-1 or a repeated one
-    raises InputError, found from the ``present`` bitmask.
+    One union-find walk over ``complex_.neighbors``: ``parent`` with path
+    halving, each distinct root found linked under v, and a ``present``
+    list of the vertices walked so far.  A vertex outside 0..n-1 or a
+    repeated one raises InputError.  Each step costs O(deg v) list reads
+    plus the finds, with no n-bit integer work.
     """
     n = complex_.n
-    rows = complex_.rows
+    neighbors = complex_.neighbors
     parent = list(range(n))
     changes = [0] * n
-    present = 0
+    present = [False] * n
     for v in order:
+        # Explicit: a list index of -1 would wrap around without an error.
         if not 0 <= v < n:
             raise InputError(f"order has vertex {v} outside 0..{n - 1}")
-        if present >> v & 1:
+        if present[v]:
             raise InputError(f"order repeats vertex {v}")
         change = 1
-        row = rows[v] & present
-        while row:
-            low = row & -row
-            root = low.bit_length() - 1
+        for root in neighbors[v]:
+            if not present[root]:
+                continue
             while parent[root] != root:
                 parent[root] = parent[parent[root]]
                 root = parent[root]
             if root != v:
                 parent[root] = v
                 change -= 1
-            row ^= low
-        present |= 1 << v
+        present[v] = True
         changes[v] = change
     return changes
 

@@ -23,7 +23,7 @@ tested against lives in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -37,7 +37,8 @@ SYMMETRY_TOLERANCE = 1e-9
 # The edit kernel runs its row recurrence over a chunk of string pairs at
 # once.  A chunk's lanes times its row length (longest string + 1) stay
 # within EDIT_CHUNK_CELLS, so each int32 temporary of a pass stays near a
-# quarter megabyte however many strings there are.
+# quarter megabyte however many strings there are.  DistanceMatrix checks
+# and mirrors its input in row blocks of the same number of cells.
 EDIT_CHUNK_CELLS = 1 << 16
 
 Vector = tuple[float, ...]
@@ -272,16 +273,30 @@ class DistanceMatrix:
             raise InputError("distance matrix contains negative entries")
         if np.any(np.abs(np.diagonal(arr)) > SYMMETRY_TOLERANCE):
             raise InputError("distance matrix diagonal must be zero")
-        skew = np.max(np.abs(arr - arr.T)) if arr.size else 0.0
+        # Mirror the upper triangle so boundary comparisons d <= r cannot
+        # disagree between (i, j) and (j, i).  Row blocks of about
+        # EDIT_CHUNK_CELLS cells first hold |arr - arr.T| for the skew, then
+        # the mirrored rows, so the n x n result is the only large array;
+        # ``arr`` may be the caller's own and is only read.
+        n = arr.shape[0]
+        step = max(1, EDIT_CHUNK_CELLS // n)
+        mirrored = np.empty((n, n))
+        skew = 0.0
+        for a in range(0, n, step):
+            b = min(n, a + step)
+            rows = mirrored[a:b]
+            np.subtract(arr[a:b], arr[:, a:b].T, out=rows)
+            skew = max(skew, float(np.abs(rows, out=rows).max()))
+            rows[:, :a] = arr[:a, a:b].T
+            corner = np.triu(arr[a:b, a:b], k=1)
+            rows[:, a:b] = corner + corner.T
+            rows[:, b:] = arr[a:b, b:]
+            rows += 0.0  # -0.0 + 0.0 is 0.0: the bytes of triu + triu.T
         if skew > SYMMETRY_TOLERANCE:
             raise InputError(
                 f"distance matrix asymmetric by {skew:.3g} "
                 f"(tolerance {SYMMETRY_TOLERANCE:g}); refusing to symmetrize"
             )
-        # Mirror the upper triangle so boundary comparisons d <= r cannot
-        # disagree between (i, j) and (j, i).
-        mirrored = np.triu(arr, k=1)
-        mirrored = mirrored + mirrored.T
         mirrored.flags.writeable = False
         self._values = mirrored
 
@@ -346,14 +361,20 @@ def build_distance_matrix(points: LabeledPointSet, metric: str) -> DistanceMatri
 class NeighborComplex:
     """Graph realizing the neighbor complex at a fixed resolution.
 
-    ``rows[i]`` is an n-bit adjacency set (bit j set iff i ~ j).  The
-    structure is immutable; ``source`` names the generator that made it,
-    for the comment line of an emitted edge list.
+    ``rows[i]`` is an n-bit adjacency set (bit j set iff i ~ j), and
+    ``neighbors[i]`` holds the same vertices j as a tuple in ascending
+    order, built with the validation pass; it is derived from ``rows``,
+    so it takes no part in equality, hashing or the repr.  The structure
+    is immutable; ``source`` names the generator that made it, for the
+    comment line of an emitted edge list.
     """
 
     n: int
     rows: tuple[int, ...]
     source: str = ""
+    neighbors: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.n <= 0:
@@ -366,8 +387,11 @@ class NeighborComplex:
                 raise InputError(f"adjacency row {i} has bits outside 0..n-1")
             if row >> i & 1:
                 raise InputError(f"self-loop on vertex {i}")
-        # Every set bit j of row i needs bit i of row j: O(n + m) checks.
+        # Every set bit j of row i needs bit i of row j: O(n + m) checks,
+        # which visit the bits in the ascending order ``neighbors`` keeps.
+        neighbors = []
         for i, row in enumerate(self.rows):
+            adjacent = []
             while row:
                 low = row & -row
                 j = low.bit_length() - 1
@@ -375,18 +399,19 @@ class NeighborComplex:
                     raise InputError(
                         f"adjacency not symmetric at ({min(i, j)}, {max(i, j)})"
                     )
+                adjacent.append(j)
                 row ^= low
+            neighbors.append(tuple(adjacent))
+        object.__setattr__(self, "neighbors", tuple(neighbors))
 
     def degree(self, i: int) -> int:
         return self.rows[i].bit_count()
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.n):
-            row = self.rows[i] >> (i + 1) << (i + 1)  # only j > i
-            while row:
-                low = row & -row
-                yield i, low.bit_length() - 1
-                row ^= low
+        for i, adjacent in enumerate(self.neighbors):
+            for j in adjacent:
+                if j > i:
+                    yield i, j
 
     def num_edges(self) -> int:
         return sum(row.bit_count() for row in self.rows) // 2

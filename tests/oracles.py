@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from topoinfluence import (
+    FAMILIES,
     Grammar,
     InputError,
     LabeledPointSet,
@@ -158,6 +159,28 @@ def small_graphs(draw, max_n=7):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return NeighborComplex.from_edges(n, sorted(chosen))
+
+
+@st.composite
+def family_unions(draw, min_n=65):
+    """A disjoint union of family graphs (cycles, wheels, complete
+    bipartite graphs, ...) with at least ``min_n`` vertices in all, under
+    a random relabeling: past 64 vertices the adjacency rows span several
+    machine digits, and each part's vertices are spread across them."""
+    parts, n = [], 0
+    while n < min_n:
+        family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+        params = [draw(st.integers(low, low + 12)) for low in family.min_params]
+        part = family.build(*params)
+        parts.append((n, part))
+        n += part.n
+    label = draw(st.permutations(range(n)))
+    edges = [
+        (label[offset + u], label[offset + v])
+        for offset, part in parts
+        for u, v in part.edges()
+    ]
+    return NeighborComplex.from_edges(n, edges)
 
 
 def accepts(grammar: Grammar, string: str) -> bool:

@@ -23,6 +23,7 @@ from oracles import (
     MULTI_CHUNK_GRAPHS,
     betti0_of_subset,
     betti0_spectral,
+    family_unions,
     laplacian,
     multi_chunk_case,
     reference_betti0_table,
@@ -93,6 +94,41 @@ class TestComponentChanges:
         changes = homology.component_changes(g, order[:k])
         assert all(changes[v] == 0 for v in order[k:])
         assert sum(changes) == betti0_of_subset(g, sum(1 << v for v in order[:k]))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_each_change_is_the_flood_fill_difference(self, data):
+        # Every entry, not just the sum: changes[v] is b0(P + v) - b0(P)
+        # for the prefix P before v, on full orders and on prefixes.
+        g = data.draw(st.one_of(small_graphs(max_n=8), family_unions()))
+        order = data.draw(st.permutations(range(g.n)))
+        k = data.draw(st.sampled_from([g.n, data.draw(st.integers(0, g.n))]))
+        counts, mask = [0], 0
+        for v in order[:k]:
+            mask |= 1 << v
+            counts.append(betti0_of_subset(g, mask))
+        changes = homology.component_changes(g, order[:k])
+        want = [0] * g.n
+        for i, v in enumerate(order[:k]):
+            want[v] = counts[i + 1] - counts[i]
+        assert changes == want
+
+    def test_long_cycle_in_index_order(self):
+        # Vertex 0 starts the one component; each later vertex extends
+        # it, and the last closes the cycle onto it.
+        changes = homology.component_changes(cycle_graph(10_000), range(10_000))
+        assert changes == [1] + [0] * 9_999
+
+    @pytest.mark.parametrize("order, message", [
+        ([0, 3], "order has vertex 3 outside 0..2"),
+        # A list index of -1 would wrap around: the walk checks the range.
+        ([2, -1], "order has vertex -1 outside 0..2"),
+        ([1, 0, 1], "order repeats vertex 1"),
+    ])
+    def test_order_errors(self, order, message):
+        with pytest.raises(InputError) as err:
+            homology.component_changes(path_graph(3), order)
+        assert str(err.value) == message
 
 
 class TestLaplacian:

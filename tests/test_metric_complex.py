@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from topoinfluence import (
 )
 from topoinfluence import metric_complex
 
-from oracles import edit_distance_dp
+from oracles import edit_distance_dp, family_unions, small_graphs
 
 bitstrings = st.text(alphabet="01", max_size=12)
 
@@ -150,6 +152,50 @@ class TestDistanceMatrix:
         dm = DistanceMatrix(np.zeros((2, 2)))
         with pytest.raises(ValueError):
             dm.values[0, 1] = 5.0
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_values_are_the_mirrored_upper_triangle(self, data):
+        # Sizes past one row block; -0.0 entries, a diagonal and a skew
+        # within tolerance.  The bytes equal triu + triu.T of the input,
+        # and the input, which np.asarray aliases, is left as it was.
+        n = data.draw(st.integers(1, 2 * metric_complex.EDIT_CHUNK_CELLS // 150))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.integers(0, 3, size=(n, n)).astype(np.float64), 1)
+        values = upper + upper.T
+        values += rng.choice([0.0, 4e-10], size=(n, n))
+        values[(values == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+        np.fill_diagonal(values, rng.choice([0.0, -0.0, 1e-9], size=n))
+        before = values.tobytes()
+        want = np.triu(values, 1) + np.triu(values, 1).T
+        assert DistanceMatrix(values).values.tobytes() == want.tobytes()
+        assert values.tobytes() == before
+
+    def test_skew_is_the_largest_over_all_row_blocks(self):
+        n = 300  # several row blocks of EDIT_CHUNK_CELLS cells
+        values = np.zeros((n, n))
+        values[250, 3] = 0.5
+        values[40, 290] = 0.25
+        with pytest.raises(InputError) as err:
+            DistanceMatrix(values)
+        assert str(err.value) == (
+            "distance matrix asymmetric by 0.5 (tolerance 1e-09); "
+            "refusing to symmetrize"
+        )
+
+    def test_peak_memory_is_the_result_plus_a_row_block(self):
+        rng = np.random.default_rng(0)
+        upper = np.triu(rng.uniform(0.0, 5.0, size=(1000, 1000)), 1)
+        values = upper + upper.T
+        del upper
+        tracemalloc.start()
+        try:
+            dm = DistanceMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dm.values.nbytes + (1 << 20)
 
 
 def test_build_distance_matrix_metric_kind_mismatch():
@@ -303,3 +349,26 @@ class TestNeighborComplex:
                 NeighborComplex(n=70, rows=tuple(bad))
         with pytest.raises(InputError, match="outside"):
             NeighborComplex(n=2, rows=(0b100, 0b000))
+
+    @given(st.one_of(small_graphs(max_n=8), family_unions()))
+    @settings(max_examples=40, deadline=None)
+    def test_neighbors_are_the_row_bits_in_order(self, g):
+        assert len(g.neighbors) == g.n
+        for i, row in enumerate(g.rows):
+            assert g.neighbors[i] == tuple(j for j in range(g.n) if row >> j & 1)
+
+    @given(st.one_of(small_graphs(max_n=8), family_unions()), st.randoms())
+    @settings(max_examples=40, deadline=None)
+    def test_neighbors_take_no_part_in_identity(self, g, rnd):
+        # Same edges in another order and orientation: equal complexes,
+        # equal hashes and reprs, and neither repr shows the tuples.
+        edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in g.edges()]
+        rnd.shuffle(edges)
+        again = NeighborComplex.from_edges(g.n, edges)
+        assert again == g and hash(again) == hash(g) and repr(again) == repr(g)
+        assert "neighbors" not in repr(g)
+        renamed = dataclasses.replace(g, source="x")
+        assert renamed.source == "x" and renamed.rows == g.rows
+        assert renamed.neighbors == g.neighbors
+        with pytest.raises(TypeError):
+            NeighborComplex(n=1, rows=(0,), neighbors=((),))
