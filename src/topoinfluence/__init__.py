@@ -30,8 +30,6 @@ from .families import (
     FAMILIES,
     Family,
     IdentityReport,
-    closed_form_entropy,
-    closed_form_mu,
     complete_bipartite_graph,
     complete_bipartite_scores,
     complete_graph,
@@ -93,8 +91,6 @@ __all__ = [
     "builtin_grammar",
     "build_complex",
     "build_distance_matrix",
-    "closed_form_entropy",
-    "closed_form_mu",
     "complete_bipartite_graph",
     "complete_bipartite_scores",
     "complete_graph",

@@ -31,8 +31,6 @@ from .engine import (
 from .errors import InputError, SizeCapError, TopoInfluenceError
 from .families import (
     FAMILIES,
-    closed_form_entropy,
-    closed_form_mu,
     erdos_renyi_graph,
     verify_combinatorial_identities,
 )
@@ -229,6 +227,8 @@ def _cmd_family(args) -> int:
         if args.m is not None:
             raise InputError("erdos_renyi takes --n and --p, not --m")
         config["p"] = args.p
+        if not args.emit_edges:
+            check_exact_cap(args.n, args.cap)
         graph = erdos_renyi_graph(args.n, args.p, args.seed)
     else:
         family = FAMILIES[args.kind]
@@ -248,12 +248,9 @@ def _cmd_family(args) -> int:
     if args.kind == "erdos_renyi":
         result = compute_influence(graph, mode="exact", cap=args.cap)
     else:
-        scores = family.scores(*params)
         result = InfluenceResult(
             labels=family.roles(*params),
-            shapley=scores,
-            mu=closed_form_mu(scores),
-            entropy=closed_form_entropy(scores),
+            shapley=family.scores(*params),
             method="closed_form",
         )
     _emit(args, "family", config, _profile_payload(result))
@@ -332,6 +329,8 @@ def _cmd_grammar(args) -> int:
 def _cmd_mask(args) -> int:
     n_lo, n_hi = args.n_range
     p_lo, p_hi = args.p_range
+    # Every graph is ranked exactly, so refuse before drawing any.
+    check_exact_cap(n_hi, DEFAULT_EXACT_CAP)
     dataset = generate_er_dataset(
         args.count, n_range=(n_lo, n_hi), p_range=(p_lo, p_hi), seed=args.seed
     )

@@ -12,6 +12,8 @@ destroy components as well as create one), so s(i) >= 1/n > 0 always:
 the coalition where i arrives first contributes exactly 1.  Normalizing
 s to a probability vector mu and taking its Shannon entropy (natural
 log) summarizes how evenly component structure is spread over samples.
+An engine returns only the scores; ``InfluenceResult`` derives mu and
+the entropy from them, the same way for every method.
 
 Two evaluation modes:
 
@@ -31,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,17 +50,18 @@ DEFAULT_EXACT_CAP = 20
 
 @dataclass(frozen=True)
 class InfluenceResult:
-    """Per-sample scores with the distribution and entropy derived from them.
+    """Per-sample scores, with the distribution and entropy derived from them.
 
-    ``shapley`` holds Fractions in exact mode and floats in sampled mode;
-    ``mu`` likewise.  ``entropy`` is in nats.  ``std_error`` is the
-    per-sample standard error of the sampled estimate, empty for exact.
+    ``shapley`` holds Fractions for the ``exact`` and ``closed_form``
+    methods and floats for ``sampled``.  ``std_error`` is the per-sample
+    standard error of the sampled estimate, empty otherwise.  ``mu`` and
+    ``entropy`` are not fields: each is computed from the scores on first
+    read and cached, so equality, hashing and ``dataclasses.replace`` see
+    only what an engine computed.
     """
 
     labels: tuple[str, ...]
     shapley: tuple
-    mu: tuple
-    entropy: float
     method: str
     permutations: int = 0
     seed: int | None = None
@@ -69,10 +73,21 @@ class InfluenceResult:
 
     @property
     def total(self):
-        """Sum of the scores; in sampled mode numpy's sum, the divisor of ``mu``."""
+        """Sum of the scores and the divisor of ``mu``; numpy's sum in sampled mode."""
         if self.method == "sampled":
             return float(np.sum(self.shapley))
         return sum(self.shapley)
+
+    @cached_property
+    def mu(self) -> tuple:
+        """Each score divided by ``total``: Fractions sum to exactly 1."""
+        total = self.total
+        return tuple(s / total for s in self.shapley)
+
+    @cached_property
+    def entropy(self) -> float:
+        """Shannon entropy of ``mu`` in nats."""
+        return shannon_entropy(self.mu)
 
 
 def shannon_entropy(mu: Sequence) -> float:
@@ -145,8 +160,8 @@ def exact_shapley(
     O(n 2^n) and memory as 2^n bytes.
 
     n! s(i) = sum_k k! (n-1-k)! tallies[i, k] is an integer, built with
-    Python ints (n! overflows int64 past n = 20); each score and each mu
-    entry is then one Fraction of two integers.
+    Python ints (n! overflows int64 past n = 20); each score is then one
+    Fraction of two integers.
     """
     n = complex_.n
     check_exact_cap(n, cap)
@@ -162,13 +177,10 @@ def exact_shapley(
         sum(w * t for w, t in zip(weights, row))
         for row in _marginal_tallies(complex_).tolist()
     ]
-    n_fact, total = math.factorial(n), sum(numerators)
-    mu = tuple(Fraction(num, total) for num in numerators)
+    n_fact = math.factorial(n)
     return InfluenceResult(
         labels=_labels_of(complex_),
         shapley=tuple(Fraction(num, n_fact) for num in numerators),
-        mu=mu,
-        entropy=shannon_entropy(mu),
         method="exact",
     )
 
@@ -217,13 +229,9 @@ def sampled_shapley(
         std_error = np.sqrt(variance / p)
     else:
         std_error = np.zeros(n)
-    total = float(scores.sum())
-    mu = scores / total
     return InfluenceResult(
         labels=_labels_of(complex_),
         shapley=tuple(float(s) for s in scores),
-        mu=tuple(float(m) for m in mu),
-        entropy=shannon_entropy(mu),
         method="sampled",
         permutations=p,
         seed=seed,

@@ -4,7 +4,9 @@ Each analytic family pairs a constructor with the exact rational Shapley
 scores derived by hand for it.  The pairs serve as oracles: the
 enumeration engine must reproduce these numbers at every size, and any
 drift in either side breaks the agreement.  All closed forms are
-Fractions; nothing here rounds.
+Fractions; nothing here rounds.  The module holds scores only: their
+distribution and entropy come from ``InfluenceResult`` with method
+``closed_form``, as for any engine result.
 
 Index conventions, fixed so score vectors line up with constructors:
 
@@ -30,7 +32,6 @@ from typing import Callable
 
 import numpy as np
 
-from .engine import shannon_entropy
 from .errors import InputError
 from .metric_complex import NeighborComplex
 
@@ -157,15 +158,6 @@ def complete_bipartite_scores(m: int, n: int) -> tuple[Fraction, ...]:
         return Fraction(b * (b - 1), a * (a + 1) * (a + b)) + Fraction(1, b + 1)
 
     return (side(m, n),) * m + (side(n, m),) * n
-
-
-def closed_form_mu(scores: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-    total = sum(scores)
-    return tuple(s / total for s in scores)
-
-
-def closed_form_entropy(scores: tuple[Fraction, ...]) -> float:
-    return shannon_entropy(closed_form_mu(scores))
 
 
 @dataclass(frozen=True)

@@ -122,9 +122,13 @@ def generate_er_dataset(
 
 
 def rank_nodes(graph: NeighborComplex) -> list[int]:
-    """Vertices sorted by exact influence, highest first, ties by index."""
-    mu = compute_influence(graph).mu
-    return sorted(range(graph.n), key=lambda i: (-mu[i], i))
+    """Vertices sorted by exact influence, highest first, ties by index.
+
+    The scores sort in the order of ``mu``, their quotients by a positive
+    total, so ``mu`` is never built.
+    """
+    scores = compute_influence(graph).shapley
+    return sorted(range(graph.n), key=lambda i: (-scores[i], i))
 
 
 def mask_nodes(graph: NeighborComplex, vertices: set[int]) -> NeighborComplex:

@@ -95,36 +95,32 @@ def to_json(envelope: dict) -> str:
     return "".join(out)
 
 
+def _sample_csv(samples: list[dict]) -> tuple[list[str], list[list]]:
+    """Header and rows of one profile's samples; ``std_error`` is a
+    column when the samples carry it."""
+    header = ["index", "label", "s", "mu"]
+    if any("std_error" in s for s in samples):
+        header.append("std_error")
+    rows = [
+        [s["index"], s["label"], *(fmt_float(s[key]) for key in header[2:])]
+        for s in samples
+    ]
+    return header, rows
+
+
 def _csv_rows(envelope: dict) -> tuple[list[str], list[list]]:
     """Header and data rows for the flat form of each payload kind."""
     kind = envelope["kind"]
     payload = envelope["payload"]
     if kind in ("profile", "family"):
-        header = ["index", "label", "s", "mu"]
-        if any("std_error" in s for s in payload["samples"]):
-            header.append("std_error")
-        rows = []
-        for s in payload["samples"]:
-            row = [s["index"], s["label"], fmt_float(s["s"]), fmt_float(s["mu"])]
-            if len(header) == 5:
-                row.append(fmt_float(s["std_error"]))
-            rows.append(row)
-        return header, rows
+        return _sample_csv(payload["samples"])
     if kind == "sweep":
-        header = ["radius", "index", "label", "s", "mu"]
         rows = []
         for profile in payload["profiles"]:
-            for s in profile["samples"]:
-                rows.append(
-                    [
-                        fmt_float(profile["radius"]),
-                        s["index"],
-                        s["label"],
-                        fmt_float(s["s"]),
-                        fmt_float(s["mu"]),
-                    ]
-                )
-        return header, rows
+            header, body = _sample_csv(profile["samples"])
+            radius = fmt_float(profile["radius"])
+            rows += [[radius, *row] for row in body]
+        return ["radius", *header], rows
     if kind == "identities":
         header = ["identity", "checked", "mismatches"]
         rows = [

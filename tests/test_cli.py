@@ -238,6 +238,42 @@ def test_cap_checked_before_distances(capsys, tmp_path, monkeypatch, argv):
     )
 
 
+@pytest.mark.parametrize(
+    "drawer,argv",
+    [
+        ("erdos_renyi_graph",
+         ("family", "--kind", "erdos_renyi", "--n", "6000", "--p", "0.001")),
+        ("generate_er_dataset",
+         ("mask", "--count", "30", "--n-range", "600:600", "--p-range", "0.05:0.2")),
+    ],
+)
+def test_cap_checked_before_any_graph_is_drawn(capsys, monkeypatch, drawer, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a graph was drawn for a size over the cap")
+
+    monkeypatch.setattr(cli, drawer, refuse)
+    code, out, err = run_cli(capsys, *argv)
+    n = 6000 if argv[0] == "family" else 600
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"topoinfluence: size cap: exact enumeration for n={n} exceeds cap 20; "
+        "raise the cap (hard max 26) or sample\n"
+    )
+
+
+def test_over_cap_family_keeps_argument_errors_and_edge_emission(capsys):
+    family = ("family", "--kind", "erdos_renyi", "--n", "6000")
+    assert run_cli(capsys, *family)[0] == 2
+    assert run_cli(capsys, *family, "--p", "0.001", "--m", "2")[0] == 2
+    code, out, _ = run_cli(
+        capsys, "family", "--kind", "erdos_renyi", "--n", "40", "--p", "0.1",
+        "--emit-edges",
+    )
+    assert code == 0
+    assert out.splitlines()[1] == "40"
+
+
 class TestSweep:
     def test_profiles_per_radius(self, capsys, g3_file):
         code, out, _ = run_cli(
@@ -260,6 +296,29 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 9
         assert {r["radius"] for r in rows} == {"1", "2", "4"}
+
+    def test_sampled_csv_carries_the_json_std_error(self, capsys, g3_file):
+        argv = ("sweep", "--input", g3_file, "--radii", "1,4", "--sample", "30",
+                "--seed", "2")
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        profiles = json.loads(out)["payload"]["profiles"]
+        expected = [
+            (p["radius"], s["index"], s["std_error"])
+            for p in profiles for s in p["samples"]
+        ]
+        assert any(e > 0 for _, _, e in expected)
+        assert [
+            (float(r["radius"]), int(r["index"]), float(r["std_error"]))
+            for r in rows
+        ] == expected
+
+    def test_exact_csv_has_no_std_error_column(self, capsys, g3_file):
+        _, out, _ = run_cli(
+            capsys, "sweep", "--input", g3_file, "--radii", "1", "--format", "csv"
+        )
+        assert out.splitlines()[0] == "radius,index,label,s,mu"
 
     def test_distances_built_once_per_sweep(self, capsys, g3_file, monkeypatch):
         calls = []

@@ -21,6 +21,8 @@ from hypothesis import strategies as st
 
 from topoinfluence import engine, homology
 from topoinfluence import (
+    FAMILIES,
+    InfluenceResult,
     InputError,
     NeighborComplex,
     SizeCapError,
@@ -71,6 +73,50 @@ def definition_shapley(g: NeighborComplex) -> tuple[Fraction, ...]:
                 total += weight * gain
         scores.append(total)
     return tuple(scores)
+
+
+@st.composite
+def results(draw):
+    """An exact or sampled result on a small graph, or the closed-form
+    result of a family member."""
+    method = draw(st.sampled_from(["exact", "sampled", "closed_form"]))
+    if method == "closed_form":
+        family = FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]
+        params = [draw(st.integers(low, low + 8)) for low in family.min_params]
+        return InfluenceResult(
+            labels=family.roles(*params),
+            shapley=family.scores(*params),
+            method="closed_form",
+        )
+    g = draw(small_graphs())
+    if method == "exact":
+        return exact_shapley(g)
+    return sampled_shapley(g, draw(st.integers(1, 40)), draw(st.integers(0, 2**32)))
+
+
+class TestDerivedValues:
+    @given(results())
+    @settings(max_examples=60, deadline=None)
+    def test_mu_and_entropy_come_from_the_scores(self, res):
+        total = res.total
+        assert res.mu == tuple(s / total for s in res.shapley)
+        if res.method != "sampled":
+            assert sum(res.mu) == 1  # exact rational normalization
+        assert res.entropy == shannon_entropy(res.mu)
+
+    @given(results())
+    @settings(max_examples=30, deadline=None)
+    def test_relabeled_result_derives_the_same_values(self, res):
+        labels = tuple(f"v{i}" for i in range(res.n))
+        relabeled = dataclasses.replace(res, labels=labels)
+        assert relabeled.mu == res.mu
+        assert relabeled.entropy == res.entropy
+
+    def test_derived_values_are_not_fields(self):
+        names = [f.name for f in dataclasses.fields(InfluenceResult)]
+        assert names == [
+            "labels", "shapley", "method", "permutations", "seed", "std_error"
+        ]
 
 
 class TestExact:

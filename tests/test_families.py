@@ -16,10 +16,9 @@ from hypothesis import strategies as st
 
 from topoinfluence import (
     FAMILIES,
+    InfluenceResult,
     InputError,
     betti0,
-    closed_form_entropy,
-    closed_form_mu,
     complete_bipartite_graph,
     complete_bipartite_scores,
     complete_graph,
@@ -42,6 +41,12 @@ from topoinfluence.families import (
     _identity_star,
     _identity_wheel,
 )
+
+
+def closed_form(scores) -> InfluenceResult:
+    """The result ``family`` reports for a closed-form score vector."""
+    labels = tuple(str(i) for i in range(len(scores)))
+    return InfluenceResult(labels=labels, shapley=scores, method="closed_form")
 
 
 class TestConstructors:
@@ -139,38 +144,38 @@ class TestPrintedInfluenceExpressions:
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_cycle_and_complete_influence(self, n):
-        assert closed_form_mu(complete_scores(n)) == (Fraction(1, n),) * n
-        assert closed_form_mu(cycle_scores(n)) == (Fraction(1, n),) * n
+        assert closed_form(complete_scores(n)).mu == (Fraction(1, n),) * n
+        assert closed_form(cycle_scores(n)).mu == (Fraction(1, n),) * n
 
     @pytest.mark.parametrize("n", range(4, 13))
     def test_wheel_influence(self, n):
-        mu = closed_form_mu(wheel_scores(n))
+        mu = closed_form(wheel_scores(n)).mu
         rim = Fraction(2 * (n * n - n - 3), 3 * (n - 1) * (n * n - 3 * n + 4))
         hub = Fraction(n * n - 7 * n + 18, 3 * (n * n - 3 * n + 4))
         assert mu == (rim,) * (n - 1) + (hub,)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_star_influence(self, n):
-        mu = closed_form_mu(star_scores(n))
+        mu = closed_form(star_scores(n)).mu
         leaf = Fraction(n, 2 * (n * n - 2 * n + 2))
         center = Fraction(n * n - 3 * n + 4, 2 * (n * n - 2 * n + 2))
         assert mu == (leaf,) * (n - 1) + (center,)
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_path_influence(self, n):
-        mu = closed_form_mu(path_scores(n))
+        mu = closed_form(path_scores(n)).mu
         end = Fraction(3, 2 * (2 * n - 1))
         mid = Fraction(2, 2 * n - 1)
         assert mu[0] == mu[-1] == end
         assert mu[1:-1] == (mid,) * (n - 2)
 
     def test_wheel_six_values(self):
-        mu = closed_form_mu(wheel_scores(6))
+        mu = closed_form(wheel_scores(6)).mu
         assert mu[0] == Fraction(9, 55)
         assert mu[-1] == Fraction(2, 11)
 
     def test_bipartite_two_two_uniform(self):
-        assert closed_form_mu(complete_bipartite_scores(2, 2)) == (
+        assert closed_form(complete_bipartite_scores(2, 2)).mu == (
             Fraction(1, 4),
         ) * 4
 
@@ -198,29 +203,29 @@ def test_role_weighted_influence_sums_to_one(n):
         wheel_scores(max(n, 4)),
         complete_bipartite_scores(n // 2 + 1, n - n // 2),
     ):
-        assert sum(closed_form_mu(scores)) == 1
+        assert sum(closed_form(scores).mu) == 1
 
 
 class TestEntropies:
     def test_uniform_families(self):
         for n in range(3, 10):
-            assert closed_form_entropy(complete_scores(n)) == pytest.approx(
+            assert closed_form(complete_scores(n)).entropy == pytest.approx(
                 math.log(n), abs=1e-12
             )
-            assert closed_form_entropy(cycle_scores(n)) == pytest.approx(
+            assert closed_form(cycle_scores(n)).entropy == pytest.approx(
                 math.log(n), abs=1e-12
             )
 
     def test_balanced_bipartite_uniform(self):
         for m in range(1, 7):
-            assert closed_form_entropy(
+            assert closed_form(
                 complete_bipartite_scores(m, m)
-            ) == pytest.approx(math.log(2 * m), abs=1e-12)
+            ).entropy == pytest.approx(math.log(2 * m), abs=1e-12)
 
     def test_ordering_at_six(self):
-        h_complete = closed_form_entropy(complete_scores(6))
-        h_wheel = closed_form_entropy(wheel_scores(6))
-        h_star = closed_form_entropy(star_scores(6))
+        h_complete = closed_form(complete_scores(6)).entropy
+        h_wheel = closed_form(wheel_scores(6)).entropy
+        h_star = closed_form(star_scores(6)).entropy
         assert h_complete > h_wheel > h_star
 
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 from topoinfluence import (
     GenerationBudgetError,
@@ -6,6 +7,7 @@ from topoinfluence import (
     LabeledGraph,
     betti0,
     complete_graph,
+    compute_influence,
     generate_er_dataset,
     mask_nodes,
     path_graph,
@@ -13,6 +15,8 @@ from topoinfluence import (
     run_masking_experiment,
     star_graph,
 )
+
+from oracles import small_graphs
 
 
 class TestMaskNodes:
@@ -64,6 +68,12 @@ class TestRankNodes:
 
     def test_ties_break_by_index(self):
         assert rank_nodes(complete_graph(5)) == [0, 1, 2, 3, 4]
+
+    @given(small_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_scores_rank_in_the_order_of_mu(self, g):
+        mu = compute_influence(g).mu
+        assert rank_nodes(g) == sorted(range(g.n), key=lambda i: (-mu[i], i))
 
 
 class TestGenerateDataset:

@@ -28,8 +28,6 @@ PUBLIC_NAMES = (
     "builtin_grammar",
     "build_complex",
     "build_distance_matrix",
-    "closed_form_entropy",
-    "closed_form_mu",
     "complete_bipartite_graph",
     "complete_bipartite_scores",
     "complete_graph",
@@ -62,7 +60,7 @@ PUBLIC_NAMES = (
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 52
+    assert len(PUBLIC_NAMES) == 50
     assert tuple(topoinfluence.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(topoinfluence, name), name
