@@ -17,8 +17,13 @@ the entropy from them, the same way for every method.
 
 Two evaluation modes:
 
-exact     subset table over all 2^n coalitions, rational arithmetic on
-          integer marginal tallies; bit-for-bit reproducible.
+exact     subset table over all 2^n coalitions.  The signed marginal is
+          1 minus the number of components among i's neighbours in C,
+          so the absolute one is 2 [i has no neighbour in C] minus it,
+          and the integer tallies per vertex and coalition size follow
+          from size-graded sums of the table, read once per group of 8
+          vertices, and a binomial count.  Rational arithmetic on the
+          tallies is bit-for-bit reproducible.
 sampled   Monte Carlo over uniformly random insertion orders, each
           walked once by the union-find walk of
           ``homology.component_changes`` over the complex's neighbour
@@ -102,41 +107,75 @@ def shannon_entropy(mu: Sequence) -> float:
     return 0.0 if h == 0.0 else h
 
 
+def _size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Size-graded sums of the subset table t, as int64.
+
+    A[i, k] is the sum of t[S] over the subsets S of size k that contain
+    i, and T[k] the sum over all subsets of size k, for k = 0..n.
+
+    The table is read once, in chunks of 2^CHUNK_BITS masks p0 + r with
+    p0 a multiple of the chunk length, so |S| = popcount(p0) + popcount(r).
+    Each group of up to 8 low bits takes one bincount per chunk, weighted
+    by t and keyed by (popcount r, the group's bits of r), and adds it
+    popcount(p0) rows down into the group's sums; bit i of the group reads
+    A[i] off the columns whose key has bit i set.  Bits above the chunk
+    are constant inside it, so each set bit of p0 >> CHUNK_BITS gains the
+    chunk's per-size totals.  The float64 weights are exact: every
+    partial sum is at most 26 2^26 < 2^53.
+    """
+    bits = min(CHUNK_BITS, n)
+    chunk = 1 << bits
+    r = np.arange(chunk, dtype=np.int32)
+    sizes = np.bitwise_count(r).astype(np.int32)
+    groups = [(lo, min(8, bits - lo)) for lo in range(0, bits, 8)]
+    # The largest key is below (bits + 1) 2^8, so int16 holds every key.
+    keys = [
+        (sizes << w | r >> lo & (1 << w) - 1).astype(np.int16) for lo, w in groups
+    ]
+    group_sums = [np.zeros((n + 1, 1 << w)) for _, w in groups]
+    sums = np.zeros((n, n + 1))
+    for p0 in range(0, 1 << n, chunk):
+        weights = table[p0 : p0 + chunk].astype(np.float64)
+        rows = slice(p0.bit_count(), p0.bit_count() + bits + 1)
+        for key, group in zip(keys, group_sums):
+            part = np.bincount(key, weights).reshape(bits + 1, -1)
+            group[rows] += part
+        totals = part.sum(axis=1)  # any group's rows sum to the size totals
+        for i in range(bits, n):
+            if p0 >> i & 1:
+                sums[i, rows] += totals
+    sums = sums.astype(np.int64)
+    for (lo, w), group in zip(groups, group_sums):
+        # Integer matmul, exact and with no BLAS call: column v times bit j of v.
+        has_bit = np.arange(1 << w)[:, None] >> np.arange(w) & 1
+        sums[lo : lo + w] = (group.astype(np.int64) @ has_bit).T
+    return sums, group_sums[0].sum(axis=1).astype(np.int64)
+
+
 def _marginal_tallies(complex_: NeighborComplex) -> np.ndarray:
     """tallies[i][k] = sum of |b0(C + i) - b0(C)| over coalitions C of
     size k avoiding i.  Integer-valued; returned as int64.
 
-    For vertex i the subset table is viewed, without copying, as shape
-    (2^(n-1-i), 2, 2^i): entry [a, 0, c] is t[m] for the coalition
-    m = a 2^(i+1) + c, which avoids i, and [a, 1, c] is t[m | 2^i].  The
-    signed marginal is the difference of the two planes, and |m| is the
-    popcount of the pair index p = a 2^i + c.  Each chunk of 2^CHUNK_BITS
-    pairs is counted by an integer bincount keyed by (|m|, marginal), and
-    the absolute values are applied to the counts at the end, so the sums
-    stay exact with no float weights.
+    The signed marginal is 1 minus the number of distinct components
+    among i's neighbours in C, so |marginal| = 2 [no neighbour of i in C]
+    - marginal.  Summed over the size-k coalitions that avoid i, with the
+    size sums A and T of :func:`_size_sums`,
+
+        tallies[i, k] = T[k] - A[i, k] - A[i, k + 1] + 2 C(n - 1 - deg i, k)
+
+    since b0(C + i) summed is A[i, k + 1], b0(C) summed is T[k] - A[i, k],
+    and C(n - 1 - deg i, k) coalitions avoid i and all its neighbours.
     """
     n = complex_.n
-    table = betti0_table(complex_)
-    width = 2 * n + 1  # a signed marginal lies in -n..n
-    bits = min(CHUNK_BITS, n - 1)
-    chunk = 1 << bits
-    # A chunk starts at a multiple p0 of its length, so the popcount of
-    # p0 + r is popcount(p0) + popcount(r): keys are a fixed base shifted
-    # by popcount(p0) rows of ``width``.
-    base = np.bitwise_count(np.arange(chunk)).astype(np.int16) * width + n
-    span = (bits + 1) * width
-    counts = np.zeros((n, n * width), dtype=np.int64)
-    for i in range(n):
-        pairs = table.reshape(-1, 2, 1 << i)
-        cols = min(1 << i, chunk)
-        rows = chunk // cols
-        for p0 in range(0, 1 << (n - 1), chunk):
-            a, c = divmod(p0, 1 << i)
-            block = pairs[a : a + rows, :, c : c + cols]
-            key = base.reshape(rows, cols) + (block[:, 1] - block[:, 0])
-            off = p0.bit_count() * width
-            counts[i, off : off + span] += np.bincount(key.ravel(), minlength=span)
-    return counts.reshape(n, n, width) @ np.abs(np.arange(-n, n + 1))
+    sums, totals = _size_sums(betti0_table(complex_), n)
+    free = np.array(
+        [
+            [math.comb(n - 1 - degree, k) for k in range(n)]
+            for degree in map(complex_.degree, range(n))
+        ],
+        dtype=np.int64,
+    )
+    return totals[:n] - sums[:, :n] - sums[:, 1:] + 2 * free
 
 
 def check_exact_cap(n: int, cap: int) -> None:

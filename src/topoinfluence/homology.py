@@ -103,11 +103,15 @@ def betti0_table(complex_: NeighborComplex) -> np.ndarray:
     t[0] = 0.  Peeling recurrence: let c be the component of the highest
     set bit 2^b of ``mask``; then t[mask] = t[mask ^ c] + 1, and
     ``mask ^ c`` is below 2^b.  So the block of masks [2^b, 2^(b+1))
-    reads only earlier blocks, and blocks fill in order, in chunks of
-    2^CHUNK_BITS masks.  Within a chunk every c starts as 2^b and grows
-    by c = (N[c] & mask) | c, each pass over only the masks whose c still
-    grew.  N[c], the union of the adjacency rows over c, is looked up in
-    two tables of 2^(n/2) entries by the low and high halves of c.
+    reads only earlier blocks.  The masks go in chunks of 2^CHUNK_BITS,
+    or of the top block when it is shorter, and the chunk at 0 holds
+    every block below the chunk length.  In a chunk every c starts as
+    the top bit of its mask, set block by block, and all of them grow
+    together by c = (N[c] & mask) | c, each pass over only the masks
+    whose c still grew; growth reads no table entry, so only the fill
+    that follows goes block by block.  N[c], the union of the adjacency
+    rows over c, is looked up in two tables of 2^(n/2) entries by the
+    low and high halves of c.
 
     Component counts fit in int8 because n <= TABLE_HARD_MAX.
     """
@@ -122,19 +126,30 @@ def betti0_table(complex_: NeighborComplex) -> np.ndarray:
     low_bits = (1 << half) - 1
     low = _union_table(complex_.rows[:half])
     high = _union_table(complex_.rows[half:])
-    chunk = 1 << CHUNK_BITS
-    for b in range(n):
-        top = 1 << b
-        for start in range(top, 2 * top, chunk):
-            masks = np.arange(start, min(start + chunk, 2 * top), dtype=np.int64)
-            comp = np.full(len(masks), top, dtype=np.int64)
-            # Positions, masks and components of the chunk still growing.
-            live, m, c = np.arange(len(masks)), masks, comp
-            while len(live):
-                grown = ((low[c & low_bits] | high[c >> half]) & m) | c
-                # On the first pass c is comp itself: compare before writing.
-                moving = grown != c
-                comp[live] = grown
-                live, m, c = live[moving], m[moving], grown[moving]
-            table[start : start + len(masks)] = table[masks ^ comp] + 1
+    # A chunk no longer than the top block keeps the temporaries of a
+    # block-by-block fill.
+    chunk = 1 << min(CHUNK_BITS, n - 1)
+    for start in range(0, 1 << n, chunk):
+        first, stop = max(start, 1), min(start + chunk, 1 << n)
+        masks = np.arange(first, stop, dtype=np.int64)
+        # Block b, the masks with top bit 2^b, as (lo, hi, 2^b) offsets
+        # into the chunk; only the chunk at 0 spans more than one block.
+        blocks = [
+            (max(first, 1 << b) - first, min(stop, 2 << b) - first, 1 << b)
+            for b in range(first.bit_length() - 1, (stop - 1).bit_length())
+        ]
+        comp = np.empty_like(masks)
+        for lo, hi, top in blocks:
+            comp[lo:hi] = top
+        # Positions, masks and components of the chunk still growing.
+        live, m, c = np.arange(len(masks)), masks, comp
+        while len(live):
+            grown = ((low[c & low_bits] | high[c >> half]) & m) | c
+            # On the first pass c is comp itself: compare before writing.
+            moving = grown != c
+            comp[live] = grown
+            live, m, c = live[moving], m[moving], grown[moving]
+        # Growth reads no table entry, but block b reads blocks below it.
+        for lo, hi, _ in blocks:
+            table[first + lo : first + hi] = table[masks[lo:hi] ^ comp[lo:hi]] + 1
     return table

@@ -252,6 +252,57 @@ def euclidean_distance(u: Vector, v: Vector) -> float:
     return math.dist(u, v)
 
 
+def _mirrored(arr: np.ndarray, in_place: bool) -> np.ndarray:
+    """The read-only, validated and mirrored matrix of :class:`DistanceMatrix`.
+
+    Mirror the upper triangle so boundary comparisons d <= r cannot
+    disagree between (i, j) and (j, i).  Row blocks of about
+    EDIT_CHUNK_CELLS cells are checked for skew against the columns, then
+    rewritten, so apart from the result the largest temporary is one row
+    block.  The result is ``arr`` itself when ``in_place``; otherwise
+    ``arr`` may be a caller's own and is only read.  Rewriting row block
+    [a, b) in place reads only the upper triangle above it and the rows
+    from a on, none of which an earlier block wrote.
+    """
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InputError(f"distance matrix must be square, got {arr.shape}")
+    n = arr.shape[0]
+    if n == 0:
+        raise InputError("distance matrix must be nonempty")
+    # min and max propagate nan and reach any infinity, with no n x n mask.
+    lowest, highest = float(arr.min()), float(arr.max())
+    if not (math.isfinite(lowest) and math.isfinite(highest)):
+        raise InputError("distance matrix contains non-finite entries")
+    if lowest < 0:
+        raise InputError("distance matrix contains negative entries")
+    if np.any(np.abs(np.diagonal(arr)) > SYMMETRY_TOLERANCE):
+        raise InputError("distance matrix diagonal must be zero")
+    step = max(1, EDIT_CHUNK_CELLS // n)
+    mirrored = arr if in_place else np.empty((n, n))
+    # A row block of the result holds |arr - arr.T| before its rewrite,
+    # unless the result is arr, whose rows are still to be read.
+    scratch = np.empty((min(step, n), n)) if in_place else None
+    skew = 0.0
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        rows = mirrored[a:b]
+        diff = rows if scratch is None else scratch[: b - a]
+        np.subtract(arr[a:b], arr[:, a:b].T, out=diff)
+        skew = max(skew, float(np.abs(diff, out=diff).max()))
+        rows[:, :a] = arr[:a, a:b].T
+        corner = np.triu(arr[a:b, a:b], k=1)
+        rows[:, a:b] = corner + corner.T
+        rows[:, b:] = arr[a:b, b:]
+        rows += 0.0  # -0.0 + 0.0 is 0.0: the bytes of triu + triu.T
+    if skew > SYMMETRY_TOLERANCE:
+        raise InputError(
+            f"distance matrix asymmetric by {skew:.3g} "
+            f"(tolerance {SYMMETRY_TOLERANCE:g}); refusing to symmetrize"
+        )
+    mirrored.flags.writeable = False
+    return mirrored
+
+
 class DistanceMatrix:
     """Symmetric nonnegative pairwise distances over n labeled samples.
 
@@ -263,42 +314,16 @@ class DistanceMatrix:
 
     def __init__(self, values: np.ndarray):
         arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise InputError(f"distance matrix must be square, got {arr.shape}")
-        if arr.shape[0] == 0:
-            raise InputError("distance matrix must be nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise InputError("distance matrix contains non-finite entries")
-        if np.any(arr < 0):
-            raise InputError("distance matrix contains negative entries")
-        if np.any(np.abs(np.diagonal(arr)) > SYMMETRY_TOLERANCE):
-            raise InputError("distance matrix diagonal must be zero")
-        # Mirror the upper triangle so boundary comparisons d <= r cannot
-        # disagree between (i, j) and (j, i).  Row blocks of about
-        # EDIT_CHUNK_CELLS cells first hold |arr - arr.T| for the skew, then
-        # the mirrored rows, so the n x n result is the only large array;
-        # ``arr`` may be the caller's own and is only read.
-        n = arr.shape[0]
-        step = max(1, EDIT_CHUNK_CELLS // n)
-        mirrored = np.empty((n, n))
-        skew = 0.0
-        for a in range(0, n, step):
-            b = min(n, a + step)
-            rows = mirrored[a:b]
-            np.subtract(arr[a:b], arr[:, a:b].T, out=rows)
-            skew = max(skew, float(np.abs(rows, out=rows).max()))
-            rows[:, :a] = arr[:a, a:b].T
-            corner = np.triu(arr[a:b, a:b], k=1)
-            rows[:, a:b] = corner + corner.T
-            rows[:, b:] = arr[a:b, b:]
-            rows += 0.0  # -0.0 + 0.0 is 0.0: the bytes of triu + triu.T
-        if skew > SYMMETRY_TOLERANCE:
-            raise InputError(
-                f"distance matrix asymmetric by {skew:.3g} "
-                f"(tolerance {SYMMETRY_TOLERANCE:g}); refusing to symmetrize"
-            )
-        mirrored.flags.writeable = False
-        self._values = mirrored
+        self._values = _mirrored(arr, in_place=False)
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray) -> "DistanceMatrix":
+        """Wrap a float64 matrix this package has just computed and holds
+        no other reference to: the same checks, but mirrored in place,
+        so no second n x n array is made."""
+        dm = cls.__new__(cls)
+        dm._values = _mirrored(values, in_place=True)
+        return dm
 
     @property
     def n(self) -> int:
@@ -327,6 +352,8 @@ def build_distance_matrix(points: LabeledPointSet, metric: str) -> DistanceMatri
     temporaries stay within EDIT_CHUNK_CELLS cells apart from the n x n
     result.  Hamming and euclidean distances are evaluated pair by pair,
     so euclidean keeps ``math.dist``'s bits at the ``d <= r`` boundary.
+    Either way the matrix is checked and mirrored in place, so the n x n
+    result is the only n x n array.
 
     Each metric of ``METRICS`` applies to one item kind.  Mixed item
     kinds or a metric/kind mismatch raise InputError.  Precomputed
@@ -348,13 +375,13 @@ def build_distance_matrix(points: LabeledPointSet, metric: str) -> DistanceMatri
         raise InputError(f"{metric} metric applies to {wanted[:-1]} items only")
 
     if metric == "edit":
-        return DistanceMatrix(_edit_matrix(points.items))
+        return DistanceMatrix._adopt(_edit_matrix(points.items))
     n = len(points)
     d = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
             d[i, j] = d[j, i] = fn(points.items[i], points.items[j])
-    return DistanceMatrix(d)
+    return DistanceMatrix._adopt(d)
 
 
 @dataclass(frozen=True)

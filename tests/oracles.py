@@ -130,6 +130,22 @@ def reference_tallies(table: np.ndarray, n: int) -> np.ndarray:
     return tallies
 
 
+def reference_size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, T): A[i][k] = sum of t[m] over the masks m of popcount k with
+    bit i set, T[k] = the sum over all masks of popcount k, for k = 0..n,
+    gathered per bit with a boolean mask and summed with ``np.add.at``."""
+    masks = np.arange(1 << n)
+    sizes = np.bitwise_count(masks)
+    values = table.astype(np.int64)
+    sums = np.zeros((n, n + 1), dtype=np.int64)
+    for i in range(n):
+        has_i = (masks >> i & 1) == 1
+        np.add.at(sums[i], sizes[has_i], values[has_i])
+    totals = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(totals, sizes, values)
+    return sums, totals
+
+
 def _star_plus_cycle() -> NeighborComplex:
     cycle, star = cycle_graph(9), star_graph(9)
     edges = list(cycle.edges()) + [(u + 9, v + 9) for u, v in star.edges()]
@@ -153,9 +169,9 @@ def multi_chunk_case(name: str) -> tuple[NeighborComplex, np.ndarray]:
 
 
 @st.composite
-def small_graphs(draw, max_n=7):
-    """A graph on 1..max_n vertices with any subset of the possible edges."""
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def small_graphs(draw, max_n=7, min_n=1):
+    """A graph on min_n..max_n vertices with any subset of the possible edges."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return NeighborComplex.from_edges(n, sorted(chosen))

@@ -26,9 +26,12 @@ from topoinfluence import (
     InputError,
     NeighborComplex,
     SizeCapError,
+    betti0_table,
     complete_graph,
+    complete_scores,
     compute_influence,
     cycle_graph,
+    cycle_scores,
     erdos_renyi_graph,
     exact_shapley,
     path_graph,
@@ -37,6 +40,7 @@ from topoinfluence import (
     shannon_entropy,
     star_graph,
     wheel_graph,
+    wheel_scores,
 )
 
 from oracles import (
@@ -44,6 +48,7 @@ from oracles import (
     betti0_of_subset,
     multi_chunk_case,
     reference_betti0_table,
+    reference_size_sums,
     reference_tallies,
     small_graphs,
 )
@@ -156,6 +161,18 @@ class TestExact:
         with pytest.warns(RuntimeWarning, match="2\\^21"):
             exact_shapley(g, cap=26)
 
+    @pytest.mark.parametrize(
+        "build,scores,n",
+        [(complete_graph, complete_scores, 21), (cycle_graph, cycle_scores, 22),
+         (wheel_graph, wheel_scores, 21)],
+    )
+    def test_past_default_cap_matches_closed_form(self, build, scores, n):
+        # Past 2^CHUNK_BITS masks: bits above the chunk, and a second
+        # 8-bit group inside it.
+        with pytest.warns(RuntimeWarning):
+            res = exact_shapley(build(n), cap=26)
+        assert res.shapley == scores(n)
+
     def test_disconnected_graph_attribution(self):
         # Two far triangles: symmetry within each triangle, and the two
         # triangles share the total evenly.
@@ -183,6 +200,23 @@ class TestMarginalTallies:
         tallies = engine._marginal_tallies(g)
         assert tallies.dtype == np.int64
         assert tallies.tobytes() == reference_tallies(table, g.n).tobytes()
+
+
+class TestSizeSums:
+    @given(st.data(), st.sampled_from([homology.CHUNK_BITS, 1, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force(self, data, chunk_bits):
+        # n = 8 and 9 are the edges of the first 8-bit group.
+        n = data.draw(st.sampled_from([1, 8, 9]) | st.integers(1, 12))
+        g = data.draw(small_graphs(min_n=n, max_n=n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "CHUNK_BITS", chunk_bits)
+            mp.setattr(engine, "CHUNK_BITS", chunk_bits)
+            sums, totals = engine._size_sums(betti0_table(g), n)
+        want_sums, want_totals = reference_size_sums(reference_betti0_table(g), n)
+        assert sums.dtype == totals.dtype == np.int64
+        assert sums.tobytes() == want_sums.tobytes()
+        assert totals.tobytes() == want_totals.tobytes()
 
 
 def test_subset_weights_total_probability():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -196,6 +197,58 @@ class TestDistanceMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= dm.values.nbytes + (1 << 20)
+
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_adopted_matrix_is_mirrored_in_place(self, data):
+        # The package's own matrices are checked and mirrored in their own
+        # memory, over several row blocks: the constructor's bytes, or its
+        # error, from the same values.
+        n = data.draw(st.integers(1, 2 * metric_complex.EDIT_CHUNK_CELLS // 150))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        upper = np.triu(rng.integers(0, 3, size=(n, n)).astype(np.float64), 1)
+        values = upper + upper.T
+        values += rng.choice([0.0, 4e-10], size=(n, n))
+        values[(values == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+        np.fill_diagonal(values, rng.choice([0.0, -0.0, 1e-9], size=n))
+        i, j = rng.integers(0, n, size=2)
+        values[i, j] += data.draw(st.sampled_from([0.0, 0.5, -9.0, np.nan, np.inf]))
+        own = values.copy()
+        try:
+            want = DistanceMatrix(values).values.tobytes()
+        except InputError as err:
+            with pytest.raises(InputError, match=re.escape(str(err))):
+                DistanceMatrix._adopt(own)
+        else:
+            dm = DistanceMatrix._adopt(own)
+            assert dm.values is own
+            assert own.tobytes() == want
+
+
+def test_build_distance_matrix_holds_one_n_by_n_array():
+    # 1000 strings: the 8 MB matrix, the edit kernel's chunk temporaries,
+    # and no copy of the matrix on top of them.
+    rng = np.random.default_rng(0)
+    strings = [
+        "".join(rng.choice(["0", "1"], size=rng.integers(8, 17)))
+        for _ in range(1000)
+    ]
+    points = LabeledPointSet.from_strings(strings)
+    peaks = []
+    for build in (
+        lambda: metric_complex._edit_matrix(points.items),
+        lambda: build_distance_matrix(points, "edit"),
+    ):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    kernel, built = peaks
+    assert built <= kernel + (64 << 10)
+    assert built <= 10_000_000
 
 
 def test_build_distance_matrix_metric_kind_mismatch():
