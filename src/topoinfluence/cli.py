@@ -229,7 +229,8 @@ def _cmd_family(args) -> int:
         config["p"] = args.p
         if not args.emit_edges:
             check_exact_cap(args.n, args.cap)
-        graph = erdos_renyi_graph(args.n, args.p, args.seed)
+        params = (args.n, args.p, args.seed)
+        graph = erdos_renyi_graph(*params)
     else:
         family = FAMILIES[args.kind]
         if family.arity == 2:
@@ -243,7 +244,8 @@ def _cmd_family(args) -> int:
             params = (args.n,)
         graph = family.build(*params)
     if args.emit_edges:
-        _write_output(dump_edges(graph, comment=graph.source), args.output)
+        comment = f"{args.kind}:{','.join(map(str, params))}"
+        _write_output(dump_edges(graph, comment=comment), args.output)
         return EXIT_OK
     if args.kind == "erdos_renyi":
         result = compute_influence(graph, mode="exact", cap=args.cap)

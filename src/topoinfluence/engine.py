@@ -17,13 +17,19 @@ the entropy from them, the same way for every method.
 
 Two evaluation modes:
 
-exact     subset table over all 2^n coalitions.  The signed marginal is
-          1 minus the number of components among i's neighbours in C,
-          so the absolute one is 2 [i has no neighbour in C] minus it,
-          and the integer tallies per vertex and coalition size follow
-          from size-graded sums of the table, read once per group of 8
-          vertices, and a binomial count.  Rational arithmetic on the
-          tallies is bit-for-bit reproducible.
+exact     subset table over all 2^n coalitions.  The signed marginal
+          b0(C + i) - b0(C) is 1 minus the number of components among
+          i's neighbours in C, so the absolute one is 2 [i has no
+          neighbour in C] minus it.  Averaged with the Shapley weights
+          the first term is 2 / (deg i + 1), twice the chance that i
+          precedes all its neighbours in a random order, so
+
+              s(i) = 2 / (deg i + 1) - phi(i)
+
+          with phi the plain signed Shapley value of b0, read off
+          size-graded sums of the table (once per group of 8 vertices).
+          Each n! s(i) is a Python int, so scores are bit-for-bit
+          reproducible Fractions.
 sampled   Monte Carlo over uniformly random insertion orders, each
           walked once by the union-find walk of
           ``homology.component_changes`` over the complex's neighbour
@@ -111,7 +117,9 @@ def _size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Size-graded sums of the subset table t, as int64.
 
     A[i, k] is the sum of t[S] over the subsets S of size k that contain
-    i, and T[k] the sum over all subsets of size k, for k = 0..n.
+    i, and T[k] the sum over all subsets of size k, for k = 0..n.  Over
+    the size-k coalitions C that avoid i, b0(C + i) then sums to
+    A[i, k + 1] and b0(C) to T[k] - A[i, k].
 
     The table is read once, in chunks of 2^CHUNK_BITS masks p0 + r with
     p0 a multiple of the chunk length, so |S| = popcount(p0) + popcount(r).
@@ -152,32 +160,6 @@ def _size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return sums, group_sums[0].sum(axis=1).astype(np.int64)
 
 
-def _marginal_tallies(complex_: NeighborComplex) -> np.ndarray:
-    """tallies[i][k] = sum of |b0(C + i) - b0(C)| over coalitions C of
-    size k avoiding i.  Integer-valued; returned as int64.
-
-    The signed marginal is 1 minus the number of distinct components
-    among i's neighbours in C, so |marginal| = 2 [no neighbour of i in C]
-    - marginal.  Summed over the size-k coalitions that avoid i, with the
-    size sums A and T of :func:`_size_sums`,
-
-        tallies[i, k] = T[k] - A[i, k] - A[i, k + 1] + 2 C(n - 1 - deg i, k)
-
-    since b0(C + i) summed is A[i, k + 1], b0(C) summed is T[k] - A[i, k],
-    and C(n - 1 - deg i, k) coalitions avoid i and all its neighbours.
-    """
-    n = complex_.n
-    sums, totals = _size_sums(betti0_table(complex_), n)
-    free = np.array(
-        [
-            [math.comb(n - 1 - degree, k) for k in range(n)]
-            for degree in map(complex_.degree, range(n))
-        ],
-        dtype=np.int64,
-    )
-    return totals[:n] - sums[:, :n] - sums[:, 1:] + 2 * free
-
-
 def check_exact_cap(n: int, cap: int) -> None:
     """Refuse exact enumeration of n vertices above ``cap``, which is
     itself clamped to the table's hard maximum."""
@@ -198,9 +180,13 @@ def exact_shapley(
     up to the table's hard maximum but warns, since time grows as
     O(n 2^n) and memory as 2^n bytes.
 
-    n! s(i) = sum_k k! (n-1-k)! tallies[i, k] is an integer, built with
-    Python ints (n! overflows int64 past n = 20); each score is then one
-    Fraction of two integers.
+    With w_k = k! (n-1-k)! and the size sums A, T of :func:`_size_sums`,
+
+        n! s(i) = 2 n! / (deg i + 1) - sum_k w_k (A[i, k+1] + A[i, k] - T[k])
+
+    since sum_k w_k C(n-1-deg i, k) = n! / (deg i + 1).  The numerator is
+    built with Python ints (n! overflows int64 past n = 20); each score
+    is then one Fraction of two integers.
     """
     n = complex_.n
     check_exact_cap(n, cap)
@@ -211,12 +197,15 @@ def exact_shapley(
             RuntimeWarning,
             stacklevel=2,
         )
+    sums, totals = _size_sums(betti0_table(complex_), n)
+    totals = totals.tolist()
     weights = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
-    numerators = [
-        sum(w * t for w, t in zip(weights, row))
-        for row in _marginal_tallies(complex_).tolist()
-    ]
     n_fact = math.factorial(n)
+    numerators = [
+        2 * n_fact // (complex_.degree(i) + 1)
+        - sum(w * (a1 + a0 - t) for w, a0, a1, t in zip(weights, a, a[1:], totals))
+        for i, a in enumerate(sums.tolist())
+    ]
     return InfluenceResult(
         labels=_labels_of(complex_),
         shapley=tuple(Fraction(num, n_fact) for num in numerators),

@@ -40,14 +40,14 @@ def complete_graph(n: int) -> NeighborComplex:
     if n < 1:
         raise InputError(f"complete graph needs n >= 1, got {n}")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return NeighborComplex.from_edges(n, edges, source=f"complete:{n}")
+    return NeighborComplex.from_edges(n, edges)
 
 
 def cycle_graph(n: int) -> NeighborComplex:
     if n < 3:
         raise InputError(f"cycle needs n >= 3, got {n}")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return NeighborComplex.from_edges(n, edges, source=f"cycle:{n}")
+    return NeighborComplex.from_edges(n, edges)
 
 
 def wheel_graph(n: int) -> NeighborComplex:
@@ -58,7 +58,7 @@ def wheel_graph(n: int) -> NeighborComplex:
     hub = n - 1
     edges = [(i, (i + 1) % hub) for i in range(hub)]
     edges += [(hub, v) for v in range(hub)]
-    return NeighborComplex.from_edges(n, edges, source=f"wheel:{n}")
+    return NeighborComplex.from_edges(n, edges)
 
 
 def star_graph(n: int) -> NeighborComplex:
@@ -67,23 +67,21 @@ def star_graph(n: int) -> NeighborComplex:
         raise InputError(f"star needs n >= 2, got {n}")
     center = n - 1
     edges = [(v, center) for v in range(n - 1)]
-    return NeighborComplex.from_edges(n, edges, source=f"star:{n}")
+    return NeighborComplex.from_edges(n, edges)
 
 
 def path_graph(n: int) -> NeighborComplex:
     if n < 2:
         raise InputError(f"path needs n >= 2, got {n}")
     edges = [(i, i + 1) for i in range(n - 1)]
-    return NeighborComplex.from_edges(n, edges, source=f"path:{n}")
+    return NeighborComplex.from_edges(n, edges)
 
 
 def complete_bipartite_graph(m: int, n: int) -> NeighborComplex:
     if m < 1 or n < 1:
         raise InputError(f"complete bipartite needs m, n >= 1, got {m}, {n}")
     edges = [(i, m + j) for i in range(m) for j in range(n)]
-    return NeighborComplex.from_edges(
-        m + n, edges, source=f"complete_bipartite:{m},{n}"
-    )
+    return NeighborComplex.from_edges(m + n, edges)
 
 
 def erdos_renyi_graph(n: int, p: float, seed: int) -> NeighborComplex:
@@ -97,9 +95,7 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> NeighborComplex:
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return NeighborComplex.from_edges(
-        n, _er_edges(rng, n, p), source=f"erdos_renyi:{n},{p},{seed}"
-    )
+    return NeighborComplex.from_edges(n, _er_edges(rng, n, p))
 
 
 def _er_edges(rng: np.random.Generator, n: int, p: float) -> list[tuple[int, int]]:

@@ -13,10 +13,6 @@ edges     first data line is the vertex count n, then one "u v" pair
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import numpy as np
-
 from .errors import InputError
 from .metric_complex import DistanceMatrix, LabeledPointSet, NeighborComplex
 
@@ -82,7 +78,7 @@ def load_matrix(text: str) -> DistanceMatrix:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise InputError(f"matrix row {i} has {len(row)} entries, expected {n}")
-    return DistanceMatrix(np.array(rows, dtype=np.float64))
+    return DistanceMatrix(rows)
 
 
 def load_edges(text: str) -> NeighborComplex:
@@ -112,7 +108,7 @@ def load_edges(text: str) -> NeighborComplex:
         if u == v:
             raise InputError(f"line {lineno}: self-loop on vertex {u}")
         edges.append((u, v))
-    return NeighborComplex.from_edges(n, edges, source="edges")
+    return NeighborComplex.from_edges(n, edges)
 
 
 def dump_edges(complex_: NeighborComplex, comment: str = "") -> str:

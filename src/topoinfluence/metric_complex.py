@@ -252,17 +252,16 @@ def euclidean_distance(u: Vector, v: Vector) -> float:
     return math.dist(u, v)
 
 
-def _mirrored(arr: np.ndarray, in_place: bool) -> np.ndarray:
-    """The read-only, validated and mirrored matrix of :class:`DistanceMatrix`.
+def _mirrored(arr: np.ndarray) -> np.ndarray:
+    """Validate and mirror the float64 matrix ``arr`` in place, then make
+    it read-only: the matrix of :class:`DistanceMatrix`.
 
     Mirror the upper triangle so boundary comparisons d <= r cannot
     disagree between (i, j) and (j, i).  Row blocks of about
     EDIT_CHUNK_CELLS cells are checked for skew against the columns, then
-    rewritten, so apart from the result the largest temporary is one row
-    block.  The result is ``arr`` itself when ``in_place``; otherwise
-    ``arr`` may be a caller's own and is only read.  Rewriting row block
-    [a, b) in place reads only the upper triangle above it and the rows
-    from a on, none of which an earlier block wrote.
+    rewritten, so the largest temporary is one row block.  Rewriting row
+    block [a, b) reads only the upper triangle above it and the rows from
+    a on, none of which an earlier block wrote.
     """
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InputError(f"distance matrix must be square, got {arr.shape}")
@@ -278,29 +277,25 @@ def _mirrored(arr: np.ndarray, in_place: bool) -> np.ndarray:
     if np.any(np.abs(np.diagonal(arr)) > SYMMETRY_TOLERANCE):
         raise InputError("distance matrix diagonal must be zero")
     step = max(1, EDIT_CHUNK_CELLS // n)
-    mirrored = arr if in_place else np.empty((n, n))
-    # A row block of the result holds |arr - arr.T| before its rewrite,
-    # unless the result is arr, whose rows are still to be read.
-    scratch = np.empty((min(step, n), n)) if in_place else None
+    scratch = np.empty((min(step, n), n))
     skew = 0.0
     for a in range(0, n, step):
         b = min(n, a + step)
-        rows = mirrored[a:b]
-        diff = rows if scratch is None else scratch[: b - a]
+        diff = scratch[: b - a]
         np.subtract(arr[a:b], arr[:, a:b].T, out=diff)
         skew = max(skew, float(np.abs(diff, out=diff).max()))
+        rows = arr[a:b]
         rows[:, :a] = arr[:a, a:b].T
-        corner = np.triu(arr[a:b, a:b], k=1)
+        corner = np.triu(rows[:, a:b], k=1)
         rows[:, a:b] = corner + corner.T
-        rows[:, b:] = arr[a:b, b:]
         rows += 0.0  # -0.0 + 0.0 is 0.0: the bytes of triu + triu.T
     if skew > SYMMETRY_TOLERANCE:
         raise InputError(
             f"distance matrix asymmetric by {skew:.3g} "
             f"(tolerance {SYMMETRY_TOLERANCE:g}); refusing to symmetrize"
         )
-    mirrored.flags.writeable = False
-    return mirrored
+    arr.flags.writeable = False
+    return arr
 
 
 class DistanceMatrix:
@@ -309,20 +304,19 @@ class DistanceMatrix:
     The triangle inequality is deliberately NOT checked: precomputed
     matrices may violate it and nothing downstream relies on it.
     Asymmetry beyond ``SYMMETRY_TOLERANCE`` is an error; within tolerance
-    the upper-triangle entry governs both directions.
+    the upper-triangle entry governs both directions.  The constructor
+    mirrors its own float64 copy, so the caller's values stay as they were.
     """
 
     def __init__(self, values: np.ndarray):
-        arr = np.asarray(values, dtype=np.float64)
-        self._values = _mirrored(arr, in_place=False)
+        self._values = _mirrored(np.array(values, dtype=np.float64))
 
     @classmethod
     def _adopt(cls, values: np.ndarray) -> "DistanceMatrix":
         """Wrap a float64 matrix this package has just computed and holds
-        no other reference to: the same checks, but mirrored in place,
-        so no second n x n array is made."""
+        no other reference to, mirrored in its own memory with no copy."""
         dm = cls.__new__(cls)
-        dm._values = _mirrored(values, in_place=True)
+        dm._values = _mirrored(values)
         return dm
 
     @property
@@ -392,13 +386,12 @@ class NeighborComplex:
     ``neighbors[i]`` holds the same vertices j as a tuple in ascending
     order, built with the validation pass; it is derived from ``rows``,
     so it takes no part in equality, hashing or the repr.  The structure
-    is immutable; ``source`` names the generator that made it, for the
-    comment line of an emitted edge list.
+    is immutable, and graphs with the same edges are equal whatever
+    built them.
     """
 
     n: int
     rows: tuple[int, ...]
-    source: str = ""
     neighbors: tuple[tuple[int, ...], ...] = field(
         init=False, repr=False, compare=False
     )
@@ -445,10 +438,7 @@ class NeighborComplex:
 
     @classmethod
     def from_edges(
-        cls,
-        n: int,
-        edges: Sequence[tuple[int, int]],
-        source: str = "edges",
+        cls, n: int, edges: Sequence[tuple[int, int]]
     ) -> "NeighborComplex":
         rows = [0] * n
         for u, v in edges:
@@ -458,7 +448,7 @@ class NeighborComplex:
                 continue  # self-loops carry no component information
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n=n, rows=tuple(rows), source=source)
+        return cls(n=n, rows=tuple(rows))
 
 
 def build_complex(dm: DistanceMatrix, r: float) -> NeighborComplex:

@@ -95,53 +95,40 @@ def to_json(envelope: dict) -> str:
     return "".join(out)
 
 
-def _sample_csv(samples: list[dict]) -> tuple[list[str], list[list]]:
-    """Header and rows of one profile's samples; ``std_error`` is a
-    column when the samples carry it."""
-    header = ["index", "label", "s", "mu"]
-    if any("std_error" in s for s in samples):
-        header.append("std_error")
-    rows = [
-        [s["index"], s["label"], *(fmt_float(s[key]) for key in header[2:])]
-        for s in samples
-    ]
-    return header, rows
+# The payload key of each kind's row list.  A sweep's rows are its
+# profiles' samples, each led by the profile's radius.
+_CSV_ROWS = {
+    "profile": "samples", "family": "samples",
+    "identities": "results", "masking": "rows",
+}
+
+
+def _csv_cell(value):
+    """Floats in their one spelling, bools as 0 or 1, the rest as they are."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        return fmt_float(value)
+    return value
 
 
 def _csv_rows(envelope: dict) -> tuple[list[str], list[list]]:
-    """Header and data rows for the flat form of each payload kind."""
+    """Header and data rows of a payload's row list: one column per key
+    of its rows, bar the ``*_exact`` strings that only JSON carries."""
     kind = envelope["kind"]
     payload = envelope["payload"]
-    if kind in ("profile", "family"):
-        return _sample_csv(payload["samples"])
     if kind == "sweep":
-        rows = []
-        for profile in payload["profiles"]:
-            header, body = _sample_csv(profile["samples"])
-            radius = fmt_float(profile["radius"])
-            rows += [[radius, *row] for row in body]
-        return ["radius", *header], rows
-    if kind == "identities":
-        header = ["identity", "checked", "mismatches"]
         rows = [
-            [item["identity"], item["checked"], item["mismatches"]]
-            for item in payload["results"]
+            {"radius": profile["radius"], **sample}
+            for profile in payload["profiles"]
+            for sample in profile["samples"]
         ]
-        return header, rows
-    if kind == "masking":
-        header = [
-            "graph", "n", "j", "variant",
-            "label_before", "label_after", "flipped",
-        ]
-        rows = [
-            [
-                r["graph"], r["n"], r["j"], r["variant"],
-                r["label_before"], r["label_after"], int(r["flipped"]),
-            ]
-            for r in payload["rows"]
-        ]
-        return header, rows
-    raise InputError(f"no CSV form for payload kind {kind!r}")
+    elif kind in _CSV_ROWS:
+        rows = payload[_CSV_ROWS[kind]]
+    else:
+        raise InputError(f"no CSV form for payload kind {kind!r}")
+    header = [key for key in rows[0] if not key.endswith("_exact")]
+    return header, [[_csv_cell(row[key]) for key in header] for row in rows]
 
 
 def to_csv(envelope: dict) -> str:

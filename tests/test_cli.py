@@ -406,6 +406,24 @@ class TestFamily:
         samples = json.loads(out)["payload"]["samples"]
         assert samples[4]["s_exact"] == "7/5"  # star center, n=5
 
+    @pytest.mark.parametrize(
+        "argv,comment",
+        [
+            (["complete", "--n", "4"], "complete:4"),
+            (["cycle", "--n", "5"], "cycle:5"),
+            (["wheel", "--n", "6"], "wheel:6"),
+            (["star", "--n", "5"], "star:5"),
+            (["path", "--n", "3"], "path:3"),
+            (["complete_bipartite", "--m", "2", "--n", "3"], "complete_bipartite:2,3"),
+            (["erdos_renyi", "--n", "10", "--p", "0.3", "--seed", "4"],
+             "erdos_renyi:10,0.3,4"),
+        ],
+    )
+    def test_emitted_edges_name_the_generator(self, capsys, argv, comment):
+        code, out, _ = run_cli(capsys, "family", "--kind", *argv, "--emit-edges")
+        assert code == 0
+        assert out.splitlines()[0] == f"# {comment}"
+
     def test_bad_parameters_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "family", "--kind", "wheel", "--n", "3")
         assert code == 2
@@ -427,6 +445,7 @@ class TestIdentities:
         code, out, _ = run_cli(
             capsys, "identities", "--n-max", "6", "--format", "csv"
         )
+        assert out.splitlines()[0] == "identity,checked,mismatches"
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["mismatches"] for r in rows] == ["0", "0", "0"]
 
@@ -537,6 +556,9 @@ class TestMask:
         code, out, _ = run_cli(
             capsys, "mask", "--count", "9", "--seed", "3", "--j", "1,2",
             "--format", "csv",
+        )
+        assert out.splitlines()[0] == (
+            "graph,n,j,variant,label_before,label_after,flipped"
         )
         rows = list(csv.DictReader(io.StringIO(out)))
         assert len(rows) == 9 * 2 * 3

@@ -4,9 +4,9 @@ The important oracle here is ``definition_shapley``: a from-scratch
 evaluation of the defining sum over coalitions, sharing no code with the
 engine's subset-table walk.  Agreement between the two is the main
 correctness evidence for the exact path; the sampled path is checked for
-unbiasedness (full-permutation average) and reproducibility.  The
-marginal tallies behind the exact path are also held bit for bit against
-the slow routes in ``oracles``, on graphs that span several chunks.
+unbiasedness (full-permutation average) and reproducibility.  The exact
+scores are also held against the absolute marginal tallies of the slow
+routes in ``oracles``, on graphs that span several chunks.
 """
 
 import dataclasses
@@ -181,25 +181,33 @@ class TestExact:
         assert len(set(res.shapley)) == 1
 
 
+def tally_scores(table: np.ndarray, n: int) -> tuple[Fraction, ...]:
+    """Scores from ``oracles.reference_tallies``: each vertex's absolute
+    marginals per coalition size, weighted by k! (n-1-k)! / n!."""
+    weights = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
+    return tuple(
+        Fraction(sum(w * t for w, t in zip(weights, row)), math.factorial(n))
+        for row in reference_tallies(table, n).tolist()
+    )
+
+
 class TestMarginalTallies:
+    """The degree term minus the signed Shapley value of b0 equals the
+    Shapley-weighted absolute tallies."""
+
     @given(small_graphs(max_n=10), st.sampled_from([homology.CHUNK_BITS, 1, 3]))
     @settings(max_examples=60, deadline=None)
     def test_matches_reference(self, g, chunk_bits):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homology, "CHUNK_BITS", chunk_bits)
             mp.setattr(engine, "CHUNK_BITS", chunk_bits)
-            tallies = engine._marginal_tallies(g)
-        expected = reference_tallies(reference_betti0_table(g), g.n)
-        assert tallies.dtype == np.int64
-        assert tallies.shape == (g.n, g.n)
-        assert tallies.tobytes() == expected.tobytes()
+            scores = exact_shapley(g).shapley
+        assert scores == tally_scores(reference_betti0_table(g), g.n)
 
     @pytest.mark.parametrize("name", sorted(MULTI_CHUNK_GRAPHS))
     def test_multi_chunk_graphs_match_reference(self, name):
         g, table = multi_chunk_case(name)
-        tallies = engine._marginal_tallies(g)
-        assert tallies.dtype == np.int64
-        assert tallies.tobytes() == reference_tallies(table, g.n).tobytes()
+        assert exact_shapley(g).shapley == tally_scores(table, g.n)
 
 
 class TestSizeSums:
@@ -217,6 +225,18 @@ class TestSizeSums:
         assert sums.dtype == totals.dtype == np.int64
         assert sums.tobytes() == want_sums.tobytes()
         assert totals.tobytes() == want_totals.tobytes()
+
+
+def test_degree_term_is_the_star_identity():
+    # sum_k k! (n-1-k)! C(n-1-d, k) = n! / (d + 1): a vertex precedes all
+    # d of its neighbours in a uniform order with probability 1 / (d + 1).
+    for n in range(1, homology.TABLE_HARD_MAX + 1):
+        for d in range(n):
+            total = sum(
+                math.factorial(k) * math.factorial(n - 1 - k) * math.comb(n - 1 - d, k)
+                for k in range(n - d)
+            )
+            assert total * (d + 1) == math.factorial(n)
 
 
 def test_subset_weights_total_probability():
