@@ -26,6 +26,7 @@ from .engine import (
     DEFAULT_EXACT_CAP,
     InfluenceResult,
     check_exact_cap,
+    check_permutations,
     compute_influence,
 )
 from .errors import InputError, SizeCapError, TopoInfluenceError
@@ -50,7 +51,7 @@ from .loaders import (
     read_text,
 )
 from .masking import VARIANTS, generate_er_dataset, run_masking_experiment
-from .metric_complex import METRICS, build_complex, build_distance_matrix
+from .metric_complex import METRICS, build_complex, build_distance_matrix, check_radius
 from .report import make_envelope, render
 
 EXIT_OK = 0
@@ -156,9 +157,10 @@ def _run_engine(args, complex_, labels=None) -> InfluenceResult:
 def _profile_payloads(args, radii) -> tuple[str, str, list[dict]]:
     """(input format, metric, one profile payload per radius).
 
-    The input is read and its distances computed once for all radii.
-    Edge lists are already a graph: they give one payload, and ``radii``
-    must be ``[None]``.
+    The input is read and its distances computed once for all radii, after
+    the cap or the permutation count and every radius are checked.  Edge
+    lists are already a graph: they give one payload, and ``radii`` must
+    be ``[None]``.
     """
     fmt, metric = _resolve_input_plan(args)
     text = sys.stdin.read() if args.input == "-" else read_text(args.input)
@@ -169,12 +171,20 @@ def _profile_payloads(args, radii) -> tuple[str, str, list[dict]]:
     if None in radii:
         raise InputError(f"{fmt} input needs --radius")
     if fmt == "matrix":
-        matrix, labels = load_matrix(text), None
+        matrix = load_matrix(text)
+        n, labels = matrix.n, None
     else:
         points = load_strings(text) if fmt == "strings" else load_vectors(text)
-        if args.sample is None:
-            check_exact_cap(len(points), args.cap)
-        matrix, labels = build_distance_matrix(points, metric), points.labels
+        n, labels = len(points), points.labels
+    # Refuse what the engine would refuse before any distances are computed.
+    if args.sample is None:
+        check_exact_cap(n, args.cap)
+    else:
+        check_permutations(args.sample)
+    for r in radii:
+        check_radius(r)
+    if fmt != "matrix":
+        matrix = build_distance_matrix(points, metric)
     payloads = [
         _profile_payload(_run_engine(args, build_complex(matrix, r), labels), r)
         for r in radii

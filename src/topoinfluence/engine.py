@@ -171,6 +171,12 @@ def check_exact_cap(n: int, cap: int) -> None:
         )
 
 
+def check_permutations(permutations: int) -> None:
+    """Refuse a sampled run of fewer than one permutation."""
+    if permutations <= 0:
+        raise InputError(f"need at least one permutation, got {permutations}")
+
+
 def exact_shapley(
     complex_: NeighborComplex, cap: int = DEFAULT_EXACT_CAP
 ) -> InfluenceResult:
@@ -239,8 +245,7 @@ def sampled_shapley(
     run can be replayed independently of the rest.
     """
     n = complex_.n
-    if permutations <= 0:
-        raise InputError(f"need at least one permutation, got {permutations}")
+    check_permutations(permutations)
     sums = np.zeros(n, dtype=np.int64)
     sumsq = np.zeros(n, dtype=np.int64)
     for j in range(permutations):

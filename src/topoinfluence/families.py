@@ -100,10 +100,15 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> NeighborComplex:
 
 def _er_edges(rng: np.random.Generator, n: int, p: float) -> list[tuple[int, int]]:
     """One uniform draw per pair i < j in row-major order; the pair is an
-    edge when its draw falls below p."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    draws = rng.random(len(pairs))
-    return [pair for pair, u in zip(pairs, draws) if u < p]
+    edge when its draw falls below p.  Only the hits are mapped back to
+    their (i, j), by a row pointer: draws [end - (n-1-i), end) are row i's."""
+    edges, i, end = [], 0, n - 1
+    for k in np.flatnonzero(rng.random(n * (n - 1) // 2) < p).tolist():
+        while k >= end:
+            i += 1
+            end += n - 1 - i
+        edges.append((i, k - end + n))
+    return edges
 
 
 def complete_scores(n: int) -> tuple[Fraction, ...]:

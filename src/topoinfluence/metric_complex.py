@@ -15,9 +15,9 @@ distance 1) require the verbatim rule, so it is the contract here.
 
 Vector coordinates must be finite: ``nan != nan`` would put two equal
 vectors apart.  The edit metric has one implementation, a Levenshtein
-kernel vectorized across string pairs (see :func:`build_distance_matrix`);
-``edit_distance`` is its one-pair call.  The scalar dynamic program it is
-tested against lives in ``tests/oracles.py``.
+kernel vectorized across string pairs taken column by column (see
+:func:`build_distance_matrix`); ``edit_distance`` is its one-pair call.
+The scalar dynamic program it is tested against is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -159,48 +159,16 @@ def _levenshtein(
     return dist
 
 
-def _pair_pieces(
-    lengths: np.ndarray, cells: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """Every pair p < q of positions into the nondecreasing ``lengths``,
-    ordered by (lengths[p], lengths[q]), as pieces (p, q, longest).
-
-    The pairs whose shorter member has length L are the columns q > p0 of
-    the group [p0, p1) of positions with that length; column q holds p in
-    [p0, min(q, p1)).  Each piece is unranked from the group's cumulative
-    column counts, with lanes times (longest + 1) within ``cells`` (one
-    lane at least), so pairs are made a piece at a time from O(n) counts,
-    never all n(n-1)/2 at once.
-    """
-    n = len(lengths)
-    starts = np.flatnonzero(np.diff(lengths, prepend=-1)).tolist()
-    for p0, p1 in zip(starts, starts[1:] + [n]):
-        columns = np.arange(p0 + 1, n)
-        counts = np.minimum(columns, p1) - p0
-        ends = np.cumsum(counts)
-        widths = lengths[columns]  # nondecreasing along the pairs
-        total = int(counts.sum())
-        done = 0
-        while done < total:
-            # Size the piece by the width at its start, then cut it again
-            # by the width at its end: widths only grow, so the cut fits.
-            first = int(widths[np.searchsorted(ends, done, side="right")])
-            stop = min(total, done + max(1, cells // (first + 1)))
-            last = int(widths[np.searchsorted(ends, stop - 1, side="right")])
-            stop = min(stop, done + max(1, cells // (last + 1)))
-            k = np.arange(done, stop)
-            col = np.searchsorted(ends, k, side="right")
-            yield p0 + k - (ends[col] - counts[col]), columns[col], int(widths[col[-1]])
-            done = stop
-
-
 def _edit_matrix(strings: Sequence[str]) -> np.ndarray:
     """All pairwise edit distances as an n x n float64 array.
 
-    Strings are sorted by length and their pairs taken in (shorter,
-    longer) length order, so the padding inside a chunk stays small.
-    Consecutive pieces of :func:`_pair_pieces` join one chunk of the
-    kernel while lanes times (longest + 1) stay within EDIT_CHUNK_CELLS.
+    Strings are sorted by length and taken column by column: column q
+    pairs string q with every shorter-or-equal string p < q, in pieces of
+    at most EDIT_CHUNK_CELLS // (len q + 1) lanes (one at least).  Pieces
+    join one chunk of the kernel while lanes times (len q + 1) stay within
+    EDIT_CHUNK_CELLS; len q only grows, so the last column sets the
+    chunk's row length.  A chunk's lanes are stably sorted by the shorter
+    string's length, as :func:`_levenshtein` requires.
     """
     n = len(strings)
     order = sorted(range(n), key=lambda k: len(strings[k]))
@@ -209,20 +177,25 @@ def _edit_matrix(strings: Sequence[str]) -> np.ndarray:
     d = np.zeros((n, n), dtype=np.float64)
 
     def run(chunk):
-        shorter = np.concatenate([p for p, _ in chunk])
-        longer = np.concatenate([q for _, q in chunk])
+        shorter = np.concatenate([np.arange(p0, p1) for p0, p1, _ in chunk])
+        longer = np.concatenate([np.full(p1 - p0, q) for p0, p1, q in chunk])
+        lanes = np.argsort(lengths[shorter], kind="stable")
+        shorter, longer = shorter[lanes], longer[lanes]
         dist = _levenshtein(codes, offsets, lengths, shorter, longer)
         i, j = index[shorter], index[longer]
-        d[i, j] = dist
-        d[j, i] = dist
+        d[i, j] = d[j, i] = dist
 
-    chunk, lanes, width = [], 0, 0
-    for p, q, longest in _pair_pieces(lengths, EDIT_CHUNK_CELLS):
-        if chunk and (lanes + len(p)) * (max(width, longest) + 1) > EDIT_CHUNK_CELLS:
-            run(chunk)
-            chunk, lanes, width = [], 0, 0
-        chunk.append((p, q))
-        lanes, width = lanes + len(p), max(width, longest)
+    chunk, lanes = [], 0
+    for q in range(1, n):
+        row = int(lengths[q]) + 1
+        step = max(1, EDIT_CHUNK_CELLS // row)
+        for p0 in range(0, q, step):
+            p1 = min(q, p0 + step)
+            if chunk and (lanes + p1 - p0) * row > EDIT_CHUNK_CELLS:
+                run(chunk)
+                chunk, lanes = [], 0
+            chunk.append((p0, p1, q))
+            lanes += p1 - p0
     if chunk:
         run(chunk)
     return d
@@ -341,13 +314,13 @@ METRICS = {
 def build_distance_matrix(points: LabeledPointSet, metric: str) -> DistanceMatrix:
     """Evaluate the metric on all O(n^2) pairs.
 
-    Edit distances come from one vectorized kernel: the Wagner-Fischer
-    row recurrence run in numpy across chunks of string pairs, whose
-    temporaries stay within EDIT_CHUNK_CELLS cells apart from the n x n
-    result.  Hamming and euclidean distances are evaluated pair by pair,
-    so euclidean keeps ``math.dist``'s bits at the ``d <= r`` boundary.
-    Either way the matrix is checked and mirrored in place, so the n x n
-    result is the only n x n array.
+    Edit distances come from the Wagner-Fischer row recurrence in numpy,
+    run over the length-sorted strings' pairs column by column, in chunks
+    whose temporaries stay within EDIT_CHUNK_CELLS cells apart from the
+    n x n result.  Hamming and euclidean distances are evaluated pair by
+    pair, so euclidean keeps ``math.dist``'s bits at the ``d <= r``
+    boundary.  Either way the matrix is checked and mirrored in place, so
+    the n x n result is the only n x n array.
 
     Each metric of ``METRICS`` applies to one item kind.  Mixed item
     kinds or a metric/kind mismatch raise InputError.  Precomputed
@@ -451,14 +424,19 @@ class NeighborComplex:
         return cls(n=n, rows=tuple(rows))
 
 
+def check_radius(r: float) -> None:
+    """Refuse a resolution that is negative, nan or infinite."""
+    if not math.isfinite(r) or r < 0:
+        raise InputError(f"resolution must be a finite nonnegative real, got {r}")
+
+
 def build_complex(dm: DistanceMatrix, r: float) -> NeighborComplex:
     """Threshold the distance matrix: edge (i, j) present iff d(i, j) <= r.
 
     The comparison is an exact ``<=`` on the stored float, which is exact
     for integer metrics (edit, hamming).  Deterministic for equal inputs.
     """
-    if not math.isfinite(r) or r < 0:
-        raise InputError(f"resolution must be a finite nonnegative real, got {r}")
+    check_radius(r)
     close = dm.values <= r
     np.fill_diagonal(close, False)
     # Byte k of a packed row holds bits 8k..8k+7, lowest first: read

@@ -5,7 +5,8 @@ with the package's chunked numpy kernels, so tests can hold those kernels
 to them bit for bit; the flood fill and the spectral count share no code
 with the package's union-find walk; the grammar membership and count
 oracles share no code with the lazy enumeration; the scalar edit-distance
-dynamic program shares no code with the package's vectorized kernel.
+dynamic program shares no code with the package's vectorized kernel; the
+pair-list Erdos-Renyi edges share no code with the package's hit walk.
 """
 
 import functools
@@ -82,6 +83,15 @@ def edit_distance_dp(a: str, b: str) -> int:
             )
         previous = current
     return previous[-1]
+
+
+def er_edges_pair_list(rng: np.random.Generator, n: int, p: float) -> list:
+    """The Erdos-Renyi edges from a list of all C(n, 2) pairs in row-major
+    order, zipped with one uniform draw each: an edge where the draw is
+    below p."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    draws = rng.random(len(pairs))
+    return [pair for pair, u in zip(pairs, draws) if u < p]
 
 
 def laplacian(complex_: NeighborComplex) -> np.ndarray:

@@ -239,6 +239,40 @@ def test_cap_checked_before_distances(capsys, tmp_path, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("influence", "--radius", "-1", "--sample", "5"),
+         "resolution must be a finite nonnegative real, got -1.0"),
+        (("influence", "--radius", "nan"),
+         "resolution must be a finite nonnegative real, got nan"),
+        (("sweep", "--radii", "1,inf"),
+         "resolution must be a finite nonnegative real, got inf"),
+        (("sweep", "--radii", "1,-2", "--metric", "precomputed"),
+         "resolution must be a finite nonnegative real, got -2.0"),
+        (("influence", "--radius", "1", "--sample", "0"),
+         "need at least one permutation, got 0"),
+        (("sweep", "--radii", "1,2", "--sample", "-3", "--metric", "precomputed"),
+         "need at least one permutation, got -3"),
+    ],
+)
+def test_radius_and_sample_checked_before_distances(
+    capsys, tmp_path, monkeypatch, argv, message
+):
+    def refuse(*args):
+        raise AssertionError("distances computed or a radius scored before refusal")
+
+    monkeypatch.setattr(cli, "build_distance_matrix", refuse)
+    monkeypatch.setattr(cli, "build_complex", refuse)
+    p = tmp_path / "input.txt"
+    matrix = "precomputed" in argv
+    p.write_text("0 1 4\n1 0 3\n4 3 0\n" if matrix else G3_STRINGS, encoding="utf-8")
+    code, out, err = run_cli(capsys, argv[0], "--input", str(p), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == f"topoinfluence: error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "drawer,argv",
     [
         ("erdos_renyi_graph",

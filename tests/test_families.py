@@ -10,6 +10,7 @@ in exact arithmetic.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,10 +38,13 @@ from topoinfluence import (
     wheel_scores,
 )
 from topoinfluence.families import (
+    _er_edges,
     _identity_bipartite,
     _identity_star,
     _identity_wheel,
 )
+
+from oracles import er_edges_pair_list
 
 
 def closed_form(scores) -> InfluenceResult:
@@ -117,6 +121,19 @@ class TestErdosRenyi:
     def test_invalid_probability(self):
         with pytest.raises(InputError):
             erdos_renyi_graph(5, 1.5, seed=0)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(1, 60),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        st.integers(0, 2**32),
+    )
+    def test_edges_equal_the_pair_list(self, n, p, seed):
+        # Same edges in the same order, and the same stream left behind.
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        reference = np.random.Generator(np.random.Philox(key=seed))
+        assert _er_edges(rng, n, p) == er_edges_pair_list(reference, n, p)
+        assert rng.random() == reference.random()
 
 
 class TestClosedFormsAgainstEngine:

@@ -315,7 +315,9 @@ class TestEditMatrix:
         kernel = metric_complex._levenshtein
 
         def recording(codes, offsets, lengths, shorter, longer):
-            chunks.append((lengths[shorter], lengths[longer]))
+            # Positions into the length-sorted strings, and their lengths.
+            chunks.append((shorter.tolist(), longer.tolist(),
+                           lengths[shorter], lengths[longer]))
             return kernel(codes, offsets, lengths, shorter, longer)
 
         monkeypatch.setattr(metric_complex, "EDIT_CHUNK_CELLS", cells)
@@ -323,11 +325,16 @@ class TestEditMatrix:
         dm = build_distance_matrix(LabeledPointSet.from_strings(strings), "edit")
         assert np.array_equal(dm.values, oracle_matrix(strings))
         n = len(strings)
-        assert sum(len(short) for short, _ in chunks) == n * (n - 1) // 2
+        # Every unordered pair of positions is scheduled exactly once.
+        pairs = sorted(pair for p, q, _, _ in chunks for pair in zip(p, q))
+        assert pairs == [(p, q) for p in range(n) for q in range(p + 1, n)]
         assert len(chunks) > 1
+        # The longest string's column, 9 lanes of 8 cells, is split.
+        assert sum(n - 1 in q for _, q, _, _ in chunks) > 1
         # Lanes of different lengths share a chunk, within the cell budget.
-        assert any(len(set(short.tolist())) > 1 for short, _ in chunks)
-        for short, long in chunks:
+        assert any(len(set(short.tolist())) > 1 for _, _, short, _ in chunks)
+        for p, _, short, long in chunks:
+            assert len(p) >= 1
             assert np.all(np.diff(short) >= 0) and np.all(short <= long)
             assert len(short) * (long.max() + 1) <= cells
 
