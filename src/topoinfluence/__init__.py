@@ -66,6 +66,7 @@ from .metric_complex import (
     edit_distance,
     euclidean_distance,
     hamming_distance,
+    neighbor_pairs,
 )
 
 __all__ = [
@@ -107,6 +108,7 @@ __all__ = [
     "get_family",
     "hamming_distance",
     "mask_nodes",
+    "neighbor_pairs",
     "path_graph",
     "path_scores",
     "permutation_marginals",

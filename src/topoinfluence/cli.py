@@ -51,7 +51,16 @@ from .loaders import (
     read_text,
 )
 from .masking import VARIANTS, generate_er_dataset, run_masking_experiment
-from .metric_complex import METRICS, build_complex, build_distance_matrix, check_radius
+# build_distance_matrix is bound here, though no route calls it, because
+# bench/tracing.py rebinds it and build_complex by name in this module
+# (ROADMAP item 1 replaces that rebinding with an in-package recorder).
+from .metric_complex import (  # noqa: F401
+    METRICS,
+    build_complex,
+    build_distance_matrix,
+    check_radius,
+    neighbor_pairs,
+)
 from .report import make_envelope, render
 
 EXIT_OK = 0
@@ -158,7 +167,9 @@ def _profile_payloads(args, radii) -> tuple[str, str, list[dict]]:
     """(input format, metric, one profile payload per radius).
 
     The input is read and its distances computed once for all radii, after
-    the cap or the permutation count and every radius are checked.  Edge
+    the cap or the permutation count and every radius are checked.
+    Strings and vectors get only the pairs up to the largest radius, so
+    only matrix input holds an n x n array.  Edge
     lists are already a graph: they give one payload, and ``radii`` must
     be ``[None]``.
     """
@@ -183,10 +194,12 @@ def _profile_payloads(args, radii) -> tuple[str, str, list[dict]]:
         check_permutations(args.sample)
     for r in radii:
         check_radius(r)
-    if fmt != "matrix":
-        matrix = build_distance_matrix(points, metric)
+    if fmt == "matrix":
+        distances = matrix
+    else:
+        distances = neighbor_pairs(points, metric, max(radii))
     payloads = [
-        _profile_payload(_run_engine(args, build_complex(matrix, r), labels), r)
+        _profile_payload(_run_engine(args, build_complex(distances, r), labels), r)
         for r in radii
     ]
     return fmt, metric, payloads

@@ -98,16 +98,26 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> NeighborComplex:
     return NeighborComplex.from_edges(n, _er_edges(rng, n, p))
 
 
+# Erdos-Renyi graphs draw their uniforms this many at a time, so memory
+# stays flat in n; chunked draws continue one stream, byte for byte.
+ER_BLOCK_DRAWS = 1 << 16
+
+
 def _er_edges(rng: np.random.Generator, n: int, p: float) -> list[tuple[int, int]]:
     """One uniform draw per pair i < j in row-major order; the pair is an
-    edge when its draw falls below p.  Only the hits are mapped back to
-    their (i, j), by a row pointer: draws [end - (n-1-i), end) are row i's."""
+    edge when its draw falls below p.  The draws come in blocks of
+    ER_BLOCK_DRAWS, and only the hits are mapped back to their (i, j), by
+    a row pointer: draws [end - (n-1-i), end) are row i's, counted from
+    the start of the current block."""
     edges, i, end = [], 0, n - 1
-    for k in np.flatnonzero(rng.random(n * (n - 1) // 2) < p).tolist():
-        while k >= end:
-            i += 1
-            end += n - 1 - i
-        edges.append((i, k - end + n))
+    for left in range(n * (n - 1) // 2, 0, -ER_BLOCK_DRAWS):
+        draws = rng.random(min(left, ER_BLOCK_DRAWS))
+        for k in np.flatnonzero(draws < p).tolist():
+            while k >= end:
+                i += 1
+                end += n - 1 - i
+            edges.append((i, k - end + n))
+        end -= len(draws)
     return edges
 
 

@@ -13,11 +13,19 @@ as a ball-intersection nerve would give.  The worked examples that pin the
 rest of the pipeline (unit-resolution string sets joined exactly at edit
 distance 1) require the verbatim rule, so it is the contract here.
 
+Complexes are built threshold-first: :func:`neighbor_pairs` computes
+only the pairs at distance at most ``r_max``, straight from the points,
+and :func:`build_complex` thresholds them at any r up to ``r_max``.  A
+:class:`DistanceMatrix`, the n x n alternative, is what precomputed input
+is, and :func:`build_distance_matrix` builds one from the same kernels.
+
 Vector coordinates must be finite: ``nan != nan`` would put two equal
-vectors apart.  The edit metric has one implementation, a Levenshtein
-kernel vectorized across string pairs taken column by column (see
-:func:`build_distance_matrix`); ``edit_distance`` is its one-pair call.
-The scalar dynamic program it is tested against is in ``tests/oracles.py``.
+vectors apart.  The edit metric has one implementation, a banded
+Levenshtein kernel vectorized across string pairs taken column by column
+(see :func:`_edit_chunks`); ``edit_distance`` is its one-pair call and
+``build_distance_matrix`` its call with the band as wide as the longest
+string.  The scalar dynamic program it is tested against is in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,10 +43,11 @@ from .errors import InputError
 SYMMETRY_TOLERANCE = 1e-9
 
 # The edit kernel runs its row recurrence over a chunk of string pairs at
-# once.  A chunk's lanes times its row length (longest string + 1) stay
-# within EDIT_CHUNK_CELLS, so each int32 temporary of a pass stays near a
-# quarter megabyte however many strings there are.  DistanceMatrix checks
-# and mirrors its input in row blocks of the same number of cells.
+# once.  A chunk's lanes times its row length (longest string + band + 1)
+# stay within EDIT_CHUNK_CELLS, so each int32 temporary of a pass stays
+# near a quarter megabyte however many strings there are.  Vector tiles,
+# DistanceMatrix's checks and mirroring, and build_complex's packed rows
+# work in blocks of the same number of cells.
 EDIT_CHUNK_CELLS = 1 << 16
 
 Vector = tuple[float, ...]
@@ -109,11 +118,16 @@ def _encode(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _padded(codes: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """One row of ``width`` code points per start.  Cells past a string's
-    end hold whatever follows it; the recurrence never reads them into a
-    cell it reports."""
+    """One row of ``width`` code points per start.  Cells before a string's
+    start or past its end hold whatever is there, clamped into range; the
+    recurrence never reads them into a cell it reports."""
     cells = starts[:, None] + np.arange(width)
-    return codes[np.minimum(cells, len(codes) - 1, out=cells)]
+    return codes[np.clip(cells, 0, len(codes) - 1, out=cells)]
+
+
+# Stands for an infinite cost outside the DP table: adding 2 per row of
+# any string stays far from the int32 limit.
+_FAR = 1 << 30
 
 
 def _levenshtein(
@@ -122,83 +136,99 @@ def _levenshtein(
     lengths: np.ndarray,
     shorter: np.ndarray,
     longer: np.ndarray,
+    k: int,
 ) -> np.ndarray:
-    """Edit distance of each lane, the strings ``shorter[k]`` and
-    ``longer[k]`` of :func:`_encode`'s arrays, as int32.
+    """min(d, k + 1) for the edit distance d of each lane, the strings
+    a = ``shorter[l]`` and b = ``longer[l]`` of :func:`_encode`'s arrays,
+    as int32.
 
-    Lanes must be sorted by ``lengths[shorter]``, and no shorter string
-    may be longer than its partner.  Wagner-Fischer row recurrence, one
-    numpy pass per character of the shorter strings across all lanes at
-    once.  With cur[j] the distance between a[:i] and b[:j], the pass
-    stores u[j] = cur[j] - j, so that
-    ``t[0] = i``, ``t[j] = min(u_prev[j] + 1, u_prev[j-1] - [a_i == b_j])``
-    and the insertions close with a prefix minimum,
-    ``u = minimum.accumulate(t)``.  A lane is read out at its own
-    (len a, len b) once row len a is done, and then leaves the pass.
+    Lanes must be sorted by len a, with 0 <= len b - len a <= k.  Banded
+    Wagner-Fischer (Ukkonen 1985), one numpy pass per character of the
+    shorter strings across all lanes at once.  A path through cell (i, j)
+    costs at least |t| + |len b - len a - t|, t = j - i, so a lane keeps
+    the k + 1 diagonals t = lo .. lo + k, lo = floor((len b - len a - k)
+    / 2), which hold every t where that bound is at most k; cells outside
+    the band count as infinite.  Rows are stored as (slot, lane), so
+    every numpy operation runs along lanes.  With D[i][j] the distance
+    between a[:i] and b[:j], slot s of row i stores
+    u[s] = D[i][i + s + lo] - s, so that
+    ``t[s] = min(u_prev[s] + [a_i != b_j], u_prev[s + 1] + 2)`` and the
+    insertions close with a prefix minimum, ``u = minimum.accumulate(t)``.
+    A lane is read out at slot len b - len a - lo once row len a is done,
+    and then leaves the pass.
     """
     la, lb = lengths[shorter], lengths[longer]
-    rows, width = int(la[-1]), int(lb.max())
-    a = _padded(codes, offsets[shorter], rows)
-    b = _padded(codes, offsets[longer], width)
-    dist = lb.astype(np.int32)  # an empty a: insert all of b
+    k = min(k, int(lb.max()))
+    rows = int(la[-1])
+    lo = (lb - la - k) // 2
+    read = lb - la - lo
+    dist = np.minimum(lb, k + 1).astype(np.int32)  # an empty a: insert all of b
     done = int(np.searchsorted(la, 0, side="right"))
-    u = np.zeros((len(la) - done, width + 1), dtype=np.int32)
-    a, b = a[done:], b[done:]
+    a = _padded(codes, offsets[shorter[done:]], rows).T.copy()
+    b = _padded(codes, offsets[longer[done:]] + lo[done:], rows + k).T.copy()
+    # Row 0: D[0][j] = j, so u = lo wherever j = s + lo >= 0.  Slot k + 1,
+    # past the band, stays infinite: the vertical move from outside it.
+    slots = np.arange(k + 2)[:, None]
+    band = (slots >= -lo[done:]) & (slots <= k)
+    u = np.where(band, lo[done:], _FAR).astype(np.int32)
     for i in range(1, rows + 1):
-        t = np.empty_like(u)
-        t[:, 0] = i
-        np.subtract(u[:, :-1], b == a[:, i - 1 : i], out=t[:, 1:])
-        u += 1  # u_prev is spent after this row: update it in place
-        np.minimum(t[:, 1:], u[:, 1:], out=t[:, 1:])
-        u = np.minimum.accumulate(t, axis=1, out=t)
-        stop = int(np.searchsorted(la, i, side="right"))
-        ended = lb[done:stop]
-        dist[done:stop] = u[np.arange(stop - done), ended] + ended
-        u, a, b = u[stop - done :], a[stop - done :], b[stop - done :]
-        done = stop
+        t = u[1:] + 2
+        np.minimum(t, u[:-1] + (b[i - 1 : i + k] != a[i - 1]), out=t)
+        np.minimum.accumulate(t, axis=0, out=u[:-1])
+        end = int(np.searchsorted(la, i, side="right"))
+        if end > done:
+            s = read[done:end]
+            dist[done:end] = np.minimum(u[s, np.arange(end - done)] + s, k + 1)
+            u, a, b = u[:, end - done :], a[:, end - done :], b[:, end - done :]
+            done = end
     return dist
 
 
-def _edit_matrix(strings: Sequence[str]) -> np.ndarray:
-    """All pairwise edit distances as an n x n float64 array.
+def _edit_chunks(strings: Sequence[str], r_max: float) -> Iterator[tuple]:
+    """(i, j, d) arrays, chunk by chunk, for every pair of strings at edit
+    distance d <= r_max, each pair once.
 
-    Strings are sorted by length and taken column by column: column q
-    pairs string q with every shorter-or-equal string p < q, in pieces of
-    at most EDIT_CHUNK_CELLS // (len q + 1) lanes (one at least).  Pieces
-    join one chunk of the kernel while lanes times (len q + 1) stay within
-    EDIT_CHUNK_CELLS; len q only grows, so the last column sets the
-    chunk's row length.  A chunk's lanes are stably sorted by the shorter
-    string's length, as :func:`_levenshtein` requires.
+    With k = min(floor(r_max), longest string), a pair whose lengths differ
+    by more than k is never scheduled.  Strings are sorted by length and
+    taken column by column: column q pairs string q with the strings
+    p < q at most k shorter, found with one ``searchsorted``, in pieces of
+    at most EDIT_CHUNK_CELLS // row lanes (one at least), where a lane's
+    row, len q + min(k, len q) + 1 cells, bounds each of its temporaries
+    in :func:`_levenshtein`.  Pieces join one chunk of the kernel while
+    lanes times row stay within EDIT_CHUNK_CELLS; len q only grows, so the
+    last column sets the chunk's row.  A chunk's lanes are stably sorted
+    by the shorter string's length, as the kernel requires.
     """
     n = len(strings)
-    order = sorted(range(n), key=lambda k: len(strings[k]))
-    codes, offsets, lengths = _encode([strings[k] for k in order])
+    order = sorted(range(n), key=lambda q: len(strings[q]))
+    codes, offsets, lengths = _encode([strings[q] for q in order])
     index = np.array(order)
-    d = np.zeros((n, n), dtype=np.float64)
+    longest = int(lengths[-1])
+    k = longest if r_max >= longest else int(r_max)
+    first = np.searchsorted(lengths, lengths - k)
 
     def run(chunk):
         shorter = np.concatenate([np.arange(p0, p1) for p0, p1, _ in chunk])
         longer = np.concatenate([np.full(p1 - p0, q) for p0, p1, q in chunk])
         lanes = np.argsort(lengths[shorter], kind="stable")
         shorter, longer = shorter[lanes], longer[lanes]
-        dist = _levenshtein(codes, offsets, lengths, shorter, longer)
-        i, j = index[shorter], index[longer]
-        d[i, j] = d[j, i] = dist
+        dist = _levenshtein(codes, offsets, lengths, shorter, longer, k)
+        near = dist <= r_max
+        return index[shorter[near]], index[longer[near]], dist[near]
 
     chunk, lanes = [], 0
     for q in range(1, n):
-        row = int(lengths[q]) + 1
+        row = int(lengths[q]) + min(k, int(lengths[q])) + 1
         step = max(1, EDIT_CHUNK_CELLS // row)
-        for p0 in range(0, q, step):
+        for p0 in range(int(first[q]), q, step):
             p1 = min(q, p0 + step)
             if chunk and (lanes + p1 - p0) * row > EDIT_CHUNK_CELLS:
-                run(chunk)
+                yield run(chunk)
                 chunk, lanes = [], 0
             chunk.append((p0, p1, q))
             lanes += p1 - p0
     if chunk:
-        run(chunk)
-    return d
+        yield run(chunk)
 
 
 def edit_distance(a: str, b: str) -> int:
@@ -206,11 +236,13 @@ def edit_distance(a: str, b: str) -> int:
 
     Total function: any pair of strings is accepted, the empty string
     included.  Symmetric, zero exactly when the strings are equal.  This
-    is the one-lane call of the kernel that builds edit-distance matrices.
+    is the one-lane call of the banded kernel, with the band as wide as
+    the longer string, so the distance is exact.
     """
     codes, offsets, lengths = _encode(sorted((a, b), key=len))
     shorter, longer = np.array([0]), np.array([1])
-    return int(_levenshtein(codes, offsets, lengths, shorter, longer)[0])
+    k = int(lengths[1])
+    return int(_levenshtein(codes, offsets, lengths, shorter, longer, k)[0])
 
 
 def hamming_distance(u: Vector, v: Vector) -> int:
@@ -311,21 +343,59 @@ METRICS = {
 }
 
 
-def build_distance_matrix(points: LabeledPointSet, metric: str) -> DistanceMatrix:
-    """Evaluate the metric on all O(n^2) pairs.
+def _vector_chunks(vectors: tuple, metric: str, r_max: float) -> Iterator[tuple]:
+    """(i, j, d) arrays, tile by tile, for every pair of vectors at
+    distance d <= r_max, each pair once.
 
-    Edit distances come from the Wagner-Fischer row recurrence in numpy,
-    run over the length-sorted strings' pairs column by column, in chunks
-    whose temporaries stay within EDIT_CHUNK_CELLS cells apart from the
-    n x n result.  Hamming and euclidean distances are evaluated pair by
-    pair, so euclidean keeps ``math.dist``'s bits at the ``d <= r``
-    boundary.  Either way the matrix is checked and mirrored in place, so
-    the n x n result is the only n x n array.
+    Tiles of rows by columns of the upper triangle keep rows x columns x
+    coordinates within EDIT_CHUNK_CELLS.  Hamming counts unequal
+    coordinates exactly.  Euclidean keeps a pair as a candidate when its
+    squared distance, summed in numpy, is within r_max^2 plus a slack
+    that covers numpy's rounding; ``math.dist`` then gives each
+    candidate's distance, so ``d <= r`` decides on the same bits as
+    :func:`euclidean_distance`.
+    """
+    if len({len(v) for v in vectors}) > 1:
+        raise InputError(f"{metric} distance requires equal-length vectors")
+    x = np.array(vectors, dtype=np.float64).reshape(len(vectors), -1)
+    n, dim = x.shape
+    # Relative error of a sum of dim squared differences, with room for
+    # the rounding of r_max^2; tiny covers subnormal sums.
+    bound = r_max * r_max * (1 + 4 * (dim + 4) * np.finfo(np.float64).eps)
+    bound += np.finfo(np.float64).tiny
+    cols = min(n, max(1, EDIT_CHUNK_CELLS // max(dim, 1)))
+    rows = max(1, EDIT_CHUNK_CELLS // (cols * max(dim, 1)))
+    for a in range(0, n, rows):
+        block = x[a : a + rows, None, :]
+        for c in range(a, n, cols):
+            other = x[None, c : c + cols, :]
+            if metric == "hamming":
+                counts = np.count_nonzero(block != other, axis=2)
+                near = counts <= r_max
+            else:
+                # A sum that overflows is inf: beyond r_max unless r_max^2
+                # overflows too, and then bound is inf as well.
+                with np.errstate(over="ignore"):
+                    diff = block - other
+                    near = np.einsum("ijk,ijk->ij", diff, diff) <= bound
+            i, j = np.nonzero(near)
+            upper = i + a < j + c
+            i, j = i[upper] + a, j[upper] + c
+            if metric == "hamming":
+                dist = counts[i - a, j - c]
+            else:
+                dist = np.array([math.dist(vectors[p], vectors[q])
+                                 for p, q in zip(i.tolist(), j.tolist())])
+            near = dist <= r_max
+            yield i[near], j[near], dist[near]
+
+
+def _pair_chunks(points: LabeledPointSet, metric: str, r_max: float) -> Iterator[tuple]:
+    """(i, j, d) arrays for every pair at distance d <= r_max under
+    ``metric``, each pair once, after checking that the metric applies.
 
     Each metric of ``METRICS`` applies to one item kind.  Mixed item
-    kinds or a metric/kind mismatch raise InputError.  Precomputed
-    matrices do not pass through here: load them with
-    :func:`topoinfluence.loaders.load_matrix` instead.
+    kinds or a metric/kind mismatch raise InputError.
     """
     kind = points.kind
     if kind == "mixed":
@@ -340,15 +410,69 @@ def build_distance_matrix(points: LabeledPointSet, metric: str) -> DistanceMatri
     if kind != wanted:
         # "strings" -> "string items", "vectors" -> "vector items"
         raise InputError(f"{metric} metric applies to {wanted[:-1]} items only")
-
     if metric == "edit":
-        return DistanceMatrix._adopt(_edit_matrix(points.items))
-    n = len(points)
-    d = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = fn(points.items[i], points.items[j])
+        return _edit_chunks(points.items, r_max)
+    return _vector_chunks(points.items, metric, r_max)
+
+
+def build_distance_matrix(points: LabeledPointSet, metric: str) -> DistanceMatrix:
+    """Evaluate the metric on all O(n^2) pairs, as an n x n matrix.
+
+    The pairs come from the same chunked numpy kernels as
+    :func:`neighbor_pairs`, with no threshold: the edit band is as wide
+    as the longest string, so every distance is exact.  Their temporaries
+    stay within EDIT_CHUNK_CELLS cells apart from the n x n result, which
+    is checked and mirrored in place, so it is the only n x n array.
+    Euclidean distances are ``math.dist``'s bits.
+
+    Mixed item kinds or a metric/kind mismatch raise InputError.
+    Precomputed matrices do not pass through here: load them with
+    :func:`topoinfluence.loaders.load_matrix` instead.
+    """
+    chunks = _pair_chunks(points, metric, math.inf)
+    d = np.zeros((len(points), len(points)), dtype=np.float64)
+    for i, j, dist in chunks:
+        d[i, j] = d[j, i] = dist
     return DistanceMatrix._adopt(d)
+
+
+class NeighborPairs:
+    """The pairs of n samples at distance at most ``r_max``: ``left[k] <
+    right[k]`` at distance ``distances[k]`` (float64), in ascending order
+    of (left, right).  Built by :func:`neighbor_pairs`; thresholded by
+    :func:`build_complex` at any r <= r_max."""
+
+    def __init__(self, n: int, r_max: float, left, right, distances) -> None:
+        self.n, self.r_max = n, r_max
+        self.left, self.right, self.distances = left, right, distances
+
+
+def neighbor_pairs(points: LabeledPointSet, metric: str, r_max: float) -> NeighborPairs:
+    """Every pair at distance <= r_max, computed straight from the points.
+
+    The threshold-first route to a neighbor complex: no n x n array is
+    built, and :func:`build_complex` thresholds the result at every
+    radius up to ``r_max``, with the same edges as the full matrix.
+    Edit distance skips the pairs whose lengths differ by more than
+    ``r_max`` and runs the Levenshtein band of :func:`_levenshtein`.
+    Hamming and euclidean run numpy tiles within EDIT_CHUNK_CELLS cells;
+    euclidean decides each candidate with ``math.dist``.
+
+    Raises InputError for a negative, nan or infinite ``r_max``, and as
+    :func:`build_distance_matrix` does for a metric that does not apply.
+    """
+    check_radius(r_max)
+    empty = (np.zeros(0, dtype=np.int64),) * 3
+    i, j, dist = map(np.concatenate, zip(empty, *_pair_chunks(points, metric, r_max)))
+    left, right = np.minimum(i, j), np.maximum(i, j)
+    order = np.lexsort((right, left))
+    return NeighborPairs(
+        n=len(points),
+        r_max=float(r_max),
+        left=left[order],
+        right=right[order],
+        distances=dist[order].astype(np.float64),
+    )
 
 
 @dataclass(frozen=True)
@@ -430,17 +554,42 @@ def check_radius(r: float) -> None:
         raise InputError(f"resolution must be a finite nonnegative real, got {r}")
 
 
-def build_complex(dm: DistanceMatrix, r: float) -> NeighborComplex:
-    """Threshold the distance matrix: edge (i, j) present iff d(i, j) <= r.
+def build_complex(dm: DistanceMatrix | NeighborPairs, r: float) -> NeighborComplex:
+    """Threshold the distances: edge (i, j) present iff d(i, j) <= r.
 
-    The comparison is an exact ``<=`` on the stored float, which is exact
-    for integer metrics (edit, hamming).  Deterministic for equal inputs.
+    ``dm`` is a full :class:`DistanceMatrix` or the :class:`NeighborPairs`
+    of :func:`neighbor_pairs`, which holds only the pairs up to its
+    ``r_max``: a larger r raises InputError.  The comparison is an exact
+    ``<=`` on the stored float, which is exact for integer metrics (edit,
+    hamming).  Either way the same edges give the same complex, built in
+    row blocks of about EDIT_CHUNK_CELLS cells.
     """
     check_radius(r)
-    close = dm.values <= r
-    np.fill_diagonal(close, False)
-    # Byte k of a packed row holds bits 8k..8k+7, lowest first: read
-    # little-endian, the row is its adjacency bitset.
-    packed = np.packbits(close, axis=1, bitorder="little")
-    rows = tuple(int.from_bytes(row, "little") for row in packed)
-    return NeighborComplex(n=dm.n, rows=rows)
+    n = dm.n
+    if isinstance(dm, NeighborPairs):
+        if r > dm.r_max:
+            raise InputError(
+                f"pairs were computed up to r_max {dm.r_max}; cannot threshold at {r}"
+            )
+        near = dm.distances <= r
+        # Both directions of each edge, grouped by their first vertex.
+        first = np.concatenate([dm.left[near], dm.right[near]])
+        second = np.concatenate([dm.right[near], dm.left[near]])
+        by_row = np.argsort(first, kind="stable")
+        first, second = first[by_row], second[by_row]
+    step = max(1, EDIT_CHUNK_CELLS // n)
+    rows: list[int] = []
+    for a in range(0, n, step):
+        b = min(n, a + step)
+        if isinstance(dm, NeighborPairs):
+            lo, hi = np.searchsorted(first, [a, b])
+            close = np.zeros((b - a, n), dtype=bool)
+            close[first[lo:hi] - a, second[lo:hi]] = True
+        else:
+            close = dm.values[a:b] <= r
+            close[np.arange(b - a), np.arange(a, b)] = False
+        # Byte k of a packed row holds bits 8k..8k+7, lowest first: read
+        # little-endian, the row is its adjacency bitset.
+        packed = np.packbits(close, axis=1, bitorder="little")
+        rows.extend(int.from_bytes(row, "little") for row in packed)
+    return NeighborComplex(n=n, rows=tuple(rows))

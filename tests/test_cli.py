@@ -226,6 +226,7 @@ def test_cap_checked_before_distances(capsys, tmp_path, monkeypatch, argv):
         raise AssertionError("distances computed for an input over the cap")
 
     monkeypatch.setattr(cli, "build_distance_matrix", refuse)
+    monkeypatch.setattr(cli, "neighbor_pairs", refuse)
     p = tmp_path / "many.txt"
     p.write_text("\n".join(str(i) for i in range(27)) + "\n", encoding="utf-8")
     cap = 26 if "--cap" in argv else 20
@@ -262,6 +263,7 @@ def test_radius_and_sample_checked_before_distances(
         raise AssertionError("distances computed or a radius scored before refusal")
 
     monkeypatch.setattr(cli, "build_distance_matrix", refuse)
+    monkeypatch.setattr(cli, "neighbor_pairs", refuse)
     monkeypatch.setattr(cli, "build_complex", refuse)
     p = tmp_path / "input.txt"
     matrix = "precomputed" in argv
@@ -355,20 +357,21 @@ class TestSweep:
         assert out.splitlines()[0] == "radius,index,label,s,mu"
 
     def test_distances_built_once_per_sweep(self, capsys, g3_file, monkeypatch):
+        # One pass over the pairs, up to the largest radius, for all radii.
         calls = []
-        original = cli.build_distance_matrix
+        original = cli.neighbor_pairs
 
         def counted(*args):
-            calls.append(args)
+            calls.append(args[1:])
             return original(*args)
 
-        monkeypatch.setattr(cli, "build_distance_matrix", counted)
+        monkeypatch.setattr(cli, "neighbor_pairs", counted)
         code, _, err = run_cli(
             capsys, "sweep", "--input", g3_file, "--metric", "edit",
-            "--radii", "1,2,4",
+            "--radii", "1,4,2",
         )
         assert code == 0, err
-        assert len(calls) == 1
+        assert calls == [("edit", 4.0)]
 
     def test_sweep_rejects_edges(self, capsys, tmp_path):
         p = tmp_path / "g.edges"

@@ -37,6 +37,7 @@ from topoinfluence import (
     wheel_graph,
     wheel_scores,
 )
+from topoinfluence import families
 from topoinfluence.families import (
     _er_edges,
     _identity_bipartite,
@@ -127,12 +128,18 @@ class TestErdosRenyi:
         st.integers(1, 60),
         st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
         st.integers(0, 2**32),
+        st.sampled_from([1, 2, 7, 58, 59, families.ER_BLOCK_DRAWS]),
     )
-    def test_edges_equal_the_pair_list(self, n, p, seed):
-        # Same edges in the same order, and the same stream left behind.
+    def test_edges_equal_the_pair_list(self, n, p, seed, block):
+        # Same edges in the same order, and the same stream left behind,
+        # whatever the draw blocks: one draw each, blocks that end mid-row,
+        # and one that ends with row 0 of n = 60 (59 draws).
         rng = np.random.Generator(np.random.Philox(key=seed))
         reference = np.random.Generator(np.random.Philox(key=seed))
-        assert _er_edges(rng, n, p) == er_edges_pair_list(reference, n, p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(families, "ER_BLOCK_DRAWS", block)
+            edges = _er_edges(rng, n, p)
+        assert edges == er_edges_pair_list(reference, n, p)
         assert rng.random() == reference.random()
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from topoinfluence import (
     edit_distance,
     euclidean_distance,
     hamming_distance,
+    neighbor_pairs,
     path_graph,
 )
 from topoinfluence import metric_complex
@@ -235,11 +237,12 @@ def test_build_distance_matrix_holds_one_n_by_n_array():
         for _ in range(1000)
     ]
     points = LabeledPointSet.from_strings(strings)
+    def chunks_alone():
+        for _ in metric_complex._pair_chunks(points, "edit", math.inf):
+            pass
+
     peaks = []
-    for build in (
-        lambda: metric_complex._edit_matrix(points.items),
-        lambda: build_distance_matrix(points, "edit"),
-    ):
+    for build in (chunks_alone, lambda: build_distance_matrix(points, "edit")):
         tracemalloc.start()
         try:
             build()
@@ -247,7 +250,7 @@ def test_build_distance_matrix_holds_one_n_by_n_array():
         finally:
             tracemalloc.stop()
     kernel, built = peaks
-    assert built <= kernel + (64 << 10)
+    assert built <= kernel + 1000 * 1000 * 8 + (64 << 10)
     assert built <= 10_000_000
 
 
@@ -264,30 +267,40 @@ def test_build_distance_matrix_metric_kind_mismatch():
         build_distance_matrix(strings, "chebyshev")
 
 
-@pytest.mark.parametrize(
-    "kind, metric, message",
-    [
-        ("mixed", "edit", "point set mixes strings and vectors"),
-        ("mixed", "chebyshev", "point set mixes strings and vectors"),
-        ("strings", "chebyshev", "unknown metric 'chebyshev'"),
-        ("strings", "precomputed",
-         "precomputed distances must be loaded as a matrix, not rebuilt"),
-        ("vectors", "precomputed",
-         "precomputed distances must be loaded as a matrix, not rebuilt"),
-        ("vectors", "edit", "edit metric applies to string items only"),
-        ("strings", "hamming", "hamming metric applies to vector items only"),
-        ("strings", "euclidean", "euclidean metric applies to vector items only"),
-    ],
-)
-def test_build_distance_matrix_error_messages(kind, metric, message):
+METRIC_ERRORS = [
+    ("mixed", "edit", "point set mixes strings and vectors"),
+    ("mixed", "chebyshev", "point set mixes strings and vectors"),
+    ("strings", "chebyshev", "unknown metric 'chebyshev'"),
+    ("strings", "precomputed",
+     "precomputed distances must be loaded as a matrix, not rebuilt"),
+    ("vectors", "precomputed",
+     "precomputed distances must be loaded as a matrix, not rebuilt"),
+    ("vectors", "edit", "edit metric applies to string items only"),
+    ("strings", "hamming", "hamming metric applies to vector items only"),
+    ("strings", "euclidean", "euclidean metric applies to vector items only"),
+]
+
+
+def two_points(kind) -> LabeledPointSet:
     items = {
         "strings": ("01", "10"),
         "vectors": ((0.0,), (1.0,)),
         "mixed": ("01", (1.0,)),
     }[kind]
-    points = LabeledPointSet(items=items, labels=("a", "b"))
+    return LabeledPointSet(items=items, labels=("a", "b"))
+
+
+@pytest.mark.parametrize("kind, metric, message", METRIC_ERRORS)
+def test_build_distance_matrix_error_messages(kind, metric, message):
     with pytest.raises(InputError) as info:
-        build_distance_matrix(points, metric)
+        build_distance_matrix(two_points(kind), metric)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("kind, metric, message", METRIC_ERRORS)
+def test_neighbor_pairs_error_messages(kind, metric, message):
+    with pytest.raises(InputError) as info:
+        neighbor_pairs(two_points(kind), metric, 1)
     assert str(info.value) == message
 
 
@@ -309,34 +322,189 @@ class TestEditMatrix:
         assert np.array_equal(dm.values, oracle_matrix(strings))
 
     def test_small_budget_splits_pairs_into_mixed_length_chunks(self, monkeypatch):
+        # build_distance_matrix: the band is the longest string, k = 7.
+        self.check_schedule(monkeypatch, math.inf)
+
+    def test_threshold_schedule_skips_pairs_far_apart_in_length(self, monkeypatch):
+        # neighbor_pairs at r_max 1: k = 1.
+        self.check_schedule(monkeypatch, 1)
+
+    @staticmethod
+    def check_schedule(monkeypatch, r_max):
         strings = ["abba", "", "a", "ab", "ba", "b", "bbbbbbb", "aab", "ab", "abab"]
         cells = 48
         chunks = []
         kernel = metric_complex._levenshtein
 
-        def recording(codes, offsets, lengths, shorter, longer):
-            # Positions into the length-sorted strings, and their lengths.
+        def recording(codes, offsets, lengths, shorter, longer, k):
+            # Positions into the length-sorted strings, their lengths, the band.
             chunks.append((shorter.tolist(), longer.tolist(),
-                           lengths[shorter], lengths[longer]))
-            return kernel(codes, offsets, lengths, shorter, longer)
+                           lengths[shorter], lengths[longer], k))
+            return kernel(codes, offsets, lengths, shorter, longer, k)
 
         monkeypatch.setattr(metric_complex, "EDIT_CHUNK_CELLS", cells)
         monkeypatch.setattr(metric_complex, "_levenshtein", recording)
-        dm = build_distance_matrix(LabeledPointSet.from_strings(strings), "edit")
-        assert np.array_equal(dm.values, oracle_matrix(strings))
+        points = LabeledPointSet.from_strings(strings)
+        if r_max == math.inf:
+            dm = build_distance_matrix(points, "edit")
+            assert np.array_equal(dm.values, oracle_matrix(strings))
+        else:
+            want = build_complex(DistanceMatrix(oracle_matrix(strings)), r_max)
+            assert build_complex(neighbor_pairs(points, "edit", r_max), r_max) == want
+        k = min(r_max, 7)
+        sizes = sorted(map(len, strings))
         n = len(strings)
-        # Every unordered pair of positions is scheduled exactly once.
-        pairs = sorted(pair for p, q, _, _ in chunks for pair in zip(p, q))
-        assert pairs == [(p, q) for p in range(n) for q in range(p + 1, n)]
-        assert len(chunks) > 1
-        # The longest string's column, 9 lanes of 8 cells, is split.
-        assert sum(n - 1 in q for _, q, _, _ in chunks) > 1
+        # Every unordered pair of positions whose lengths differ by at most
+        # k is scheduled exactly once, and no other pair.
+        pairs = sorted(pair for p, q, _, _, _ in chunks for pair in zip(p, q))
+        assert pairs == [(p, q) for p in range(n) for q in range(p + 1, n)
+                         if sizes[q] - sizes[p] <= k]
+        assert len(chunks) > 1 and {band for *_, band in chunks} == {k}
+        # The longest string's column, 9 lanes of 15 cells, is split.
+        longest_column = sum(n - 1 in q for _, q, _, _, _ in chunks)
+        assert longest_column > 1 if k == 7 else longest_column == 0
         # Lanes of different lengths share a chunk, within the cell budget.
-        assert any(len(set(short.tolist())) > 1 for _, _, short, _ in chunks)
-        for p, _, short, long in chunks:
+        assert any(len(set(short.tolist())) > 1 for _, _, short, _, _ in chunks)
+        for p, _, short, long, _ in chunks:
             assert len(p) >= 1
             assert np.all(np.diff(short) >= 0) and np.all(short <= long)
-            assert len(short) * (long.max() + 1) <= cells
+            row = long.max() + min(k, long.max()) + 1
+            assert len(short) * row <= cells
+
+
+CHUNK_BUDGETS = st.sampled_from([metric_complex.EDIT_CHUNK_CELLS, 1, 24])
+
+
+def threshold_first_equals_matrix(points, metric, r, cells):
+    """The pairs up to r: thresholded at r and at each smaller integer
+    radius (up to 16 of them), the same complexes as the full matrix,
+    under a chunk budget of ``cells``.  Returns the pairs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric_complex, "EDIT_CHUNK_CELLS", cells)
+        pairs = neighbor_pairs(points, metric, r)
+        dm = build_distance_matrix(points, metric)
+    for radius in {r, *range(min(math.ceil(r), 16))}:
+        assert build_complex(pairs, radius) == build_complex(dm, radius)
+    left, right = pairs.left.tolist(), pairs.right.tolist()
+    assert sorted(zip(left, right)) == list(zip(left, right))
+    assert all(i < j for i, j in zip(left, right))
+    assert pairs.distances.tolist() == dm.values[pairs.left, pairs.right].tolist()
+    return pairs
+
+
+class TestNeighborPairs:
+    @settings(max_examples=80, deadline=None)
+    @given(string_sets(max_n=20, max_len=12), st.data(), CHUNK_BUDGETS)
+    def test_edit_pairs_equal_matrix_and_scalar_dp(self, strings, data, cells):
+        # r = 0, fractional, integer, and at or beyond the longest string.
+        longest = max(map(len, strings))
+        r = data.draw(st.one_of(
+            st.sampled_from([0, 0.5, 1, 1.5, 2, 3.25, longest, longest + 2.5]),
+            st.floats(0, longest + 1, allow_nan=False),
+        ))
+        points = LabeledPointSet.from_strings(strings)
+        pairs = threshold_first_equals_matrix(points, "edit", r, cells)
+        want = {
+            (i, j): d
+            for j in range(len(strings)) for i in range(j)
+            if (d := edit_distance_dp(strings[i], strings[j])) <= r
+        }
+        got = zip(pairs.left.tolist(), pairs.right.tolist(), pairs.distances.tolist())
+        assert {(i, j): d for i, j, d in got} == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), CHUNK_BUDGETS)
+    def test_hamming_pairs_equal_matrix(self, data, cells):
+        dim = data.draw(st.integers(1, 6))
+        coordinate = st.sampled_from([0.0, 1.0, -0.0, 2.5])
+        vectors = data.draw(st.lists(
+            st.lists(coordinate, min_size=dim, max_size=dim), min_size=1, max_size=25,
+        ))
+        r = data.draw(st.one_of(st.integers(0, dim + 1), st.floats(0, dim + 1)))
+        points = LabeledPointSet.from_vectors(vectors)
+        pairs = threshold_first_equals_matrix(points, "hamming", r, cells)
+        for i, j, d in zip(pairs.left, pairs.right, pairs.distances):
+            assert d == hamming_distance(points.items[i], points.items[j]) <= r
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), CHUNK_BUDGETS)
+    def test_euclidean_pairs_equal_matrix_at_the_boundary(self, data, cells):
+        # r is one of the distances itself, or one ulp to either side.
+        dim = data.draw(st.integers(1, 4))
+        coordinate = st.floats(-1e3, 1e3) | st.sampled_from([0.0, 0.1, 0.3, 3.0, 4.0])
+        vectors = data.draw(st.lists(
+            st.lists(coordinate, min_size=dim, max_size=dim), min_size=2, max_size=20,
+        ))
+        points = LabeledPointSet.from_vectors(vectors)
+        i, j = data.draw(st.lists(st.integers(0, len(vectors) - 1), min_size=2,
+                                  max_size=2, unique=True))
+        d = euclidean_distance(points.items[i], points.items[j])
+        r = data.draw(
+            st.sampled_from([d, math.nextafter(d, 0), math.nextafter(d, math.inf)])
+        )
+        threshold_first_equals_matrix(points, "euclidean", r, cells)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1, 1e-300, 1e150, 1e200])
+    def test_euclidean_three_four_five_triangle(self, scale):
+        # math.dist decides each candidate: an edge at exactly its distance
+        # and one ulp above, none one ulp below, at any scale.
+        points = LabeledPointSet.from_vectors([[0.0, 0.0], [3 * scale, 4 * scale]])
+        d = euclidean_distance(*points.items)
+        for r, edges in [(d, 1), (math.nextafter(d, math.inf), 1),
+                         (math.nextafter(d, 0), 0)]:
+            pairs = neighbor_pairs(points, "euclidean", r)
+            assert build_complex(pairs, r).num_edges() == edges
+            assert pairs.distances.tolist() == [d] * edges
+
+    def test_euclidean_overflow_is_no_pair(self):
+        # The distance from 1e308 to -1e308 overflows to inf: never within
+        # r_max, and no numpy warning on the way.  The matrix refuses it.
+        points = LabeledPointSet.from_vectors([[1e308], [-1e308], [0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pairs = neighbor_pairs(points, "euclidean", 1e308)
+            with pytest.raises(InputError, match="non-finite"):
+                build_distance_matrix(points, "euclidean")
+        assert pairs.left.tolist() == [0, 1] and pairs.right.tolist() == [2, 2]
+        assert pairs.distances.tolist() == [1e308, 1e308]
+
+    def test_radius_past_r_max_is_refused(self):
+        pairs = neighbor_pairs(LabeledPointSet.from_strings(["0", "11"]), "edit", 1)
+        assert build_complex(pairs, 1).num_edges() == 0
+        with pytest.raises(InputError) as info:
+            build_complex(pairs, 1.5)
+        assert str(info.value) == (
+            "pairs were computed up to r_max 1.0; cannot threshold at 1.5"
+        )
+
+    @pytest.mark.parametrize("r_max", [-1.0, math.nan, math.inf])
+    def test_bad_r_max_is_refused(self, r_max):
+        with pytest.raises(InputError, match="finite nonnegative"):
+            neighbor_pairs(LabeledPointSet.from_strings(["0", "1"]), "edit", r_max)
+
+    def test_unequal_vector_lengths_are_refused(self):
+        points = LabeledPointSet.from_vectors([[0.0], [0.0, 1.0]])
+        for metric in ("hamming", "euclidean"):
+            with pytest.raises(InputError) as info:
+                neighbor_pairs(points, metric, 1)
+            assert str(info.value) == f"{metric} distance requires equal-length vectors"
+
+    def test_edit_route_holds_no_n_by_n_array(self):
+        # 2000 strings at r = 2: one n x n float64 array would be 32 MB.
+        rng = np.random.default_rng(1)
+        strings = [
+            "".join(rng.choice(["0", "1"], size=rng.integers(8, 17)))
+            for _ in range(2000)
+        ]
+        points = LabeledPointSet.from_strings(strings)
+        tracemalloc.start()
+        try:
+            pairs = neighbor_pairs(points, "edit", 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs.left) > 0
+        assert peak <= 2000 * 2000 * 8 // 4
 
 
 class TestNeighborComplex:

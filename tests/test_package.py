@@ -44,6 +44,7 @@ PUBLIC_NAMES = (
     "get_family",
     "hamming_distance",
     "mask_nodes",
+    "neighbor_pairs",
     "path_graph",
     "path_scores",
     "permutation_marginals",
@@ -60,7 +61,7 @@ PUBLIC_NAMES = (
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 50
+    assert len(PUBLIC_NAMES) == 51
     assert tuple(topoinfluence.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(topoinfluence, name), name
