@@ -10,7 +10,12 @@ count of the induced subgraph on every subset S of vertices, all 2^n of
 them.  ``betti0_table`` fills that table with a peeling recurrence
 instead of 2^n independent traversals: the count for S is one more than
 the count for S minus the component containing S's highest vertex, and
-that smaller subset was already solved.  The fill runs as numpy passes
+that smaller subset was already solved.  Most subsets are settled by
+the highest vertex's own neighbours in S: with none, it is a component
+of its own; with exactly one, it joins that neighbour's component and
+the count is that of S without it; with two or more, the component
+starts as the vertex and those neighbours, and grows only while it
+still changes and is not yet all of S.  The fill runs as numpy passes
 over chunks of subsets, never as a Python loop over all 2^n of them.
 
 The slower, independent counters these are tested against (a bitmask
@@ -32,8 +37,15 @@ from .metric_complex import NeighborComplex
 TABLE_HARD_MAX = 26
 
 # Passes over the table work on 2^CHUNK_BITS subsets at a time, so their
-# numpy temporaries stay near a megabyte whatever n is.
+# numpy temporaries stay near a megabyte whatever n is: under 1 MB where
+# most masks settle at the first step, under 2 MB where most must grow.
 CHUNK_BITS = 15
+
+# numpy keeps up to seven freed buffers of each size under 1 KiB for
+# reuse.  Growth indexes shorter than this many int64 entries (1 KiB)
+# are padded to it, so the loop's arrays do not leave buffers of a
+# hundred odd sizes in that cache on runs of many small tables.
+INDEX_FLOOR = 128
 
 
 def component_changes(complex_: NeighborComplex, order: Iterable[int]) -> list[int]:
@@ -95,6 +107,13 @@ def _union_table(rows) -> np.ndarray:
     return union
 
 
+def _padded(index: np.ndarray) -> np.ndarray:
+    """``index`` repeated up to INDEX_FLOOR entries when it is shorter and
+    not empty.  A repeated mask grows and is written exactly as its
+    first copy, so the repeats change no result."""
+    return np.resize(index, INDEX_FLOOR) if 0 < len(index) < INDEX_FLOOR else index
+
+
 def betti0_table(complex_: NeighborComplex) -> np.ndarray:
     """Component counts for the induced subgraph on every vertex subset.
 
@@ -105,10 +124,17 @@ def betti0_table(complex_: NeighborComplex) -> np.ndarray:
     ``mask ^ c`` is below 2^b.  So the block of masks [2^b, 2^(b+1))
     reads only earlier blocks.  The masks go in chunks of 2^CHUNK_BITS,
     or of the top block when it is shorter, and the chunk at 0 holds
-    every block below the chunk length.  In a chunk every c starts as
-    the top bit of its mask, set block by block, and all of them grow
-    together by c = (N[c] & mask) | c, each pass over only the masks
-    whose c still grew; growth reads no table entry, so only the fill
+    every block below the chunk length.
+
+    The first step is closed-form: every mask of block b shares row b,
+    so c starts as (mask & row b) | 2^b, the top and its neighbours in
+    the mask, with no table lookup.  With no neighbour, c is the top
+    alone.  With exactly one, the top joins that neighbour's component,
+    so t[mask] = t[mask ^ 2^b]: the peel is the top bit, adding 0.
+    With two or more, c grows by c = (N[c] & mask) | c, all of a
+    chunk's growing masks together, each pass over only those whose c
+    changed and is not yet the whole mask: a component equal to its
+    mask cannot grow.  Growth reads no table entry, so only the fill
     that follows goes block by block.  N[c], the union of the adjacency
     rows over c, is looked up in two tables of 2^(n/2) entries by the
     low and high halves of c.
@@ -122,34 +148,60 @@ def betti0_table(complex_: NeighborComplex) -> np.ndarray:
             f"n={TABLE_HARD_MAX}"
         )
     table = np.zeros(1 << n, dtype=np.int8)
-    half = n // 2
-    low_bits = (1 << half) - 1
-    low = _union_table(complex_.rows[:half])
-    high = _union_table(complex_.rows[half:])
+    low = _union_table(complex_.rows[: n // 2])
+    high = _union_table(complex_.rows[n // 2 :])
     # A chunk no longer than the top block keeps the temporaries of a
     # block-by-block fill.
     chunk = 1 << min(CHUNK_BITS, n - 1)
     for start in range(0, 1 << n, chunk):
         first, stop = max(start, 1), min(start + chunk, 1 << n)
-        masks = np.arange(first, stop, dtype=np.int64)
-        # Block b, the masks with top bit 2^b, as (lo, hi, 2^b) offsets
-        # into the chunk; only the chunk at 0 spans more than one block.
-        blocks = [
-            (max(first, 1 << b) - first, min(stop, 2 << b) - first, 1 << b)
-            for b in range(first.bit_length() - 1, (stop - 1).bit_length())
-        ]
-        comp = np.empty_like(masks)
-        for lo, hi, top in blocks:
-            comp[lo:hi] = top
-        # Positions, masks and components of the chunk still growing.
-        live, m, c = np.arange(len(masks)), masks, comp
-        while len(live):
-            grown = ((low[c & low_bits] | high[c >> half]) & m) | c
-            # On the first pass c is comp itself: compare before writing.
-            moving = grown != c
-            comp[live] = grown
-            live, m, c = live[moving], m[moving], grown[moving]
-        # Growth reads no table entry, but block b reads blocks below it.
-        for lo, hi, _ in blocks:
-            table[first + lo : first + hi] = table[masks[lo:hi] ^ comp[lo:hi]] + 1
+        _fill_chunk(table, complex_.rows, low, high, first, stop)
     return table
+
+
+def _fill_chunk(table, rows, low, high, first: int, stop: int) -> None:
+    """Fill table[first:stop] as betti0_table describes, with N[c] =
+    low[c & low_bits] | high[c >> half].  Its arrays die on return, so
+    one chunk's temporaries never overlap the next chunk's."""
+    half = len(low).bit_length() - 1
+    low_bits = len(low) - 1
+    masks = np.arange(first, stop, dtype=np.int64)
+    # Block b, the masks with top bit 2^b, as (lo, hi, b) offsets into the
+    # chunk; only the chunk at 0 spans more than one block.
+    blocks = [
+        (max(first, 1 << b) - first, min(stop, 2 << b) - first, b)
+        for b in range(first.bit_length() - 1, (stop - 1).bit_length())
+    ]
+    comp = np.empty_like(masks)
+    for lo, hi, b in blocks:
+        np.bitwise_and(masks[lo:hi], rows[b] | 1 << b, out=comp[lo:hi])
+    size = np.bitwise_count(comp)
+    # One neighbour: the top joins its component and adds nothing.  The
+    # int8 view keeps the fill's sum on numpy's int8 loop: every other
+    # inner loop a run touches maps 64 KiB more of numpy's library.
+    add = (size != 2).view(np.int8)
+    live = _padded(np.flatnonzero((size > 2) & (comp != masks)))
+    c = comp[live]
+    # With at most one neighbour the peel is the top bit alone.
+    for lo, hi, b in blocks:
+        np.copyto(comp[lo:hi], 1 << b, where=size[lo:hi] < 3)
+    # From here on comp[i] is the mask minus its component so far, the
+    # entry the fill reads.
+    comp ^= masks
+    del size, masks
+    while len(live):
+        m = live + first
+        grown = low[c & low_bits]
+        grown |= high[c >> half]
+        grown &= m
+        grown |= c
+        m ^= grown
+        comp[live] = m
+        c ^= grown
+        # Still growing: it gained bits (c) and is short of its mask (m).
+        # Both are below 2^26, so their product is exact.
+        moving = _padded(np.flatnonzero(c * m))
+        live, c = live[moving], grown[moving]
+    # Growth reads no table entry, but block b reads blocks below it.
+    for lo, hi, _ in blocks:
+        table[first + lo : first + hi] = table[comp[lo:hi]] + add[lo:hi]

@@ -10,6 +10,7 @@ pair-list Erdos-Renyi edges share no code with the package's hit walk.
 """
 
 import functools
+import random
 
 import numpy as np
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from topoinfluence import (
     build_distance_matrix,
     builtin_grammar,
     complete_bipartite_graph,
+    complete_graph,
     compute_influence,
     cycle_graph,
     enumerate_strings,
@@ -162,12 +164,26 @@ def _star_plus_cycle() -> NeighborComplex:
     return NeighborComplex.from_edges(18, edges)
 
 
+def relabeled(complex_: NeighborComplex, seed: int) -> NeighborComplex:
+    """``complex_`` with its vertices renumbered by a seeded permutation."""
+    label = list(range(complex_.n))
+    random.Random(seed).shuffle(label)
+    return NeighborComplex.from_edges(
+        complex_.n, [(label[u], label[v]) for u, v in complex_.edges()]
+    )
+
+
 # Graphs of 17-18 vertices: with CHUNK_BITS = 15 their tables span several
-# chunks, and their components reach across chunk boundaries.
+# chunks, and their components reach across chunk boundaries.  In K17
+# almost every component is its whole mask at the first step; in the
+# relabeled path a top vertex's neighbours lie anywhere below it, where
+# in path18 the one below it is always the next lower vertex.
 MULTI_CHUNK_GRAPHS = {
     "path18": path_graph(18),
+    "path18-relabeled": relabeled(path_graph(18), 7),
     "star9+cycle9": _star_plus_cycle(),
     "K8,9": complete_bipartite_graph(8, 9),
+    "K17": complete_graph(17),
 }
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from topoinfluence import (
     betti0_table,
     complete_graph,
     cycle_graph,
+    erdos_renyi_graph,
     mask_nodes,
     path_graph,
     star_graph,
@@ -143,6 +145,32 @@ class TestLaplacian:
         assert np.linalg.eigvalsh(L).min() > -1e-12
 
 
+# Seven vertices whose table takes every branch of betti0_table's first
+# step: a top with no neighbour in the mask, with one, and with two or
+# more, and of those, a component that is the whole mask at once (0b111
+# among them, in the chunk at 0 that holds blocks 0-2 when CHUNK_BITS is
+# 3), one that grows to the whole mask (over three passes for 0b1111110)
+# and one that grows and stays short of it.
+BRANCH_GRAPH = NeighborComplex.from_edges(
+    7, [(0, 2), (1, 2), (1, 3), (0, 4), (3, 4), (4, 6), (5, 6)]
+)
+
+
+def first_step_branch(g: NeighborComplex, mask: int) -> str:
+    """The branch betti0_table's first step takes on ``mask``, from the
+    top vertex's neighbours in it, and for growing components whether
+    the mask is connected (the top's component is then all of it)."""
+    top = mask.bit_length() - 1
+    around = bin(mask & g.rows[top]).count("1")
+    if around < 2:
+        return ("no neighbour", "one neighbour")[around]
+    if mask & g.rows[top] | 1 << top == mask:
+        return "whole at once"
+    if betti0_of_subset(g, mask) == 1:
+        return "grows to whole"
+    return "grows, stays short"
+
+
 class TestBetti0Table:
     @given(small_graphs(max_n=8))
     @settings(max_examples=40)
@@ -151,6 +179,33 @@ class TestBetti0Table:
         assert len(table) == 1 << g.n
         for mask in range(1 << g.n):
             assert int(table[mask]) == betti0_of_subset(g, mask)
+
+    def test_branch_graph_takes_every_branch(self):
+        branches = Counter(
+            first_step_branch(BRANCH_GRAPH, mask) for mask in range(1, 1 << 7)
+        )
+        assert set(branches) == {
+            "no neighbour", "one neighbour", "whole at once",
+            "grows to whole", "grows, stays short",
+        }
+        assert first_step_branch(BRANCH_GRAPH, 0b111) == "whole at once"
+        assert first_step_branch(BRANCH_GRAPH, 0b1111110) == "grows to whole"
+
+    @pytest.mark.parametrize("index_floor", [homology.INDEX_FLOOR, 1])
+    @pytest.mark.parametrize("chunk_bits", [homology.CHUNK_BITS, 1, 3])
+    def test_every_branch_matches_reference(self, chunk_bits, index_floor):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "CHUNK_BITS", chunk_bits)
+            mp.setattr(homology, "INDEX_FLOOR", index_floor)
+            table = betti0_table(BRANCH_GRAPH)
+        want = reference_betti0_table(BRANCH_GRAPH)
+        wrong = Counter(
+            first_step_branch(BRANCH_GRAPH, mask)
+            for mask in range(1, 1 << 7)
+            if table[mask] != want[mask]
+        )
+        assert not wrong
+        assert table.tobytes() == want.tobytes()
 
     def test_full_mask_is_betti0(self):
         g = NeighborComplex.from_edges(6, [(0, 1), (1, 2), (4, 5)])
@@ -186,6 +241,25 @@ class TestBetti0Table:
         assert table.dtype == np.int8
         assert len(table) == 1 << g.n
         assert table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("g, arrays", [
+        (path_graph(18), 3),
+        (complete_graph(18), 3),
+        # Most masks here grow past the first step, all at once.
+        (erdos_renyi_graph(18, 0.3, 5), 8),
+    ], ids=["path18", "K18", "ER18"])
+    def test_temporaries_are_a_few_chunk_arrays(self, g, arrays):
+        # Beyond its 2^n-byte table, a fill holds at most this many int64
+        # arrays of one chunk.  Measured: 2.7 for the path and K18, 7.1
+        # for ER18.
+        betti0_table(g)
+        tracemalloc.start()
+        try:
+            betti0_table(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - (1 << g.n) <= arrays * 8 << homology.CHUNK_BITS
 
     def test_size_guard(self):
         g = NeighborComplex.from_edges(27, [])
