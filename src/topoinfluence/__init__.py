@@ -64,8 +64,6 @@ from .metric_complex import (
     build_complex,
     build_distance_matrix,
     edit_distance,
-    euclidean_distance,
-    hamming_distance,
     neighbor_pairs,
 )
 
@@ -102,11 +100,9 @@ __all__ = [
     "edit_distance",
     "enumerate_strings",
     "erdos_renyi_graph",
-    "euclidean_distance",
     "exact_shapley",
     "generate_er_dataset",
     "get_family",
-    "hamming_distance",
     "mask_nodes",
     "neighbor_pairs",
     "path_graph",

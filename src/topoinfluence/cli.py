@@ -139,13 +139,13 @@ def _resolve_input_plan(args) -> tuple[str, str]:
         return fmt, ""
     if metric is None:
         # Strings, the default input, and matrices are read by one metric each.
-        fits = [m for m, (_, kind) in METRICS.items() if kind == (fmt or "strings")]
+        fits = [m for m, kind in METRICS.items() if kind == (fmt or "strings")]
         if len(fits) != 1:
             raise InputError(
                 f"{fmt} input needs an explicit --metric ({' or '.join(fits)})"
             )
         (metric,) = fits
-    expected = METRICS[metric][1]
+    expected = METRICS[metric]
     if fmt is not None and fmt != expected:
         raise InputError(f"--metric {metric} expects {expected} input, not {fmt}")
     return expected, metric

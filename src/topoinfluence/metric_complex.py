@@ -15,24 +15,25 @@ distance 1) require the verbatim rule, so it is the contract here.
 
 Complexes are built threshold-first: :func:`neighbor_pairs` computes
 only the pairs at distance at most ``r_max``, straight from the points,
-and :func:`build_complex` thresholds them at any r up to ``r_max``.  A
-:class:`DistanceMatrix`, the n x n alternative, is what precomputed input
-is, and :func:`build_distance_matrix` builds one from the same kernels.
+and :func:`build_complex` thresholds them, or a precomputed
+:class:`DistanceMatrix`, into edges for :meth:`NeighborComplex.from_edges`,
+the one route from edges to adjacency rows.
 
 Vector coordinates must be finite: ``nan != nan`` would put two equal
 vectors apart.  The edit metric has one implementation, a banded
 Levenshtein kernel vectorized across string pairs taken column by column
 (see :func:`_edit_chunks`); ``edit_distance`` is its one-pair call and
 ``build_distance_matrix`` its call with the band as wide as the longest
-string.  The scalar dynamic program it is tested against is in
-``tests/oracles.py``.
+string.  Hamming and euclidean run only in numpy tiles.  The scalar
+references all three are tested against are in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,11 +47,9 @@ SYMMETRY_TOLERANCE = 1e-9
 # once.  A chunk's lanes times its row length (longest string + band + 1)
 # stay within EDIT_CHUNK_CELLS, so each int32 temporary of a pass stays
 # near a quarter megabyte however many strings there are.  Vector tiles,
-# DistanceMatrix's checks and mirroring, and build_complex's packed rows
-# work in blocks of the same number of cells.
+# DistanceMatrix's checks and mirroring, and build_complex's reads of a
+# matrix work in blocks of the same number of cells.
 EDIT_CHUNK_CELLS = 1 << 16
-
-Vector = tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -245,18 +244,6 @@ def edit_distance(a: str, b: str) -> int:
     return int(_levenshtein(codes, offsets, lengths, shorter, longer, k)[0])
 
 
-def hamming_distance(u: Vector, v: Vector) -> int:
-    if len(u) != len(v):
-        raise InputError("hamming distance requires equal-length vectors")
-    return sum(1 for a, b in zip(u, v) if a != b)
-
-
-def euclidean_distance(u: Vector, v: Vector) -> float:
-    if len(u) != len(v):
-        raise InputError("euclidean distance requires equal-length vectors")
-    return math.dist(u, v)
-
-
 def _mirrored(arr: np.ndarray) -> np.ndarray:
     """Validate and mirror the float64 matrix ``arr`` in place, then make
     it read-only: the matrix of :class:`DistanceMatrix`.
@@ -333,13 +320,12 @@ class DistanceMatrix:
         return self._values
 
 
-# Metric name -> (distance function, the kind of input it reads).  The
-# ``precomputed`` metric has no function: its input is the matrix itself.
+# Metric name -> the kind of input it reads.
 METRICS = {
-    "edit": (edit_distance, "strings"),
-    "hamming": (hamming_distance, "vectors"),
-    "euclidean": (euclidean_distance, "vectors"),
-    "precomputed": (None, "matrix"),
+    "edit": "strings",
+    "hamming": "vectors",
+    "euclidean": "vectors",
+    "precomputed": "matrix",
 }
 
 
@@ -352,8 +338,8 @@ def _vector_chunks(vectors: tuple, metric: str, r_max: float) -> Iterator[tuple]
     coordinates exactly.  Euclidean keeps a pair as a candidate when its
     squared distance, summed in numpy, is within r_max^2 plus a slack
     that covers numpy's rounding; ``math.dist`` then gives each
-    candidate's distance, so ``d <= r`` decides on the same bits as
-    :func:`euclidean_distance`.
+    candidate's distance, so ``d <= r`` decides on ``math.dist``'s bits,
+    not on numpy's rounded sum.
     """
     if len({len(v) for v in vectors}) > 1:
         raise InputError(f"{metric} distance requires equal-length vectors")
@@ -402,8 +388,8 @@ def _pair_chunks(points: LabeledPointSet, metric: str, r_max: float) -> Iterator
         raise InputError("point set mixes strings and vectors")
     if metric not in METRICS:
         raise InputError(f"unknown metric {metric!r}")
-    fn, wanted = METRICS[metric]
-    if fn is None:
+    wanted = METRICS[metric]
+    if wanted == "matrix":
         raise InputError(
             "precomputed distances must be loaded as a matrix, not rebuilt"
         )
@@ -534,11 +520,16 @@ class NeighborComplex:
         return sum(row.bit_count() for row in self.rows) // 2
 
     @classmethod
-    def from_edges(
-        cls, n: int, edges: Sequence[tuple[int, int]]
-    ) -> "NeighborComplex":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "NeighborComplex":
+        """The graph on 0..n-1 with these edges: the one route from edges to
+        adjacency rows.  Endpoints are taken with ``operator.index`` (numpy
+        integers too) and range-checked; self-loops are skipped."""
         rows = [0] * n
         for u, v in edges:
+            try:
+                u, v = operator.index(u), operator.index(v)
+            except TypeError:
+                raise InputError(f"edge ({u!r}, {v!r}): non-integer endpoint") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise InputError(f"edge ({u}, {v}) outside vertex range 0..{n - 1}")
             if u == v:
@@ -557,12 +548,11 @@ def check_radius(r: float) -> None:
 def build_complex(dm: DistanceMatrix | NeighborPairs, r: float) -> NeighborComplex:
     """Threshold the distances: edge (i, j) present iff d(i, j) <= r.
 
-    ``dm`` is a full :class:`DistanceMatrix` or the :class:`NeighborPairs`
-    of :func:`neighbor_pairs`, which holds only the pairs up to its
-    ``r_max``: a larger r raises InputError.  The comparison is an exact
-    ``<=`` on the stored float, which is exact for integer metrics (edit,
-    hamming).  Either way the same edges give the same complex, built in
-    row blocks of about EDIT_CHUNK_CELLS cells.
+    ``dm`` is a full :class:`DistanceMatrix`, read in row blocks of about
+    EDIT_CHUNK_CELLS cells, or the :class:`NeighborPairs` of
+    :func:`neighbor_pairs`, which refuses an r past its ``r_max``.  The
+    ``<=`` is exact on the stored float, so exact for integer metrics
+    (edit, hamming).  The edges go to :meth:`NeighborComplex.from_edges`.
     """
     check_radius(r)
     n = dm.n
@@ -572,24 +562,13 @@ def build_complex(dm: DistanceMatrix | NeighborPairs, r: float) -> NeighborCompl
                 f"pairs were computed up to r_max {dm.r_max}; cannot threshold at {r}"
             )
         near = dm.distances <= r
-        # Both directions of each edge, grouped by their first vertex.
-        first = np.concatenate([dm.left[near], dm.right[near]])
-        second = np.concatenate([dm.right[near], dm.left[near]])
-        by_row = np.argsort(first, kind="stable")
-        first, second = first[by_row], second[by_row]
+        return NeighborComplex.from_edges(
+            n, zip(dm.left[near].tolist(), dm.right[near].tolist())
+        )
     step = max(1, EDIT_CHUNK_CELLS // n)
-    rows: list[int] = []
-    for a in range(0, n, step):
-        b = min(n, a + step)
-        if isinstance(dm, NeighborPairs):
-            lo, hi = np.searchsorted(first, [a, b])
-            close = np.zeros((b - a, n), dtype=bool)
-            close[first[lo:hi] - a, second[lo:hi]] = True
-        else:
-            close = dm.values[a:b] <= r
-            close[np.arange(b - a), np.arange(a, b)] = False
-        # Byte k of a packed row holds bits 8k..8k+7, lowest first: read
-        # little-endian, the row is its adjacency bitset.
-        packed = np.packbits(close, axis=1, bitorder="little")
-        rows.extend(int.from_bytes(row, "little") for row in packed)
-    return NeighborComplex(n=n, rows=tuple(rows))
+
+    def edges():
+        for a in range(0, n, step):
+            i, j = np.nonzero(np.triu(dm.values[a : a + step] <= r, a + 1))
+            yield from zip((i + a).tolist(), j.tolist())
+    return NeighborComplex.from_edges(n, edges())

@@ -5,11 +5,13 @@ with the package's chunked numpy kernels, so tests can hold those kernels
 to them bit for bit; the flood fill and the spectral count share no code
 with the package's union-find walk; the grammar membership and count
 oracles share no code with the lazy enumeration; the scalar edit-distance
-dynamic program shares no code with the package's vectorized kernel; the
+dynamic program shares no code with the package's vectorized kernel, nor
+do the one-pair hamming and euclidean distances with its numpy tiles; the
 pair-list Erdos-Renyi edges share no code with the package's hit walk.
 """
 
 import functools
+import math
 import random
 
 import numpy as np
@@ -85,6 +87,20 @@ def edit_distance_dp(a: str, b: str) -> int:
             )
         previous = current
     return previous[-1]
+
+
+def hamming_distance(u, v) -> int:
+    """The number of coordinates where two equal-length vectors differ."""
+    if len(u) != len(v):
+        raise InputError("hamming distance requires equal-length vectors")
+    return sum(1 for a, b in zip(u, v) if a != b)
+
+
+def euclidean_distance(u, v) -> float:
+    """``math.dist`` of two equal-length vectors."""
+    if len(u) != len(v):
+        raise InputError("euclidean distance requires equal-length vectors")
+    return math.dist(u, v)
 
 
 def er_edges_pair_list(rng: np.random.Generator, n: int, p: float) -> list:

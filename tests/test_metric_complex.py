@@ -17,14 +17,18 @@ from topoinfluence import (
     build_complex,
     build_distance_matrix,
     edit_distance,
-    euclidean_distance,
-    hamming_distance,
     neighbor_pairs,
     path_graph,
 )
 from topoinfluence import metric_complex
 
-from oracles import edit_distance_dp, family_unions, small_graphs
+from oracles import (
+    edit_distance_dp,
+    euclidean_distance,
+    family_unions,
+    hamming_distance,
+    small_graphs,
+)
 
 bitstrings = st.text(alphabet="01", max_size=12)
 
@@ -383,8 +387,8 @@ def threshold_first_equals_matrix(points, metric, r, cells):
         mp.setattr(metric_complex, "EDIT_CHUNK_CELLS", cells)
         pairs = neighbor_pairs(points, metric, r)
         dm = build_distance_matrix(points, metric)
-    for radius in {r, *range(min(math.ceil(r), 16))}:
-        assert build_complex(pairs, radius) == build_complex(dm, radius)
+        for radius in {r, *range(min(math.ceil(r), 16))}:
+            assert build_complex(pairs, radius) == build_complex(dm, radius)
     left, right = pairs.left.tolist(), pairs.right.tolist()
     assert sorted(zip(left, right)) == list(zip(left, right))
     assert all(i < j for i, j in zip(left, right))
@@ -529,9 +533,10 @@ class TestNeighborComplex:
         for i in range(6):
             assert small.rows[i] & ~large.rows[i] == 0
 
-    @given(st.data())
+    @given(st.data(), CHUNK_BUDGETS)
     @settings(max_examples=60)
-    def test_rows_follow_the_definition(self, data):
+    def test_rows_follow_the_definition(self, data, cells):
+        # A budget of 1 or 24 cells reads the matrix a row or a few at a time.
         n = data.draw(st.integers(min_value=1, max_value=20))
         pairs = n * (n - 1) // 2
         upper = data.draw(st.lists(st.integers(0, 4), min_size=pairs, max_size=pairs))
@@ -539,7 +544,9 @@ class TestNeighborComplex:
         d[np.triu_indices(n, 1)] = upper
         d = d + d.T
         r = data.draw(st.integers(0, 4))
-        cx = build_complex(DistanceMatrix(d), r)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric_complex, "EDIT_CHUNK_CELLS", cells)
+            cx = build_complex(DistanceMatrix(d), r)
         for i in range(n):
             want = sum(1 << j for j in range(n) if d[i, j] <= r and i != j)
             assert cx.rows[i] == want
@@ -562,6 +569,18 @@ class TestNeighborComplex:
     def test_from_edges_rejects_bad_vertices(self):
         with pytest.raises(InputError):
             NeighborComplex.from_edges(3, [(0, 3)])
+        for bad in ((0.0, 1), (0, "1"), (None, 2)):
+            with pytest.raises(InputError, match="non-integer endpoint"):
+                NeighborComplex.from_edges(3, [bad])
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_from_edges_takes_numpy_integer_endpoints(self, dtype):
+        # Within one machine word and past it, a self-loop included: the
+        # rows are the Python ints that plain int endpoints give.
+        for n, edges in ((10, [(0, 5), (5, 7), (7, 7)]), (70, [(0, 68), (69, 3)])):
+            cx = NeighborComplex.from_edges(n, [(dtype(u), dtype(v)) for u, v in edges])
+            assert cx == NeighborComplex.from_edges(n, edges)
+            assert all(type(row) is int for row in cx.rows)
 
     def test_row_validation(self):
         with pytest.raises(InputError, match="self-loop"):

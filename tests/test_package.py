@@ -38,11 +38,9 @@ PUBLIC_NAMES = (
     "edit_distance",
     "enumerate_strings",
     "erdos_renyi_graph",
-    "euclidean_distance",
     "exact_shapley",
     "generate_er_dataset",
     "get_family",
-    "hamming_distance",
     "mask_nodes",
     "neighbor_pairs",
     "path_graph",
@@ -61,7 +59,7 @@ PUBLIC_NAMES = (
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(PUBLIC_NAMES) == 51
+    assert len(PUBLIC_NAMES) == 49
     assert tuple(topoinfluence.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(topoinfluence, name), name
