@@ -17,6 +17,7 @@ size cap, 4 identity mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from itertools import product
@@ -467,6 +468,12 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+# One parser per process.  An argparse parser holds reference cycles, and
+# building one allocates enough to move it into the collector's oldest
+# generation, so a parser built per call to ``main`` would leave garbage
+# that only a full collection frees: in-process callers that run many
+# jobs would grow with every call.  Parsing leaves the parser unchanged.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topoinfluence",
@@ -555,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--p-range", type=_float_range, default=(0.02, 0.21), metavar="A:B"
     )
     p_mask.add_argument(
-        "--j", type=_int_list, default=[1, 2, 3], metavar="J1,J2,...",
+        "--j", type=_int_list, default=(1, 2, 3), metavar="J1,J2,...",
         help="how many vertices to mask (default 1,2,3)",
     )
     p_mask.add_argument("--seed", type=int, default=0)

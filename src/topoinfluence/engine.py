@@ -30,13 +30,19 @@ exact     subset table over all 2^n coalitions.  The signed marginal
           size-graded sums of the table (once per group of 8 vertices).
           Each n! s(i) is a Python int, so scores are bit-for-bit
           reproducible Fractions.
-sampled   Monte Carlo over uniformly random insertion orders, each
-          walked once by the union-find walk of
-          ``homology.component_changes`` over the complex's neighbour
-          tuples, O(n + m) list reads per order; the predecessor set of i in a
-          uniform permutation is exactly a coalition drawn with the
-          Shapley weights, so the running mean of the walk marginals is
-          unbiased for s(i).
+sampled   Monte Carlo over uniformly random insertion orders; the
+          predecessor set of i in a uniform permutation is exactly a
+          coalition drawn with the Shapley weights, so the running mean
+          of the walk marginals is unbiased for s(i).  No cycle uses a
+          bridge, so each bridge to an earlier neighbour lowers i's
+          signed marginal by exactly one: per order, numpy counts those
+          over the bridge endpoints, and the union-find walk of
+          ``homology.component_changes`` runs only over the cycle edges of
+          the vertices that have one, and not at all on a forest.  The
+          bridges come from one depth-first search per complex
+          (``NeighborComplex.cycle_split``).  Order j is the permutation
+          drawn from counter block j of the seed's Philox stream, with
+          one generator repositioned from block to block.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import numpy as np
 from .errors import InputError, SizeCapError
 from .homology import CHUNK_BITS, TABLE_HARD_MAX, betti0_table, component_changes
 from .metric_complex import NeighborComplex
+from .streams import philox_block
 
 # Exact mode is opt-in above this size because the subset table costs
 # O(2^n) space and the accumulation O(n 2^n) time.
@@ -221,18 +228,78 @@ def exact_shapley(
 
 def permutation_marginals(
     complex_: NeighborComplex, order: Sequence[int]
-) -> list[int]:
+) -> np.ndarray:
     """Absolute component-count marginals along one insertion order.
 
     marginals[i] belongs to vertex i (not to position): |b0(P + i) - b0(P)|
     for the vertices P before i, the absolute values of
-    :func:`~topoinfluence.homology.component_changes`.  ``order`` must be
-    a permutation of 0..n-1.
+    :func:`~topoinfluence.homology.component_changes` over the complex's
+    ``neighbors``, as an int64 array.  ``order`` must be a permutation of
+    0..n-1, as a sequence or an array of integers.
+
+    No cycle uses a bridge.  So among the vertices P before i, a bridge
+    neighbour of i lies in a component that holds no other neighbour of
+    i, and two cycle-edge neighbours are joined in P, if at all, by a
+    path with no bridge on it.  With e(i) the number of i's bridge
+    neighbours before it and G' the complex minus its bridges
+    (:attr:`~topoinfluence.metric_complex.NeighborComplex.cycle_split`),
+
+        b0(P + i) - b0(P) on G  =  b0(P + i) - b0(P) on G'  -  e(i),
+
+    and the marginal on G' is 1 for a vertex with no cycle edge.  e is
+    counted in numpy over the bridge endpoints; the union-find walk runs
+    over the cycle-edge neighbours of the vertices that have one, and not
+    at all on a forest.
     """
     n = complex_.n
-    if len(order) != n:
+    try:
+        order = np.asarray(order)
+    except ValueError:  # ragged
+        raise InputError(f"order must be a permutation of 0..{n - 1}") from None
+    if order.shape != (n,):
         raise InputError(f"order must be a permutation of 0..{n - 1}")
-    return [abs(c) for c in component_changes(complex_, order)]
+    if order.dtype.kind not in "iu":
+        raise InputError(f"order must hold integer vertices, got {order.dtype}")
+    # The put refuses an entry past either end (IndexError), bincount a
+    # negative one (ValueError); n entries in 0..n-1 then form a
+    # permutation iff they are distinct.
+    position = np.empty(n, dtype=np.int64)
+    try:
+        position[order] = np.arange(n)
+        distinct = np.count_nonzero(np.bincount(order.astype(np.int64, copy=False)))
+    except (IndexError, ValueError):
+        distinct = -1
+    if distinct != n:
+        _raise_first_bad(order.tolist(), n)
+    # Signs come from shifts, not comparisons or np.abs: every numpy
+    # inner loop a run touches for the first time maps 64 KiB more of
+    # numpy's library, and shifts, sums and products are mapped already.
+    bridges, cyclic, local, cycle_neighbors = complex_.cycle_split
+    first, second = bridges
+    # Each bridge counts against its later end: the position gap shifted
+    # by 63 is -1 where ``first`` comes earlier and 0 where it is later.
+    later = first + (first - second) * ((position[first] - position[second]) >> 63)
+    changes = np.ones(n, dtype=np.int64)
+    if len(cyclic):
+        walked = local[order]
+        # local is -1 off the cycles, so walked + 1 is 0 exactly there.
+        walked = walked[np.flatnonzero(walked + 1)]
+        changes[cyclic] = component_changes(cycle_neighbors, walked.tolist())
+    changes -= np.bincount(later, minlength=n)
+    changes *= (changes >> 63) * 2 + 1  # |x| = x (2 (x >> 63) + 1)
+    return changes
+
+
+def _raise_first_bad(order: list, n: int) -> None:
+    """Name the first entry of ``order`` that leaves it short of a
+    permutation of 0..n-1: one outside the range, or a repeat."""
+    seen = set()
+    for v in order:
+        if not 0 <= v < n:
+            raise InputError(f"order has vertex {v} outside 0..{n - 1}")
+        if v in seen:
+            raise InputError(f"order repeats vertex {v}")
+        seen.add(v)
 
 
 def sampled_shapley(
@@ -240,20 +307,23 @@ def sampled_shapley(
 ) -> InfluenceResult:
     """Monte Carlo Shapley scores from uniform random insertion orders.
 
-    Permutation j is drawn from a Philox stream keyed by ``seed`` with
-    counter block j, so estimates are reproducible and any prefix of the
-    run can be replayed independently of the rest.
+    Permutation j is drawn from counter block j of the Philox stream
+    keyed by ``seed`` (:func:`~topoinfluence.streams.philox_block`), so
+    estimates are reproducible and any prefix of the run can be replayed
+    independently of the rest.  One generator is repositioned block by
+    block.
     """
     n = complex_.n
     check_permutations(permutations)
     sums = np.zeros(n, dtype=np.int64)
     sumsq = np.zeros(n, dtype=np.int64)
+    rng = None
     for j in range(permutations):
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=j << 64))
-        order = rng.permutation(n).tolist()
-        marginals = np.array(permutation_marginals(complex_, order), dtype=np.int64)
+        rng = philox_block(seed, j, rng)
+        marginals = permutation_marginals(complex_, rng.permutation(n))
         sums += marginals
-        sumsq += marginals * marginals
+        marginals *= marginals
+        sumsq += marginals
     p = permutations
     scores = sums / p
     if p > 1:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import InputError
 from .metric_complex import NeighborComplex
+from .streams import philox_block
 
 
 def complete_graph(n: int) -> NeighborComplex:
@@ -94,7 +95,7 @@ def erdos_renyi_graph(n: int, p: float, seed: int) -> NeighborComplex:
         raise InputError(f"random graph needs n >= 1, got {n}")
     if not 0.0 <= p <= 1.0:
         raise InputError(f"edge probability must lie in [0, 1], got {p}")
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = philox_block(seed, 0)
     return NeighborComplex.from_edges(n, _er_edges(rng, n, p))
 
 

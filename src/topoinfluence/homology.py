@@ -4,8 +4,9 @@ Single graphs, the masked subgraphs the masking harness labels, and the
 sampled walk all count components with one union-find walk,
 ``component_changes``: the signed change in b0 as each vertex joins the
 vertices before it in an order.  It reads each vertex's neighbours from
-the complex's ``neighbors`` tuples, so a step costs the vertex's degree,
-not a scan of an n-bit row.  Exact mode needs more: the component
+neighbour tuples, so a step costs the vertex's degree, not a scan of an
+n-bit row: ``betti0`` walks the complex's ``neighbors``, and the sampled
+walk only their cycle edges.  Exact mode needs more: the component
 count of the induced subgraph on every subset S of vertices, all 2^n of
 them.  ``betti0_table`` fills that table with a peeling recurrence
 instead of 2^n independent traversals: the count for S is one more than
@@ -25,7 +26,7 @@ live in ``tests/oracles.py``, outside the package.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -48,20 +49,21 @@ CHUNK_BITS = 15
 INDEX_FLOOR = 128
 
 
-def component_changes(complex_: NeighborComplex, order: Iterable[int]) -> list[int]:
-    """Signed change in b0 as each vertex of ``order`` joins those before it.
+def component_changes(neighbors: Sequence[Sequence[int]], order: Iterable[int]) -> list[int]:
+    """Signed change in b0 as each vertex of ``order`` joins those before it,
+    in the graph on 0..n-1, n = len(neighbors), in which v's neighbours
+    are ``neighbors[v]``, such as a complex's ``neighbors``.
 
     Entry v is 1 minus the number of distinct components that v's
     already-present neighbours lie in; vertices not in ``order`` get 0.
     The entries therefore sum to b0 of the subgraph induced on ``order``.
-    One union-find walk over ``complex_.neighbors``: ``parent`` with path
-    halving, each distinct root found linked under v, and a ``present``
-    list of the vertices walked so far.  A vertex outside 0..n-1 or a
-    repeated one raises InputError.  Each step costs O(deg v) list reads
-    plus the finds, with no n-bit integer work.
+    One union-find walk: ``parent`` with path halving, each distinct root
+    found linked under v, and a ``present`` list of the vertices walked
+    so far.  A vertex outside 0..n-1 or a repeated one raises InputError.
+    Each step costs O(deg v) list reads plus the finds, with no n-bit
+    integer work.
     """
-    n = complex_.n
-    neighbors = complex_.neighbors
+    n = len(neighbors)
     parent = list(range(n))
     changes = [0] * n
     present = [False] * n
@@ -96,7 +98,7 @@ def betti0(complex_: NeighborComplex, keep: int | None = None) -> int:
     if not 0 <= keep < 1 << n:
         raise InputError(f"keep mask has bits outside 0..{n - 1}")
     kept = [v for v in range(n) if keep >> v & 1]
-    return sum(component_changes(complex_, kept))
+    return sum(component_changes(complex_.neighbors, kept))
 
 
 def _union_table(rows) -> np.ndarray:

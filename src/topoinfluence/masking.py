@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .engine import compute_influence
 from .errors import GenerationBudgetError, InputError
 from .families import _er_edges
 from .homology import betti0
 from .metric_complex import NeighborComplex
+from .streams import philox_block
 
 VARIANTS = ("top", "bottom", "random")
 
@@ -102,9 +101,9 @@ def generate_er_dataset(
     dataset: list[LabeledGraph] = []
     budget = count * ATTEMPTS_PER_GRAPH
 
-    attempt = 0
+    attempt, rng = 0, None
     while len(dataset) < count and attempt < budget:
-        rng = np.random.Generator(np.random.Philox(key=seed, counter=attempt << 64))
+        rng = philox_block(seed, attempt, rng)
         attempt += 1
         n = int(rng.integers(n_lo, n_hi + 1))
         p = float(rng.uniform(p_lo, p_hi))
@@ -176,14 +175,13 @@ def run_masking_experiment(
                 f"J={j} must be smaller than the smallest graph ({min_n})"
             )
     rows: list[MaskRow] = []
+    rng = None
     for g_index, item in enumerate(dataset):
         graph, before = item.graph, item.label
         ranking = rank_nodes(graph)
         full = (1 << graph.n) - 1
         for j in j_values:
-            rng = np.random.Generator(
-                np.random.Philox(key=seed, counter=((g_index << 20) | j) << 64)
-            )
+            rng = philox_block(seed, (g_index << 20) | j, rng)
             picks = {
                 "top": ranking[:j],
                 "bottom": ranking[graph.n - j:],

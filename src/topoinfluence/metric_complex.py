@@ -33,10 +33,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .blocks import cycle_split
 from .errors import InputError
 
 # Precomputed matrices may be written with small round-trip noise; anything
@@ -537,6 +539,12 @@ class NeighborComplex:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         return cls(n=n, rows=tuple(rows))
+
+    @cached_property
+    def cycle_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+        """:func:`~topoinfluence.blocks.cycle_split` of ``neighbors``,
+        computed on first read and cached like ``InfluenceResult.mu``."""
+        return cycle_split(self.neighbors)
 
 
 def check_radius(r: float) -> None:

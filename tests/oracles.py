@@ -8,6 +8,9 @@ oracles share no code with the lazy enumeration; the scalar edit-distance
 dynamic program shares no code with the package's vectorized kernel, nor
 do the one-pair hamming and euclidean distances with its numpy tiles; the
 pair-list Erdos-Renyi edges share no code with the package's hit walk.
+The whole-graph walk is the sampled estimator's route before bridges were
+scored in closed form: one union-find walk over every edge per order, each
+order drawn from a new Philox bit generator.
 """
 
 import functools
@@ -17,6 +20,7 @@ import random
 import numpy as np
 from hypothesis import strategies as st
 
+from topoinfluence.homology import component_changes
 from topoinfluence import (
     FAMILIES,
     Grammar,
@@ -110,6 +114,40 @@ def er_edges_pair_list(rng: np.random.Generator, n: int, p: float) -> list:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     draws = rng.random(len(pairs))
     return [pair for pair, u in zip(pairs, draws) if u < p]
+
+
+def flood_marginals(complex_: NeighborComplex, order) -> list[int]:
+    """The sampled walk's marginals by definition: entry v is
+    |b0(P + v) - b0(P)| for the vertices P before v in ``order``, each b0
+    by the flood fill."""
+    marginals = [0] * complex_.n
+    mask = before = 0
+    for v in order:
+        mask |= 1 << v
+        after = betti0_of_subset(complex_, mask)
+        marginals[v] = abs(after - before)
+        before = after
+    return marginals
+
+
+def whole_graph_marginals(complex_: NeighborComplex, order) -> list[int]:
+    """The sampled walk's marginals from one union-find walk over every
+    edge, bridges included."""
+    return [abs(c) for c in component_changes(complex_.neighbors, order)]
+
+
+def whole_graph_sums(complex_: NeighborComplex, permutations: int, seed: int):
+    """(sums, sums of squares) of :func:`whole_graph_marginals` over the
+    orders of a sampled run: order j is the permutation drawn by a new
+    ``Philox(key=seed, counter=j << 64)``."""
+    sums, squares = [0] * complex_.n, [0] * complex_.n
+    for j in range(permutations):
+        rng = np.random.Generator(np.random.Philox(key=seed, counter=j << 64))
+        order = rng.permutation(complex_.n).tolist()
+        for v, m in enumerate(whole_graph_marginals(complex_, order)):
+            sums[v] += m
+            squares[v] += m * m
+    return sums, squares
 
 
 def laplacian(complex_: NeighborComplex) -> np.ndarray:
@@ -239,6 +277,73 @@ def family_unions(draw, min_n=65):
         for u, v in part.edges()
     ]
     return NeighborComplex.from_edges(n, edges)
+
+
+def _tree(draw, k):
+    return [(draw(st.integers(0, i - 1)), i) for i in range(1, k)]
+
+
+def _cycle(draw, k):
+    return [(i, (i + 1) % k) for i in range(k)]
+
+
+def _bowtie(draw, k):
+    """Two cycles of at least three vertices that share vertex 0."""
+    a = draw(st.integers(3, k - 2))
+    second = [0, *range(a, k)]
+    return _cycle(draw, a) + [
+        (second[i], second[(i + 1) % len(second)]) for i in range(len(second))
+    ]
+
+
+def _clique_with_pendants(draw, k):
+    """K_m, 3 <= m <= 6, with paths of the other vertices hanging off it."""
+    m = min(k, draw(st.integers(3, 6)))
+    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    for v in range(m, k):
+        # Continue the last path, or start a new one at a clique vertex.
+        if v > m and draw(st.booleans()):
+            edges.append((v - 1, v))
+        else:
+            edges.append((draw(st.integers(0, m - 1)), v))
+    return edges
+
+
+def _edgeless(draw, k):
+    return []
+
+
+def _complete(draw, k):
+    return [(i, j) for i in range(k) for j in range(i + 1, k)]
+
+
+# Piece name -> (smallest size, builder of its edges on 0..size-1).
+PIECES = {
+    "tree": (1, _tree),
+    "cycle": (3, _cycle),
+    "bowtie": (5, _bowtie),
+    "clique_with_pendants": (3, _clique_with_pendants),
+    "edgeless": (1, _edgeless),
+    "complete": (1, _complete),
+}
+
+
+@st.composite
+def bridged_unions(draw, min_n=1, max_piece=12, kinds=tuple(PIECES)):
+    """Trees, cycles, bowties, cliques with pendant paths, edgeless pieces
+    and complete graphs, at least ``min_n`` vertices in all, under a
+    random relabeling.  Each piece after the first is joined to an earlier
+    vertex by one edge, a bridge, or left apart."""
+    edges, n = [], 0
+    while n < min_n:
+        low, build = PIECES[draw(st.sampled_from(kinds))]
+        k = draw(st.integers(low, max(low, max_piece)))
+        if n and draw(st.booleans()):
+            edges.append((draw(st.integers(0, n - 1)), n + draw(st.integers(0, k - 1))))
+        edges += [(u + n, v + n) for u, v in build(draw, k)]
+        n += k
+    label = draw(st.permutations(range(n)))
+    return NeighborComplex.from_edges(n, [(label[u], label[v]) for u, v in edges])
 
 
 def accepts(grammar: Grammar, string: str) -> bool:

@@ -1,4 +1,6 @@
+import argparse
 import csv
+import gc
 import io
 import json
 import math
@@ -614,6 +616,25 @@ def test_version_flag(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "topoinfluence" in out
+
+
+def test_repeated_calls_leave_no_parser_garbage(capsys):
+    # Each call parses with the one cached parser, so no call leaves
+    # argparse's reference cycles for a full collection to find.
+    argv = ("family", "--kind", "path", "--n", "4", "--format", "json")
+    assert run_cli(capsys, *argv)[0] == 0
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        first = run_cli(capsys, *argv)
+        second = run_cli(capsys, *argv)
+        gc.collect()
+        parsers = [o for o in gc.garbage if isinstance(o, argparse.ArgumentParser)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert parsers == []
+    assert first == second and cli.build_parser() is cli.build_parser()
 
 
 def test_threads_flag_accepted(capsys, tmp_path):

@@ -46,11 +46,15 @@ from topoinfluence import (
 from oracles import (
     MULTI_CHUNK_GRAPHS,
     betti0_of_subset,
+    bridged_unions,
+    flood_marginals,
     multi_chunk_case,
     reference_betti0_table,
     reference_size_sums,
     reference_tallies,
     small_graphs,
+    whole_graph_marginals,
+    whole_graph_sums,
 )
 
 
@@ -276,10 +280,78 @@ class TestPermutationWalk:
         with pytest.raises(InputError, match="order"):
             permutation_marginals(path_graph(3), kind(order))
 
+    @pytest.mark.parametrize("order", [
+        [0.0, 1.0, 2.0], [0, 1.5, 2], ["0", "1", "2"], [True, False, True],
+        [[0], [1], [2]], [0, [1], 2], [0, 1, 2**70],
+    ], ids=["floats", "a-float", "strings", "bools", "nested", "ragged", "huge"])
+    def test_rejects_orders_that_are_not_integer_vertices(self, order):
+        with pytest.raises(InputError, match="order"):
+            permutation_marginals(path_graph(3), order)
+
+    @pytest.mark.parametrize("order, message", [
+        ([0, 3, 1], "order has vertex 3 outside 0..2"),
+        ([2, -1, 0], "order has vertex -1 outside 0..2"),
+        ([1, 0, 1], "order repeats vertex 1"),
+        # The first bad entry is named, whichever kind it is.
+        ([1, 1, 5], "order repeats vertex 1"),
+        ([5, 1, 1], "order has vertex 5 outside 0..2"),
+    ])
+    def test_names_the_first_bad_entry(self, order, message):
+        for kind in (list, np.array):
+            with pytest.raises(InputError) as err:
+                permutation_marginals(path_graph(3), kind(order))
+            assert str(err.value) == message
+
+    def test_a_huge_entry_allocates_nothing_for_it(self):
+        # The range is checked before any count of the entries is taken.
+        order = np.array([0, 1, 2**62])
+        with pytest.raises(InputError, match=f"vertex {2**62} outside"):
+            permutation_marginals(path_graph(3), order)
+
     def test_first_vertex_always_scores_one(self):
         g = wheel_graph(5)
         marginals = permutation_marginals(g, [3, 0, 1, 2, 4])
         assert marginals[3] == 1
+
+    def test_returns_int64_for_lists_and_arrays_of_any_integer_type(self):
+        g = wheel_graph(5)
+        want = whole_graph_marginals(g, [3, 0, 1, 2, 4])
+        for order in ([3, 0, 1, 2, 4], (3, 0, 1, 2, 4),
+                      np.array([3, 0, 1, 2, 4], dtype=np.int32),
+                      np.array([3, 0, 1, 2, 4], dtype=np.uint64)):
+            marginals = permutation_marginals(g, order)
+            assert marginals.dtype == np.int64
+            assert marginals.tolist() == want
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_flood_fill_definition(self, data):
+        unions = st.integers(1, 10).flatmap(lambda n: bridged_unions(min_n=n, max_piece=5))
+        g = data.draw(st.one_of(small_graphs(max_n=10), unions.filter(lambda g: g.n <= 10)))
+        order = data.draw(st.permutations(range(g.n)))
+        assert permutation_marginals(g, order).tolist() == flood_marginals(g, order)
+
+    @pytest.mark.parametrize("kind", [
+        "tree", "cycle", "bowtie", "clique_with_pendants", "edgeless", "complete",
+    ])
+    @given(st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_equals_the_whole_graph_walk_on_hundreds_of_vertices(self, kind, data):
+        # One kind of piece at a time, some joined by bridges, so every
+        # shape meets the split on its own; then mixed unions.
+        kinds = data.draw(st.sampled_from([(kind,), (kind, "tree", "cycle", "bowtie")]))
+        g = data.draw(bridged_unions(min_n=200, max_piece=40, kinds=kinds))
+        order = np.random.default_rng(data.draw(st.integers(0, 2**32))).permutation(g.n)
+        want = whole_graph_marginals(g, order.tolist())
+        assert permutation_marginals(g, order).tolist() == want
+        assert permutation_marginals(g, order.tolist()).tolist() == want
+
+    def test_whole_graph_walk_on_the_families(self):
+        for g in (path_graph(300), cycle_graph(300), star_graph(300), complete_graph(40),
+                  wheel_graph(100), NeighborComplex.from_edges(300, [])):
+            order = np.random.default_rng(g.n).permutation(g.n)
+            assert (permutation_marginals(g, order).tolist()
+                    == whole_graph_marginals(g, order.tolist()))
 
 
 class TestSampled:
@@ -331,6 +403,40 @@ class TestSampled:
         for i in range(6):
             se = max(est.std_error[i], 1e-9)
             assert abs(est.shapley[i] - float(exact.shapley[i])) < 4 * se
+
+    @pytest.mark.parametrize("permutations, seed", [(1, 0), (2, 9), (60, 3)])
+    def test_equals_the_whole_graph_walk_on_the_same_orders(self, permutations, seed):
+        # The same floats, bit for bit, as summing the whole-graph walk
+        # over orders from a new Philox bit generator each.
+        g = NeighborComplex.from_edges(
+            240, list(erdos_renyi_graph(240, 0.008, 5).edges()) + [(0, 1), (1, 2), (2, 0)]
+        )
+        est = sampled_shapley(g, permutations, seed)
+        sums, squares = whole_graph_sums(g, permutations, seed)
+        assert est.shapley == tuple(s / permutations for s in sums)
+        scores = np.array(sums) / permutations
+        if permutations > 1:
+            variance = (np.array(squares) - permutations * scores**2) / (permutations - 1)
+            want = np.sqrt(np.maximum(variance, 0.0) / permutations)
+        else:
+            want = np.zeros(g.n)
+        assert est.std_error == tuple(want.tolist())
+
+    def test_forest_runs_no_walk(self, monkeypatch):
+        # Every edge of a forest is a bridge: each marginal is |1 - e|,
+        # e the bridge neighbours before the vertex, with no union-find.
+        def walk(*args):
+            raise AssertionError("the union-find walk ran on a forest")
+
+        monkeypatch.setattr(engine, "component_changes", walk)
+        forest = NeighborComplex.from_edges(
+            30, [(0, 1), (1, 2), (1, 3), (3, 4), (10, 11), (11, 12), (20, 29)]
+        )
+        est = sampled_shapley(forest, 200, 4)
+        monkeypatch.undo()
+        assert est == sampled_shapley(forest, 200, 4)
+        sums, _ = whole_graph_sums(forest, 200, 4)
+        assert est.shapley == tuple(s / 200 for s in sums)
 
     def test_needs_positive_permutations(self):
         with pytest.raises(InputError):
