@@ -36,13 +36,18 @@ sampled   Monte Carlo over uniformly random insertion orders; the
           of the walk marginals is unbiased for s(i).  No cycle uses a
           bridge, so each bridge to an earlier neighbour lowers i's
           signed marginal by exactly one: per order, numpy counts those
-          over the bridge endpoints, and the union-find walk of
-          ``homology.component_changes`` runs only over the cycle edges of
-          the vertices that have one, and not at all on a forest.  The
-          bridges come from one depth-first search per complex
-          (``NeighborComplex.cycle_split``).  Order j is the permutation
-          drawn from counter block j of the seed's Philox stream, with
-          one generator repositioned from block to block.
+          over the bridge endpoints.  The rest is i's marginal in its
+          piece, its component of the graph minus the bridges.  A piece
+          of at most ``blocks.PIECE_LIMIT`` vertices reads it as the
+          difference of two entries of the piece's subset table, in
+          numpy for all such vertices at once, unless they number fewer
+          than ``blocks.LOOKUP_MIN``; the union-find walk of
+          ``homology.component_changes`` runs only over the other pieces,
+          and not at all on a forest.  The bridges, the pieces and their
+          tables come once per complex from one depth-first search
+          (``NeighborComplex.cycle_split`` and ``.pieces``).  Order j is
+          the permutation drawn from counter block j of the seed's Philox
+          stream, with one generator repositioned from block to block.
 """
 
 from __future__ import annotations
@@ -247,9 +252,21 @@ def permutation_marginals(
         b0(P + i) - b0(P) on G  =  b0(P + i) - b0(P) on G'  -  e(i),
 
     and the marginal on G' is 1 for a vertex with no cycle edge.  e is
-    counted in numpy over the bridge endpoints; the union-find walk runs
-    over the cycle-edge neighbours of the vertices that have one, and not
-    at all on a forest.
+    counted in numpy over the bridge endpoints.
+
+    The marginal on G' depends only on the vertices of i's piece, its
+    component C in G', that come before i.  No bridge joins two vertices
+    of C, so G[S] = G'[S] for every S inside C, and with t_C the subset
+    table of G[C] (:func:`~topoinfluence.homology.betti0_table`) and
+    P_C = P & C as a mask of C's local vertices,
+
+        b0(P + i) - b0(P) on G'  =  t_C[P_C + i] - t_C[P_C].
+
+    Pieces of at most ``blocks.PIECE_LIMIT`` vertices are looked up so,
+    their masks formed in numpy from the positions of their vertices
+    (:attr:`~topoinfluence.metric_complex.NeighborComplex.pieces`),
+    when they hold at least ``blocks.LOOKUP_MIN`` vertices in all; the
+    union-find walk runs over the other pieces only.
     """
     n = complex_.n
     try:
@@ -262,10 +279,12 @@ def permutation_marginals(
         raise InputError(f"order must hold integer vertices, got {order.dtype}")
     # The put refuses an entry past either end (IndexError), bincount a
     # negative one (ValueError); n entries in 0..n-1 then form a
-    # permutation iff they are distinct.
-    position = np.empty(n, dtype=np.int64)
+    # permutation iff they are distinct.  position[n] = n is the place,
+    # after every vertex, of the pieces' padding.
+    position = np.empty(n + 1, dtype=np.int64)
+    position[n] = n
     try:
-        position[order] = np.arange(n)
+        position[:n][order] = np.arange(n)
         distinct = np.count_nonzero(np.bincount(order.astype(np.int64, copy=False)))
     except (IndexError, ValueError):
         distinct = -1
@@ -274,17 +293,28 @@ def permutation_marginals(
     # Signs come from shifts, not comparisons or np.abs: every numpy
     # inner loop a run touches for the first time maps 64 KiB more of
     # numpy's library, and shifts, sums and products are mapped already.
-    bridges, cyclic, local, cycle_neighbors = complex_.cycle_split
-    first, second = bridges
+    first, second = complex_.cycle_split[0]
     # Each bridge counts against its later end: the position gap shifted
     # by 63 is -1 where ``first`` comes earlier and 0 where it is later.
     later = first + (first - second) * ((position[first] - position[second]) >> 63)
     changes = np.ones(n, dtype=np.int64)
-    if len(cyclic):
-        walked = local[order]
-        # local is -1 off the cycles, so walked + 1 is 0 exactly there.
+    pieces = complex_.pieces
+    if len(pieces.looked):
+        # Row j, column i: where local vertex j of i's piece came, less
+        # where i came, shifted to -1 if j came first and to 0 if not
+        # (i itself and padding).  Masked by the rows' bits, column i sums
+        # to the mask of the vertices of i's piece placed before it.
+        earlier = position.take(pieces.members).take(pieces.piece, axis=1)
+        earlier -= position.take(pieces.looked)
+        earlier >>= 63
+        earlier &= pieces.row_bits
+        before, after = pieces.tables.take(earlier.sum(axis=0) + pieces.base)
+        changes[pieces.looked] = np.subtract(after, before, dtype=np.int64)
+    if len(pieces.walked):
+        walked = pieces.walk_local[order]
+        # walk_local is -1 off the walked pieces, so walked + 1 is 0 exactly there.
         walked = walked[np.flatnonzero(walked + 1)]
-        changes[cyclic] = component_changes(cycle_neighbors, walked.tolist())
+        changes[pieces.walked] = component_changes(pieces.walk_neighbors, walked.tolist())
     changes -= np.bincount(later, minlength=n)
     changes *= (changes >> 63) * 2 + 1  # |x| = x (2 (x >> 63) + 1)
     return changes

@@ -6,17 +6,18 @@ sampled walk all count components with one union-find walk,
 vertices before it in an order.  It reads each vertex's neighbours from
 neighbour tuples, so a step costs the vertex's degree, not a scan of an
 n-bit row: ``betti0`` walks the complex's ``neighbors``, and the sampled
-walk only their cycle edges.  Exact mode needs more: the component
-count of the induced subgraph on every subset S of vertices, all 2^n of
-them.  ``betti0_table`` fills that table with a peeling recurrence
-instead of 2^n independent traversals: the count for S is one more than
-the count for S minus the component containing S's highest vertex, and
-that smaller subset was already solved.  Most subsets are settled by
-the highest vertex's own neighbours in S: with none, it is a component
-of its own; with exactly one, it joins that neighbour's component and
-the count is that of S without it; with two or more, the component
-starts as the vertex and those neighbours, and grows only while it
-still changes and is not yet all of S.  The fill runs as numpy passes
+walk only the cycle edges of pieces too large for a table.  Exact mode
+needs more: the component count of the induced subgraph on every subset
+S of vertices, all 2^n of them, and the sampled walk the same table for
+each small piece.  ``betti0_table`` fills that table with a peeling
+recurrence instead of 2^n independent traversals: the count for S is
+one more than the count for S minus the component containing S's
+highest vertex, and that smaller subset was already solved.  Most
+subsets are settled by the highest vertex's own neighbours in S: with
+none, it is a component of its own; with exactly one, it joins that
+neighbour's component and the count is that of S without it; with two
+or more, the component starts as the vertex and those neighbours, and
+grows only while it still changes and is not yet all of S.  The fill runs as numpy passes
 over chunks of subsets, never as a Python loop over all 2^n of them.
 
 The slower, independent counters these are tested against (a bitmask
@@ -26,12 +27,14 @@ live in ``tests/oracles.py``, outside the package.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InputError, SizeCapError
-from .metric_complex import NeighborComplex
+
+if TYPE_CHECKING:  # the complex fills its walk's piece tables through this module
+    from .metric_complex import NeighborComplex
 
 # betti0_table allocates 2^n bytes and touches every subset once.
 # Above this the table will not fit in reasonable memory or time.

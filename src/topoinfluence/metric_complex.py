@@ -38,7 +38,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .blocks import cycle_split
+from . import homology
+from .blocks import Pieces, cycle_split, split_pieces
 from .errors import InputError
 
 # Precomputed matrices may be written with small round-trip noise; anything
@@ -545,6 +546,17 @@ class NeighborComplex:
         """:func:`~topoinfluence.blocks.cycle_split` of ``neighbors``,
         computed on first read and cached like ``InfluenceResult.mu``."""
         return cycle_split(self.neighbors)
+
+    @cached_property
+    def pieces(self) -> Pieces:
+        """:func:`~topoinfluence.blocks.split_pieces` of ``cycle_split``,
+        computed on first read and cached: each piece to be looked up
+        gets its :func:`~topoinfluence.homology.betti0_table`, filled
+        from its own k-bit rows."""
+        return split_pieces(
+            self.cycle_split,
+            lambda rows: homology.betti0_table(NeighborComplex(len(rows), rows)),
+        )
 
 
 def check_radius(r: float) -> None:

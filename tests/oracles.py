@@ -346,6 +346,33 @@ def bridged_unions(draw, min_n=1, max_piece=12, kinds=tuple(PIECES)):
     return NeighborComplex.from_edges(n, [(label[u], label[v]) for u, v in edges])
 
 
+def joined_by_bridges(parts, seed: int) -> NeighborComplex:
+    """The disjoint union of the complexes ``parts`` under a seeded
+    relabeling, each part after the first joined by one edge, a bridge,
+    from a random vertex of it to a random earlier vertex."""
+    rng = random.Random(seed)
+    edges, n = [], 0
+    for part in parts:
+        if n:
+            edges.append((rng.randrange(n), n + rng.randrange(part.n)))
+        edges += [(u + n, v + n) for u, v in part.edges()]
+        n += part.n
+    label = list(range(n))
+    rng.shuffle(label)
+    return NeighborComplex.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def two_cycles_sharing_a_vertex(k: int) -> NeighborComplex:
+    """Two k-cycles through vertex 0, 2k - 1 vertices: one piece whose
+    vertex 0 is a cut vertex."""
+    second = [0, *range(k, 2 * k - 1)]
+    return NeighborComplex.from_edges(
+        2 * k - 1,
+        [(i, (i + 1) % k) for i in range(k)]
+        + [(second[i], second[(i + 1) % k]) for i in range(k)],
+    )
+
+
 def accepts(grammar: Grammar, string: str) -> bool:
     """Membership by running the DFA over the whole string."""
     state = grammar.start

@@ -1,18 +1,31 @@
-"""Bridge finder tests.
+"""Bridge finder and piece split tests.
 
 An edge is a bridge iff deleting it raises the component count: the
 brute-force definition, held against the depth-first split on every
-edge of small graphs.
+edge of small graphs.  The pieces, the components of the graph minus
+its bridges, are held against a flood over the non-bridge edges, and
+each small piece's table against the one-mask-at-a-time reference table
+of its induced subgraph.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topoinfluence import NeighborComplex, betti0, cycle_graph
+from topoinfluence import NeighborComplex, betti0, complete_graph, cycle_graph, wheel_graph
+from topoinfluence import blocks
 from topoinfluence.blocks import cycle_split, lowlinks
 
-from oracles import bridged_unions, small_graphs
+from oracles import (
+    bridged_unions,
+    joined_by_bridges,
+    reference_betti0_table,
+    small_graphs,
+    two_cycles_sharing_a_vertex,
+)
 
 
 def brute_force_bridges(g: NeighborComplex) -> set[tuple[int, int]]:
@@ -85,3 +98,127 @@ def test_split_is_cached_on_the_complex():
     assert g.cycle_split is g.cycle_split
     # The cache is no field: equality and hashing see only the edges.
     assert g == cycle_graph(5) and hash(g) == hash(cycle_graph(5))
+
+
+def induced(g: NeighborComplex, vertices: list[int]) -> NeighborComplex:
+    """The subgraph induced on ``vertices``, numbered in their order."""
+    number = {v: j for j, v in enumerate(vertices)}
+    return NeighborComplex.from_edges(len(vertices), [
+        (number[u], number[v]) for u, v in g.edges() if u in number and v in number
+    ])
+
+
+def check_pieces(g: NeighborComplex) -> None:
+    pieces = g.pieces
+    bridges = {(min(u, v), max(u, v)) for u, v in g.cycle_split[0].T.tolist()}
+    unbridged = NeighborComplex.from_edges(g.n, [e for e in g.edges() if e not in bridges])
+    # The pieces by flood fill: the components of more than one vertex.
+    found, seen = [], set()
+    for root in range(g.n):
+        if root in seen:
+            continue
+        component = {root}
+        while True:
+            grown = component | {w for v in component for w in unbridged.neighbors[v]}
+            if grown == component:
+                break
+            component = grown
+        seen |= component
+        if len(component) > 1:
+            found.append(sorted(component))
+    small = [c for c in found if len(c) <= blocks.PIECE_LIMIT]
+    if sum(map(len, small)) < blocks.LOOKUP_MIN:
+        small = []
+    large = sorted(v for c in found if c not in small for v in c)
+    width = max(map(len, small), default=0)
+    assert pieces.members.T.tolist() == [c + [g.n] * (width - len(c)) for c in small]
+    assert pieces.row_bits.ravel().tolist() == [1 << j for j in range(width)]
+    # Each piece's table starts where the one before it ends.
+    starts = np.cumsum([0] + [1 << len(c) for c in small]).tolist()
+    assert len(pieces.tables) == starts[-1]
+    for c, start in zip(small, starts):
+        want = reference_betti0_table(induced(g, c))
+        assert pieces.tables[start : start + len(want)].tolist() == want.tolist()
+    assert pieces.looked.tolist() == [v for c in small for v in c]
+    for v, column, low, high in zip(pieces.looked.tolist(), pieces.piece.tolist(),
+                                    *pieces.base.tolist()):
+        assert v in small[column]
+        assert low == starts[column] and high == low + (1 << small[column].index(v))
+    assert pieces.walked.tolist() == large
+    assert pieces.walk_local.tolist() == [
+        large.index(v) if v in large else -1 for v in range(g.n)
+    ]
+    for k, v in enumerate(large):
+        assert [large[j] for j in pieces.walk_neighbors[k]] == sorted(
+            w for w in unbridged.neighbors[v] if w in large
+        )
+
+
+@pytest.mark.parametrize("limit, lookup_min", [
+    (0, 0), (3, 0), (blocks.PIECE_LIMIT, 0), (blocks.PIECE_LIMIT, blocks.LOOKUP_MIN),
+])
+@given(st.one_of(small_graphs(max_n=12), bridged_unions(min_n=8, max_piece=7)
+                 .filter(lambda g: g.n <= 14)))
+@settings(max_examples=60, deadline=None)
+def test_pieces_are_the_components_of_the_graph_minus_its_bridges(limit, lookup_min, g):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blocks, "PIECE_LIMIT", limit)
+        mp.setattr(blocks, "LOOKUP_MIN", lookup_min)
+        check_pieces(g)
+
+
+def test_pieces_of_named_shapes():
+    # The limit falls between the two wheels: the 12-vertex one is looked
+    # up, the 13-vertex one walked.  The two 6-cycles share a cut vertex
+    # and form one piece of 11.
+    g = joined_by_bridges([
+        wheel_graph(12), wheel_graph(13), two_cycles_sharing_a_vertex(6),
+        complete_graph(8), cycle_graph(5),
+    ], seed=3)
+    check_pieces(g)
+    assert len(g.pieces.looked) == 12 + 11 + 8 + 5 and len(g.pieces.walked) == 13
+    assert len(g.pieces.tables) == 2**12 + 2**11 + 2**8 + 2**5
+
+
+def test_too_few_small_piece_vertices_are_walked_over_the_split(monkeypatch):
+    # Small pieces of 7 vertices in all, one below the minimum: no table,
+    # and the walk reads the split's own cycle edges.  At 8 they are
+    # looked up.
+    monkeypatch.setattr(blocks, "LOOKUP_MIN", 8)
+    g = joined_by_bridges([complete_graph(4), cycle_graph(3), cycle_graph(20)], seed=1)
+    check_pieces(g)
+    _, cyclic, local, cycle_neighbors = g.cycle_split
+    assert len(g.pieces.tables) == 0
+    assert g.pieces.walked is cyclic and g.pieces.walk_local is local
+    assert g.pieces.walk_neighbors is cycle_neighbors
+    g = joined_by_bridges([complete_graph(4), complete_graph(4), cycle_graph(20)], seed=1)
+    check_pieces(g)
+    assert len(g.pieces.looked) == 8 and len(g.pieces.walked) == 20
+
+
+def test_a_piece_above_the_limit_gets_no_table():
+    pieces = wheel_graph(blocks.PIECE_LIMIT + 1).pieces
+    assert len(pieces.tables) == 0 and len(pieces.looked) == 0
+    assert pieces.walked.tolist() == list(range(blocks.PIECE_LIMIT + 1))
+
+
+def test_pieces_peak_memory_at_scale():
+    # 1000 wheels of 12 joined by bridges: 12,000 vertices, each looked
+    # up.  The first read of the pieces, depth-first search included,
+    # holds 1000 x 4 KiB of tables, about 1.3 MB of cycle-edge tuples
+    # kept by the search and under 1 MB of index arrays, and must peak
+    # under a fixed 7 MB: no second copy of the tables, and no complex
+    # kept per piece.
+    wheel = list(wheel_graph(12).edges())
+    edges = [(12 * k + u, 12 * k + v) for k in range(1000) for u, v in wheel]
+    edges += [(12 * k, 12 * k + 13) for k in range(999)]
+    g = NeighborComplex.from_edges(12_000, edges)
+    tracemalloc.start()
+    try:
+        pieces = g.pieces
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pieces.looked) == 12_000 and len(pieces.walked) == 0
+    assert len(pieces.tables) == 1000 * 2**12
+    assert peak <= 7_000_000, peak

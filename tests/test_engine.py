@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topoinfluence import engine, homology
+from topoinfluence import blocks, engine, homology
 from topoinfluence import (
     FAMILIES,
     InfluenceResult,
@@ -27,6 +27,7 @@ from topoinfluence import (
     NeighborComplex,
     SizeCapError,
     betti0_table,
+    complete_bipartite_graph,
     complete_graph,
     complete_scores,
     compute_influence,
@@ -48,14 +49,33 @@ from oracles import (
     betti0_of_subset,
     bridged_unions,
     flood_marginals,
+    joined_by_bridges,
     multi_chunk_case,
     reference_betti0_table,
     reference_size_sums,
     reference_tallies,
     small_graphs,
+    two_cycles_sharing_a_vertex,
     whole_graph_marginals,
     whole_graph_sums,
 )
+
+# Every route of the sampled walk, as (PIECE_LIMIT, LOOKUP_MIN): every
+# piece walked, only triangles looked up, every piece up to the default
+# limit looked up, and the defaults.
+PIECE_ROUTES = [(0, 0), (3, 0), (blocks.PIECE_LIMIT, 0),
+                (blocks.PIECE_LIMIT, blocks.LOOKUP_MIN)]
+
+
+def named_pieces(seed: int) -> NeighborComplex:
+    """Pieces at, above and below the table limit of 12, joined by bridges
+    with a tree and a path: a wheel of 12, a wheel of 13, two 6-cycles
+    sharing a cut vertex (11), K_{4,6}, K8 and a 20-cycle."""
+    return joined_by_bridges([
+        wheel_graph(12), wheel_graph(13), two_cycles_sharing_a_vertex(6),
+        complete_bipartite_graph(4, 6), complete_graph(8), cycle_graph(20),
+        star_graph(5), path_graph(4),
+    ], seed)
 
 
 def definition_shapley(g: NeighborComplex) -> tuple[Fraction, ...]:
@@ -352,6 +372,87 @@ class TestPermutationWalk:
             order = np.random.default_rng(g.n).permutation(g.n)
             assert (permutation_marginals(g, order).tolist()
                     == whole_graph_marginals(g, order.tolist()))
+
+
+class TestPieceRoutes:
+    """The looked-up and walked pieces of the sampled walk, with the table
+    limit and the lookup minimum patched so that each shape meets both
+    routes."""
+
+    @pytest.mark.parametrize("limit, lookup_min", PIECE_ROUTES)
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_flood_fill_definition(self, limit, lookup_min, data):
+        unions = st.integers(1, 10).flatmap(lambda n: bridged_unions(min_n=n, max_piece=6))
+        g = data.draw(st.one_of(small_graphs(max_n=10), unions.filter(lambda g: g.n <= 10)))
+        order = data.draw(st.permutations(range(g.n)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "PIECE_LIMIT", limit)
+            mp.setattr(blocks, "LOOKUP_MIN", lookup_min)
+            assert permutation_marginals(g, order).tolist() == flood_marginals(g, order)
+
+    @pytest.mark.parametrize("limit, lookup_min", PIECE_ROUTES)
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_equals_the_whole_graph_walk_across_the_limit(self, limit, lookup_min, data):
+        # Pieces of 3 to 20 vertices, on both sides of every limit.
+        g = data.draw(bridged_unions(min_n=120, max_piece=20))
+        order = np.random.default_rng(data.draw(st.integers(0, 2**32))).permutation(g.n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "PIECE_LIMIT", limit)
+            mp.setattr(blocks, "LOOKUP_MIN", lookup_min)
+            assert (permutation_marginals(g, order).tolist()
+                    == whole_graph_marginals(g, order.tolist()))
+
+    @pytest.mark.parametrize("limit, lookup_min", PIECE_ROUTES)
+    def test_named_shapes_joined_by_bridges(self, limit, lookup_min):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "PIECE_LIMIT", limit)
+            mp.setattr(blocks, "LOOKUP_MIN", lookup_min)
+            for seed in range(3):
+                g, rng = named_pieces(seed), np.random.default_rng(seed)
+                for order in (rng.permutation(g.n) for _ in range(20)):
+                    assert (permutation_marginals(g, order).tolist()
+                            == whole_graph_marginals(g, order.tolist()))
+
+    def test_sampled_scores_with_both_kinds_of_piece(self):
+        g = named_pieces(4)
+        pieces = g.pieces
+        assert len(pieces.looked) == 12 + 11 + 10 + 8 and len(pieces.walked) == 13 + 20
+        est = sampled_shapley(g, 60, 3)
+        sums, _ = whole_graph_sums(g, 60, 3)
+        assert est.shapley == tuple(s / 60 for s in sums)
+
+    def test_no_walk_when_every_piece_fits(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the union-find walk ran with no piece above the limit")
+
+        g = joined_by_bridges([
+            wheel_graph(12), complete_bipartite_graph(4, 6), two_cycles_sharing_a_vertex(3),
+            complete_graph(8), path_graph(6), wheel_graph(12),
+        ], seed=2)
+        monkeypatch.setattr(engine, "component_changes", walk)
+        est = sampled_shapley(g, 100, 5)
+        monkeypatch.undo()
+        sums, _ = whole_graph_sums(g, 100, 5)
+        assert est.shapley == tuple(s / 100 for s in sums)
+
+    def test_tables_are_filled_once_per_complex(self, monkeypatch):
+        calls = []
+
+        def counted(complex_):
+            calls.append(complex_.n)
+            return fill(complex_)
+
+        fill = homology.betti0_table
+        monkeypatch.setattr(homology, "betti0_table", counted)
+        g = named_pieces(5)
+        first = sampled_shapley(g, 20, 1)
+        # One table per piece of at most 12 vertices, none for the wheel
+        # of 13 or the 20-cycle.
+        assert sorted(calls) == [8, 10, 11, 12]
+        calls.clear()
+        assert sampled_shapley(g, 20, 1) == first and calls == []
 
 
 class TestSampled:
