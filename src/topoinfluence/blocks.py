@@ -1,16 +1,14 @@
-"""Bridges, cycle edges and the pieces they form, from one depth-first search.
+"""Bridges and the pieces they leave, from one depth-first search.
 
 An edge is a bridge when no cycle uses it: deleting it splits a
 component in two.  ``lowlinks`` runs the search of Hopcroft & Tarjan
-(1973) once, iteratively, and ``cycle_split`` reads the bridges off it
-and lists what remains, the cycle edges.  Cut vertices and biconnected
-blocks follow from the same three lists.  Both work on neighbour
-tuples, ``neighbors[v]`` holding v's neighbours in ascending order, as
-``NeighborComplex.neighbors`` does.
+(1973) once, iteratively, over neighbour tuples in ascending order, as
+``NeighborComplex.neighbors`` holds them; bridges, cut vertices and
+biconnected blocks all follow from its three lists.
 
-The cycle edges fall into pieces: the components, of at least three
-vertices each, of the graph minus its bridges.  ``split_pieces`` finds
-them in one pass over the cycle-edge tuples and lays them out for the
+``split_pieces`` reads the bridges and the pieces off the search forest
+in one preorder pass, a piece being a component, of at least three
+vertices, of the graph minus its bridges.  It lays them out for the
 sampled walk: a piece of at most ``PIECE_LIMIT`` vertices is scored by
 lookups in its own subset table, filled once, and a larger one by the
 union-find walk over its own compact neighbour tuples.  Small pieces
@@ -77,51 +75,11 @@ def lowlinks(neighbors: Sequence[Sequence[int]]) -> tuple[list[int], list[int], 
     return disc, parent, low
 
 
-def cycle_split(
-    neighbors: Sequence[Sequence[int]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[tuple[int, ...], ...]]:
-    """The edges split by whether any cycle uses them, as a tuple of
-
-    - ``bridges``, a (2, b) int64 array with one column per bridge;
-    - ``cyclic``, the vertices with at least one cycle edge, ascending,
-      as int64;
-    - ``local``, an int64 array holding v's index in ``cyclic``, or -1;
-    - ``cycle_neighbors``, for each vertex of ``cyclic`` its cycle-edge
-      neighbours as indices into ``cyclic``, ascending.
-
-    A tree edge (parent p, child v) of :func:`lowlinks` is a bridge iff
-    nothing in v's subtree reaches back to p or above, low[v] > disc[p];
-    no other edge is one.
-    """
-    n = len(neighbors)
-    disc, parent, low = lowlinks(neighbors)
-    # cut[v]: the tree edge from v up to its parent is a bridge.
-    cut = [p >= 0 and low[v] > disc[p] for v, p in enumerate(parent)]
-    children = [v for v in range(n) if cut[v]]
-    bridged = [0] * n
-    for v in children:
-        bridged[v] += 1
-        bridged[parent[v]] += 1
-    cyclic = [v for v in range(n) if len(neighbors[v]) > bridged[v]]
-    local = [-1] * n
-    for k, v in enumerate(cyclic):
-        local[v] = k
-    return (
-        np.array([[parent[v] for v in children], children], dtype=np.int64),
-        np.array(cyclic, dtype=np.int64),
-        np.array(local, dtype=np.int64),
-        tuple(
-            tuple(
-                local[w] for w in neighbors[v]
-                if not (cut[w] and parent[w] == v or cut[v] and parent[v] == w)
-            )
-            for v in cyclic
-        ),
-    )
-
-
 class Pieces(NamedTuple):
-    """The pieces of a graph as the sampled walk reads them.
+    """The bridges and pieces of a graph as the sampled walk reads them.
+
+    ``bridges`` is a (2, b) int64 array with one column per bridge:
+    parent, then child, in the search forest, the children ascending.
 
     Looked up, the pieces of at most PIECE_LIMIT vertices when they hold
     at least LOOKUP_MIN vertices in all, each numbered locally in
@@ -145,6 +103,7 @@ class Pieces(NamedTuple):
       neighbours as indices into ``walked``, ascending.
     """
 
+    bridges: np.ndarray
     members: np.ndarray
     row_bits: np.ndarray
     tables: np.ndarray
@@ -156,79 +115,76 @@ class Pieces(NamedTuple):
     walk_neighbors: tuple[tuple[int, ...], ...]
 
 
-def components(neighbors: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The vertex sets of the components of the graph on 0..n-1, each
-    ascending, in the order of their smallest vertices."""
-    seen = [False] * len(neighbors)
-    found = []
-    for root, done in enumerate(seen):
-        if done:
-            continue
-        seen[root] = True
-        members = [root]
-        for v in members:  # grows while it is read: a breadth-first search
-            for w in neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    members.append(w)
-        found.append(sorted(members))
-    return found
-
-
 def split_pieces(
-    split: tuple[np.ndarray, np.ndarray, np.ndarray, tuple],
+    neighbors: Sequence[Sequence[int]],
     table: Callable[[tuple[int, ...]], np.ndarray],
 ) -> Pieces:
-    """The :class:`Pieces` of the graph with this :func:`cycle_split`.
+    """The :class:`Pieces` of the graph with these neighbour tuples.
+
+    A tree edge (p, v) of :func:`lowlinks` is a bridge iff nothing in
+    v's subtree reaches back to p or above, low[v] > disc[p]; no other
+    edge is one.  So in preorder each vertex takes its parent's head, or
+    heads itself at a root or below a bridge (Tarjan 1974): a piece is
+    the vertices sharing a head, if two or more, and a cycle edge is an
+    edge whose ends share one.
 
     ``table(rows)`` returns the int8 subset table of the graph on 0..k-1
     whose adjacency sets are the k-bit ``rows``.  It runs once per piece
-    of at most PIECE_LIMIT vertices, and its result is copied into
-    ``tables`` at once, so no more than one piece's table is alive
-    beside them.  When those pieces hold fewer than LOOKUP_MIN vertices
-    in all, every piece is walked, over the split's own cycle edges.
+    of at most PIECE_LIMIT vertices, after the search's lists are freed,
+    and its result is copied into ``tables`` at once, so no more than one
+    piece's table is alive beside them.  When those pieces hold fewer
+    than LOOKUP_MIN vertices in all, they are walked with the others.
     """
-    _, cyclic, local, cycle_neighbors = split
-    small, large = [], []
-    for piece in components(cycle_neighbors):
-        (small if len(piece) <= PIECE_LIMIT else large).append(piece)
+    n = len(neighbors)
+    disc, parent, low = lowlinks(neighbors)
+    head = list(range(n))
+    for v in sorted(range(n), key=disc.__getitem__):
+        if (p := parent[v]) >= 0 and low[v] <= disc[p]:
+            head[v] = head[p]
+    children = [v for v, p in enumerate(parent) if p >= 0 and head[v] == v]
+    bridges = np.array([[parent[v] for v in children], children], dtype=np.int64)
+    del disc, parent, low, children
+    grouped: dict[int, list[int]] = {}
+    for v, h in enumerate(head):
+        grouped.setdefault(h, []).append(v)
+    pieces = [piece for piece in grouped.values() if len(piece) > 1]
+    small = [piece for piece in pieces if len(piece) <= PIECE_LIMIT]
     if sum(map(len, small)) < LOOKUP_MIN:
         small = []
+    large = [piece for piece in pieces if not small or len(piece) > PIECE_LIMIT]
     width = max(map(len, small), default=0)
-    members = np.full((width, len(small)), len(local), dtype=np.int64)
+    members = np.full((width, len(small)), n, dtype=np.int64)
     tables = np.empty(sum(1 << len(piece) for piece in small), dtype=np.int8)
-    looked = np.concatenate([cyclic[piece] for piece in small] or [cyclic[:0]])
+    looked = np.array([v for piece in small for v in piece], dtype=np.int64)
     piece_of = np.empty_like(looked)
     base = np.empty((2, len(looked)), dtype=np.int64)
     start = stop = 0
     for column, piece in enumerate(small):
         k = len(piece)
         number = {v: j for j, v in enumerate(piece)}
-        rows = tuple(sum(1 << number[w] for w in cycle_neighbors[v]) for v in piece)
-        tables[start : start + (1 << k)] = table(rows)
+        tables[start : start + (1 << k)] = table(tuple(
+            sum(1 << number[w] for w in neighbors[v] if head[w] == head[v]) for v in piece
+        ))
         members[:k, column] = looked[stop : stop + k]
         piece_of[stop : stop + k] = column
-        base[:, stop : stop + k] = start
-        base[1, stop : stop + k] += 1 << np.arange(k)
+        base[:, stop : stop + k] = start + [[0], [1]] * (1 << np.arange(k))
         start += 1 << k
         stop += k
-    if not small:
-        walked, walk_local, walk_neighbors = cyclic, local, cycle_neighbors
-    else:
-        kept = sorted(v for piece in large for v in piece)
-        index = {v: j for j, v in enumerate(kept)}
-        walked = cyclic[kept]
-        walk_local = np.full_like(local, -1)
-        walk_local[walked] = np.arange(len(kept))
-        walk_neighbors = tuple(tuple(index[w] for w in cycle_neighbors[v]) for v in kept)
+    kept = sorted(v for piece in large for v in piece)
+    index = {v: j for j, v in enumerate(kept)}
+    walk_local = np.full(n, -1, dtype=np.int64)
+    walk_local[kept] = np.arange(len(kept))
     return Pieces(
+        bridges=bridges,
         members=members,
         row_bits=1 << np.arange(width, dtype=np.int64)[:, None],
         tables=tables,
         looked=looked,
         piece=piece_of,
         base=base,
-        walked=walked,
+        walked=np.array(kept, dtype=np.int64),
         walk_local=walk_local,
-        walk_neighbors=walk_neighbors,
+        walk_neighbors=tuple(
+            tuple(index[w] for w in neighbors[v] if head[w] == head[v]) for v in kept
+        ),
     )

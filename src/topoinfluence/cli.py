@@ -356,7 +356,11 @@ def _cmd_mask(args) -> int:
     n_lo, n_hi = args.n_range
     p_lo, p_hi = args.p_range
     # Every graph is ranked exactly, so refuse before drawing any.
-    check_exact_cap(n_hi, DEFAULT_EXACT_CAP)
+    if n_hi > DEFAULT_EXACT_CAP:
+        raise SizeCapError(
+            f"mask ranks every graph exactly, up to n={DEFAULT_EXACT_CAP}; "
+            f"--n-range reaches n={n_hi}"
+        )
     dataset = generate_er_dataset(
         args.count, n_range=(n_lo, n_hi), p_range=(p_lo, p_hi), seed=args.seed
     )
@@ -422,6 +426,16 @@ def _float_list(text: str) -> list[float]:
     return _parse_list(text, float, "reals")
 
 
+def _seed(text: str) -> int:
+    """A seed is a Philox key: an integer in 0..2^128-1."""
+    try:
+        if 0 <= (seed := int(text)) < 1 << 128:
+            return seed
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer in 0..2^128-1, got {text!r}")
+
+
 def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--format", choices=("json", "csv", "table"), default="table",
@@ -457,7 +471,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--sample", type=int, metavar="P",
         help="estimate from P random insertion orders instead",
     )
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    parser.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
     parser.add_argument(
         "--cap", type=int, default=DEFAULT_EXACT_CAP,
         help=f"refuse exact enumeration above this size (default {DEFAULT_EXACT_CAP})",
@@ -517,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam.add_argument("--n", type=int, required=True, help="vertex count (right side for bipartite)")
     p_fam.add_argument("--m", type=int, help="left side size (bipartite only)")
     p_fam.add_argument("--p", type=float, help="edge probability (erdos_renyi only)")
-    p_fam.add_argument("--seed", type=int, default=0)
+    p_fam.add_argument("--seed", type=_seed, default=0)
     p_fam.add_argument(
         "--cap", type=int, default=DEFAULT_EXACT_CAP,
         help="exact-enumeration cap for erdos_renyi evaluation",
@@ -565,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--j", type=_int_list, default=(1, 2, 3), metavar="J1,J2,...",
         help="how many vertices to mask (default 1,2,3)",
     )
-    p_mask.add_argument("--seed", type=int, default=0)
+    p_mask.add_argument("--seed", type=_seed, default=0)
     p_mask.add_argument("--threads", type=int, default=1, help="reserved")
     _add_output_flags(p_mask)
     p_mask.set_defaults(handler=_cmd_mask)

@@ -45,9 +45,9 @@ sampled   Monte Carlo over uniformly random insertion orders; the
           ``homology.component_changes`` runs only over the other pieces,
           and not at all on a forest.  The bridges, the pieces and their
           tables come once per complex from one depth-first search
-          (``NeighborComplex.cycle_split`` and ``.pieces``).  Order j is
-          the permutation drawn from counter block j of the seed's Philox
-          stream, with one generator repositioned from block to block.
+          (``NeighborComplex.pieces``).  Order j is the permutation
+          drawn from counter block j of the seed's Philox stream, with
+          one generator repositioned from block to block.
 """
 
 from __future__ import annotations
@@ -173,14 +173,13 @@ def _size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_exact_cap(n: int, cap: int) -> None:
-    """Refuse exact enumeration of n vertices above ``cap``, which is
-    itself clamped to the table's hard maximum."""
-    cap = min(cap, TABLE_HARD_MAX)
-    if n > cap:
-        raise SizeCapError(
-            f"exact enumeration for n={n} exceeds cap {cap}; "
-            f"raise the cap (hard max {TABLE_HARD_MAX}) or sample"
-        )
+    """Refuse exact enumeration of n vertices above ``cap``, or above the
+    table's hard maximum, which no cap raises."""
+    if n > min(cap, TABLE_HARD_MAX):
+        raise SizeCapError(f"exact enumeration for n={n} exceeds " + (
+            f"the hard max {TABLE_HARD_MAX}" if n > TABLE_HARD_MAX
+            else f"cap {cap}; raise the cap (hard max {TABLE_HARD_MAX})"
+        ))
 
 
 def check_permutations(permutations: int) -> None:
@@ -247,7 +246,7 @@ def permutation_marginals(
     i, and two cycle-edge neighbours are joined in P, if at all, by a
     path with no bridge on it.  With e(i) the number of i's bridge
     neighbours before it and G' the complex minus its bridges
-    (:attr:`~topoinfluence.metric_complex.NeighborComplex.cycle_split`),
+    (:attr:`~topoinfluence.metric_complex.NeighborComplex.pieces`),
 
         b0(P + i) - b0(P) on G  =  b0(P + i) - b0(P) on G'  -  e(i),
 
@@ -263,8 +262,7 @@ def permutation_marginals(
         b0(P + i) - b0(P) on G'  =  t_C[P_C + i] - t_C[P_C].
 
     Pieces of at most ``blocks.PIECE_LIMIT`` vertices are looked up so,
-    their masks formed in numpy from the positions of their vertices
-    (:attr:`~topoinfluence.metric_complex.NeighborComplex.pieces`),
+    their masks formed in numpy from the positions of their vertices,
     when they hold at least ``blocks.LOOKUP_MIN`` vertices in all; the
     union-find walk runs over the other pieces only.
     """
@@ -293,12 +291,12 @@ def permutation_marginals(
     # Signs come from shifts, not comparisons or np.abs: every numpy
     # inner loop a run touches for the first time maps 64 KiB more of
     # numpy's library, and shifts, sums and products are mapped already.
-    first, second = complex_.cycle_split[0]
+    pieces = complex_.pieces
+    first, second = pieces.bridges
     # Each bridge counts against its later end: the position gap shifted
     # by 63 is -1 where ``first`` comes earlier and 0 where it is later.
     later = first + (first - second) * ((position[first] - position[second]) >> 63)
     changes = np.ones(n, dtype=np.int64)
-    pieces = complex_.pieces
     if len(pieces.looked):
         # Row j, column i: where local vertex j of i's piece came, less
         # where i came, shifted to -1 if j came first and to 0 if not

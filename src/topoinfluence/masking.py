@@ -172,7 +172,7 @@ def run_masking_experiment(
     for j in j_values:
         if not 0 <= j < min_n:
             raise InputError(
-                f"J={j} must be smaller than the smallest graph ({min_n})"
+                f"J={j} outside 0..{min_n - 1}: the smallest graph has {min_n} vertices"
             )
     rows: list[MaskRow] = []
     rng = None

@@ -39,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import homology
-from .blocks import Pieces, cycle_split, split_pieces
+from .blocks import Pieces, split_pieces
 from .errors import InputError
 
 # Precomputed matrices may be written with small round-trip noise; anything
@@ -542,19 +542,14 @@ class NeighborComplex:
         return cls(n=n, rows=tuple(rows))
 
     @cached_property
-    def cycle_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
-        """:func:`~topoinfluence.blocks.cycle_split` of ``neighbors``,
-        computed on first read and cached like ``InfluenceResult.mu``."""
-        return cycle_split(self.neighbors)
-
-    @cached_property
     def pieces(self) -> Pieces:
-        """:func:`~topoinfluence.blocks.split_pieces` of ``cycle_split``,
-        computed on first read and cached: each piece to be looked up
-        gets its :func:`~topoinfluence.homology.betti0_table`, filled
-        from its own k-bit rows."""
+        """:func:`~topoinfluence.blocks.split_pieces` of ``neighbors``,
+        computed on first read and cached like ``InfluenceResult.mu``: the
+        bridges, and each piece to be looked up with its
+        :func:`~topoinfluence.homology.betti0_table`, filled from its own
+        k-bit rows."""
         return split_pieces(
-            self.cycle_split,
+            self.neighbors,
             lambda rows: homology.betti0_table(NeighborComplex(len(rows), rows)),
         )
 

@@ -1,13 +1,14 @@
 """Bridge finder and piece split tests.
 
 An edge is a bridge iff deleting it raises the component count: the
-brute-force definition, held against the depth-first split on every
-edge of small graphs.  The pieces, the components of the graph minus
-its bridges, are held against a flood over the non-bridge edges, and
-each small piece's table against the one-mask-at-a-time reference table
-of its induced subgraph.
+brute-force definition, held against the bridges of the depth-first
+split on every edge of small graphs.  The pieces, the components of the
+graph minus its bridges, are held against a flood over the non-bridge
+edges, and each small piece's table against the one-mask-at-a-time
+reference table of its induced subgraph.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from topoinfluence import NeighborComplex, betti0, complete_graph, cycle_graph, wheel_graph
 from topoinfluence import blocks
-from topoinfluence.blocks import cycle_split, lowlinks
+from topoinfluence.blocks import lowlinks, split_pieces
 
 from oracles import (
     bridged_unions,
@@ -39,18 +40,19 @@ def brute_force_bridges(g: NeighborComplex) -> set[tuple[int, int]]:
 
 
 def check_split(g: NeighborComplex) -> None:
-    bridges, cyclic, local, cycle_neighbors = g.cycle_split
+    """The bridges against deleting each edge, and the cycle edges
+    against the graph minus them, with every piece walked: at limit 0
+    and minimum 0 the walk's neighbour tuples hold every cycle edge."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blocks, "PIECE_LIMIT", 0)
+        mp.setattr(blocks, "LOOKUP_MIN", 0)
+        g = NeighborComplex(g.n, g.rows)  # pieces not yet read
+        check_pieces(g)
+    bridges = g.pieces.bridges
     want = brute_force_bridges(g)
     got = {(min(u, v), max(u, v)) for u, v in bridges.T.tolist()}
-    assert got == want and bridges.shape == (2, len(want))
-    cycle_edges = set(g.edges()) - want
-    on_cycle = sorted({v for edge in cycle_edges for v in edge})
-    assert cyclic.tolist() == on_cycle
-    assert local.tolist() == [on_cycle.index(v) if v in on_cycle else -1 for v in range(g.n)]
-    for k, v in enumerate(on_cycle):
-        assert [on_cycle[j] for j in cycle_neighbors[k]] == sorted(
-            w for w in g.neighbors[v] if (min(v, w), max(v, w)) in cycle_edges
-        )
+    assert got == want and bridges.shape == (2, len(want)) and bridges.dtype == np.int64
+    assert bridges[1].tolist() == sorted(bridges[1].tolist())
 
 
 @given(st.one_of(small_graphs(max_n=12), bridged_unions(min_n=8, max_piece=6)
@@ -70,6 +72,10 @@ def test_split_of_named_shapes():
     check_split(NeighborComplex.from_edges(1, []))
 
 
+def no_table(rows):
+    raise AssertionError("a table filled for a piece that is walked")
+
+
 def test_long_path_needs_no_recursion():
     # 10^5 vertices, far past the interpreter's recursion limit: every
     # edge is a bridge and no vertex lies on a cycle.
@@ -79,24 +85,26 @@ def test_long_path_needs_no_recursion():
     )
     disc, parent, low = lowlinks(path)
     assert disc == list(range(n)) and parent == list(range(-1, n - 1))
-    bridges, cyclic, local, cycle_neighbors = cycle_split(path)
-    assert bridges.tolist() == [list(range(n - 1)), list(range(1, n))]
-    assert len(cyclic) == 0 and cycle_neighbors == ()
-    assert not np.any(local >= 0)
+    pieces = split_pieces(path, no_table)
+    assert pieces.bridges.tolist() == [list(range(n - 1)), list(range(1, n))]
+    assert len(pieces.looked) == len(pieces.walked) == 0 and pieces.walk_neighbors == ()
+    assert not np.any(pieces.walk_local >= 0)
 
 
 def test_long_cycle_has_no_bridge():
     n = 10_000
-    bridges, cyclic, local, cycle_neighbors = cycle_graph(n).cycle_split
-    assert bridges.shape == (2, 0)
-    assert cyclic.tolist() == list(range(n)) and local.tolist() == list(range(n))
-    assert cycle_neighbors == cycle_graph(n).neighbors
+    pieces = cycle_graph(n).pieces
+    assert pieces.bridges.shape == (2, 0) and len(pieces.looked) == 0
+    assert pieces.walked.tolist() == list(range(n))
+    assert pieces.walk_local.tolist() == list(range(n))
+    assert pieces.walk_neighbors == cycle_graph(n).neighbors
 
 
 def test_split_is_cached_on_the_complex():
     g = cycle_graph(5)
-    assert g.cycle_split is g.cycle_split
+    assert g.pieces is g.pieces
     # The cache is no field: equality and hashing see only the edges.
+    assert "pieces" not in {f.name for f in dataclasses.fields(g)}
     assert g == cycle_graph(5) and hash(g) == hash(cycle_graph(5))
 
 
@@ -110,7 +118,7 @@ def induced(g: NeighborComplex, vertices: list[int]) -> NeighborComplex:
 
 def check_pieces(g: NeighborComplex) -> None:
     pieces = g.pieces
-    bridges = {(min(u, v), max(u, v)) for u, v in g.cycle_split[0].T.tolist()}
+    bridges = {(min(u, v), max(u, v)) for u, v in pieces.bridges.T.tolist()}
     unbridged = NeighborComplex.from_edges(g.n, [e for e in g.edges() if e not in bridges])
     # The pieces by flood fill: the components of more than one vertex.
     found, seen = [], set()
@@ -182,15 +190,12 @@ def test_pieces_of_named_shapes():
 
 def test_too_few_small_piece_vertices_are_walked_over_the_split(monkeypatch):
     # Small pieces of 7 vertices in all, one below the minimum: no table,
-    # and the walk reads the split's own cycle edges.  At 8 they are
-    # looked up.
+    # and they are walked with the 20-cycle.  At 8 they are looked up.
     monkeypatch.setattr(blocks, "LOOKUP_MIN", 8)
     g = joined_by_bridges([complete_graph(4), cycle_graph(3), cycle_graph(20)], seed=1)
     check_pieces(g)
-    _, cyclic, local, cycle_neighbors = g.cycle_split
     assert len(g.pieces.tables) == 0
-    assert g.pieces.walked is cyclic and g.pieces.walk_local is local
-    assert g.pieces.walk_neighbors is cycle_neighbors
+    assert len(g.pieces.looked) == 0 and len(g.pieces.walked) == 27
     g = joined_by_bridges([complete_graph(4), complete_graph(4), cycle_graph(20)], seed=1)
     check_pieces(g)
     assert len(g.pieces.looked) == 8 and len(g.pieces.walked) == 20
@@ -205,10 +210,11 @@ def test_a_piece_above_the_limit_gets_no_table():
 def test_pieces_peak_memory_at_scale():
     # 1000 wheels of 12 joined by bridges: 12,000 vertices, each looked
     # up.  The first read of the pieces, depth-first search included,
-    # holds 1000 x 4 KiB of tables, about 1.3 MB of cycle-edge tuples
-    # kept by the search and under 1 MB of index arrays, and must peak
-    # under a fixed 7 MB: no second copy of the tables, and no complex
-    # kept per piece.
+    # holds 1000 x 4 KiB of tables and under 1 MB of index arrays, and
+    # the search's lists are freed before the tables are filled.  It
+    # must peak under a fixed 6.2 MB (measured 5.6 MB): no second copy
+    # of the tables, and no complex kept per piece.  What stays held
+    # after it, the pieces alone, measured 4.95 MB.
     wheel = list(wheel_graph(12).edges())
     edges = [(12 * k + u, 12 * k + v) for k in range(1000) for u, v in wheel]
     edges += [(12 * k, 12 * k + 13) for k in range(999)]
@@ -216,9 +222,10 @@ def test_pieces_peak_memory_at_scale():
     tracemalloc.start()
     try:
         pieces = g.pieces
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(pieces.looked) == 12_000 and len(pieces.walked) == 0
     assert len(pieces.tables) == 1000 * 2**12
-    assert peak <= 7_000_000, peak
+    assert peak <= 6_200_000, peak
+    assert held <= 5_400_000, held

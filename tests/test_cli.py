@@ -195,7 +195,10 @@ class TestInfluence:
             "--radius", "1", "--cap", "20",
         )
         assert code == 3
-        assert "cap" in err
+        assert err == (
+            "topoinfluence: size cap: exact enumeration for n=25 exceeds cap 20; "
+            "raise the cap (hard max 26)\n"
+        )
 
 
     def test_past_cap_warning_is_one_stable_line(self, capsys, tmp_path):
@@ -231,13 +234,12 @@ def test_cap_checked_before_distances(capsys, tmp_path, monkeypatch, argv):
     monkeypatch.setattr(cli, "neighbor_pairs", refuse)
     p = tmp_path / "many.txt"
     p.write_text("\n".join(str(i) for i in range(27)) + "\n", encoding="utf-8")
-    cap = 26 if "--cap" in argv else 20
     code, out, err = run_cli(capsys, argv[0], "--input", str(p), *argv[1:])
     assert code == 3
     assert out == ""
+    # Past the hard max no cap helps, whatever --cap says.
     assert err == (
-        f"topoinfluence: size cap: exact enumeration for n=27 exceeds cap {cap}; "
-        "raise the cap (hard max 26) or sample\n"
+        "topoinfluence: size cap: exact enumeration for n=27 exceeds the hard max 26\n"
     )
 
 
@@ -291,12 +293,12 @@ def test_cap_checked_before_any_graph_is_drawn(capsys, monkeypatch, drawer, argv
 
     monkeypatch.setattr(cli, drawer, refuse)
     code, out, err = run_cli(capsys, *argv)
-    n = 6000 if argv[0] == "family" else 600
     assert code == 3
     assert out == ""
-    assert err == (
-        f"topoinfluence: size cap: exact enumeration for n={n} exceeds cap 20; "
-        "raise the cap (hard max 26) or sample\n"
+    # mask has no --cap and no --sample: only its size range can change.
+    assert err == "topoinfluence: size cap: " + (
+        "exact enumeration for n=6000 exceeds the hard max 26\n" if argv[0] == "family"
+        else "mask ranks every graph exactly, up to n=20; --n-range reaches n=600\n"
     )
 
 
@@ -662,6 +664,45 @@ def test_empty_list_or_range_exits_2(capsys, g3_file, argv, flag):
     assert code == 2
     assert out == ""
     assert f"argument {flag}:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("influence", "--radius", "1", "--sample", "5", "--seed", "-1"),
+        ("influence", "--radius", "1", "--seed", "-1"),
+        ("sweep", "--radii", "1,2", "--sample", "5", "--seed", str(1 << 128)),
+        ("family", "--kind", "erdos_renyi", "--n", "10", "--p", "0.3", "--seed", "-1"),
+        ("family", "--kind", "wheel", "--n", "6", "--seed", "x"),
+        ("mask", "--count", "3", "--seed", str(1 << 128)),
+    ],
+)
+def test_seed_outside_the_philox_key_range_exits_2(capsys, g3_file, monkeypatch, argv):
+    # Every seed keys a Philox stream, so it is refused before any work,
+    # in exact mode too, where it keys nothing.
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started for a seed out of range")
+
+    for name in ("neighbor_pairs", "erdos_renyi_graph", "generate_er_dataset"):
+        monkeypatch.setattr(cli, name, refuse)
+    if argv[0] in ("influence", "sweep"):
+        argv += ("--input", g3_file)
+    code, out, err = run_cli(capsys, *argv)
+    seed = argv[argv.index("--seed") + 1]
+    assert code == 2
+    assert out == ""
+    assert err.endswith(
+        f"argument --seed: expected an integer in 0..2^128-1, got {seed!r}\n"
+    )
+
+
+def test_seed_range_ends_are_accepted(capsys):
+    for seed in ("0", str((1 << 128) - 1)):
+        code, out, _ = run_cli(
+            capsys, "family", "--kind", "erdos_renyi", "--n", "10", "--p", "0.3",
+            "--seed", seed, "--emit-edges",
+        )
+        assert code == 0 and out.splitlines()[1] == "10"
 
 
 EXACT_ROW = ["index", "label", "s", "mu", "s_exact", "mu_exact"]
