@@ -9,11 +9,12 @@ biconnected blocks all follow from its three lists.
 ``split_pieces`` reads the bridges and the pieces off the search forest
 in one preorder pass, a piece being a component, of at least three
 vertices, of the graph minus its bridges.  It lays them out for the
-sampled walk: a piece of at most ``PIECE_LIMIT`` vertices is scored by
-lookups in its own subset table, filled once, and a larger one by the
-union-find walk over its own compact neighbour tuples.  Small pieces
-with fewer than ``LOOKUP_MIN`` vertices in all are walked too, since
-the lookup's fixed cost per order would outweigh it.
+sampled walk: a cycle piece is scored in closed form, another piece of
+at most ``PIECE_LIMIT`` vertices by lookups in its own subset table,
+filled once, and a larger one by the union-find walk over its own
+compact neighbour tuples.  Small pieces with fewer than ``LOOKUP_MIN``
+vertices in all are walked too, since the lookup's fixed cost per order
+would outweigh it.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import numpy as np
 # entries, 4 KiB, under 342 bytes per vertex.  Larger pieces are walked.
 PIECE_LIMIT = 12
 
-# Fewer vertices than this in all the small pieces are walked instead:
-# the lookup costs about ten numpy calls per order whatever its size,
-# which is what the walk spends on some 24-40 vertices of triangles or
-# K4s.
+# Fewer vertices than this in all the small pieces that are not cycles
+# are walked instead: the lookup costs about ten numpy calls per order
+# whatever its size.  On K4s joined by bridges the walk costs as much at
+# 16-24 vertices, and half as much again at 32.
 LOOKUP_MIN = 32
 
 
@@ -78,11 +79,17 @@ def lowlinks(neighbors: Sequence[Sequence[int]]) -> tuple[list[int], list[int], 
 class Pieces(NamedTuple):
     """The bridges and pieces of a graph as the sampled walk reads them.
 
-    ``bridges`` is a (2, b) int64 array with one column per bridge:
-    parent, then child, in the search forest, the children ascending.
+    Scored in closed form, the bridges and the cycle pieces:
 
-    Looked up, the pieces of at most PIECE_LIMIT vertices when they hold
-    at least LOOKUP_MIN vertices in all, each numbered locally in
+    - ``closed``, a (2, b + c) int64 array with one column per edge: the
+      b bridges, parent then child in the search forest, the children
+      ascending, then the c edges of the cycle pieces;
+    - ``bridges``, its first b columns;
+    - ``cycles``, the cycle pieces' vertices, int64, piece by piece;
+    - ``cycle_starts``, where each cycle piece starts in ``cycles``.
+
+    Looked up, the other pieces of at most PIECE_LIMIT vertices when they
+    hold at least LOOKUP_MIN vertices in all, each numbered locally in
     ascending order, and their vertices:
 
     - ``members``, an int64 array with one column per piece: row j holds
@@ -95,7 +102,7 @@ class Pieces(NamedTuple):
     - ``base``, two int64 rows: where its piece's table starts in
       ``tables``, and that plus 2^(its local index).
 
-    Walked, the vertices of the other pieces:
+    Walked, the vertices of the pieces left:
 
     - ``walked``, those vertices, ascending, int64;
     - ``walk_local``, an int64 array holding v's index in ``walked``, or -1;
@@ -104,6 +111,9 @@ class Pieces(NamedTuple):
     """
 
     bridges: np.ndarray
+    closed: np.ndarray
+    cycles: np.ndarray
+    cycle_starts: np.ndarray
     members: np.ndarray
     row_bits: np.ndarray
     tables: np.ndarray
@@ -128,12 +138,16 @@ def split_pieces(
     the vertices sharing a head, if two or more, and a cycle edge is an
     edge whose ends share one.
 
+    A piece is connected, so when each of its vertices has two
+    neighbours in it, it is a simple cycle of any length, a cycle piece:
+    it gets neither a table nor the walk.
+
     ``table(rows)`` returns the int8 subset table of the graph on 0..k-1
-    whose adjacency sets are the k-bit ``rows``.  It runs once per piece
-    of at most PIECE_LIMIT vertices, after the search's lists are freed,
-    and its result is copied into ``tables`` at once, so no more than one
-    piece's table is alive beside them.  When those pieces hold fewer
-    than LOOKUP_MIN vertices in all, they are walked with the others.
+    whose adjacency sets are the k-bit ``rows``.  It runs once per other
+    piece of at most PIECE_LIMIT vertices, after the search's lists are
+    freed, and its result is copied into ``tables`` at once, so no more
+    than one piece's table is alive beside them.  When those pieces hold
+    fewer than LOOKUP_MIN vertices in all, they are walked with the others.
     """
     n = len(neighbors)
     disc, parent, low = lowlinks(neighbors)
@@ -142,16 +156,29 @@ def split_pieces(
         if (p := parent[v]) >= 0 and low[v] <= disc[p]:
             head[v] = head[p]
     children = [v for v, p in enumerate(parent) if p >= 0 and head[v] == v]
-    bridges = np.array([[parent[v] for v in children], children], dtype=np.int64)
-    del disc, parent, low, children
+    firsts, seconds = [parent[v] for v in children], list(children)
+    del disc, parent, low
+
+    def inner(v: int) -> list[int]:
+        """v's neighbours sharing its head, ascending."""
+        return [w for w in neighbors[v] if head[w] == head[v]]
+
     grouped: dict[int, list[int]] = {}
     for v, h in enumerate(head):
         grouped.setdefault(h, []).append(v)
-    pieces = [piece for piece in grouped.values() if len(piece) > 1]
-    small = [piece for piece in pieces if len(piece) <= PIECE_LIMIT]
+    cycles, rest = [], []
+    for piece in grouped.values():
+        if len(piece) > 1:
+            (cycles if all(len(inner(v)) == 2 for v in piece) else rest).append(piece)
+    for u, w in ((u, w) for piece in cycles for u in piece for w in inner(u) if u < w):
+        firsts.append(u)
+        seconds.append(w)
+    closed = np.array([firsts, seconds], dtype=np.int64)
+    del firsts, seconds
+    small = [piece for piece in rest if len(piece) <= PIECE_LIMIT]
     if sum(map(len, small)) < LOOKUP_MIN:
         small = []
-    large = [piece for piece in pieces if not small or len(piece) > PIECE_LIMIT]
+    large = [piece for piece in rest if not small or len(piece) > PIECE_LIMIT]
     width = max(map(len, small), default=0)
     members = np.full((width, len(small)), n, dtype=np.int64)
     tables = np.empty(sum(1 << len(piece) for piece in small), dtype=np.int8)
@@ -163,7 +190,7 @@ def split_pieces(
         k = len(piece)
         number = {v: j for j, v in enumerate(piece)}
         tables[start : start + (1 << k)] = table(tuple(
-            sum(1 << number[w] for w in neighbors[v] if head[w] == head[v]) for v in piece
+            sum(1 << number[w] for w in inner(v)) for v in piece
         ))
         members[:k, column] = looked[stop : stop + k]
         piece_of[stop : stop + k] = column
@@ -175,7 +202,10 @@ def split_pieces(
     walk_local = np.full(n, -1, dtype=np.int64)
     walk_local[kept] = np.arange(len(kept))
     return Pieces(
-        bridges=bridges,
+        bridges=closed[:, : len(children)],
+        closed=closed,
+        cycles=np.array([v for piece in cycles for v in piece], dtype=np.int64),
+        cycle_starts=np.cumsum([0, *map(len, cycles)][:-1], dtype=np.int64),
         members=members,
         row_bits=1 << np.arange(width, dtype=np.int64)[:, None],
         tables=tables,
@@ -184,7 +214,5 @@ def split_pieces(
         base=base,
         walked=np.array(kept, dtype=np.int64),
         walk_local=walk_local,
-        walk_neighbors=tuple(
-            tuple(index[w] for w in neighbors[v] if head[w] == head[v]) for v in kept
-        ),
+        walk_neighbors=tuple(tuple(index[w] for w in inner(v)) for v in kept),
     )

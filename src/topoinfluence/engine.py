@@ -38,16 +38,18 @@ sampled   Monte Carlo over uniformly random insertion orders; the
           signed marginal by exactly one: per order, numpy counts those
           over the bridge endpoints.  The rest is i's marginal in its
           piece, its component of the graph minus the bridges.  A piece
-          of at most ``blocks.PIECE_LIMIT`` vertices reads it as the
-          difference of two entries of the piece's subset table, in
-          numpy for all such vertices at once, unless they number fewer
-          than ``blocks.LOOKUP_MIN``; the union-find walk of
-          ``homology.component_changes`` runs only over the other pieces,
-          and not at all on a forest.  The bridges, the pieces and their
-          tables come once per complex from one depth-first search
-          (``NeighborComplex.pieces``).  Order j is the permutation
-          drawn from counter block j of the seed's Philox stream, with
-          one generator repositioned from block to block.
+          that is a simple cycle scores it in closed form, its edges
+          counted with the bridges.  Another piece of at most
+          ``blocks.PIECE_LIMIT`` vertices reads it as the difference of
+          two entries of the piece's subset table, in numpy for all such
+          vertices at once, unless they number fewer than
+          ``blocks.LOOKUP_MIN``; the union-find walk of
+          ``homology.component_changes`` runs only over the pieces left,
+          and not at all on a forest or a cactus of disjoint cycles.  The
+          bridges, the pieces and their tables come once per complex from
+          one depth-first search (``NeighborComplex.pieces``).  Order j is
+          the permutation drawn from counter block j of the seed's Philox
+          stream, with one generator repositioned from block to block.
 """
 
 from __future__ import annotations
@@ -253,6 +255,18 @@ def permutation_marginals(
     and the marginal on G' is 1 for a vertex with no cycle edge.  e is
     counted in numpy over the bridge endpoints.
 
+    In a piece that is a simple cycle, with c(i) the number of i's two
+    neighbours in it that come before i,
+
+        b0(P + i) - b0(P) on G'  =  1 - c(i) + [i is the last of its cycle].
+
+    The marginal is 1 less the number of components among i's
+    neighbours in P.  That is c(i) unless both are in P; then the one
+    path between them in G' that avoids i joins them iff all the other
+    vertices of the cycle came before i.  So each cycle edge counts
+    against its later end in the bridges' bincount, and the vertex at
+    each cycle's latest position, one ``np.maximum.reduceat``, gains 1.
+
     The marginal on G' depends only on the vertices of i's piece, its
     component C in G', that come before i.  No bridge joins two vertices
     of C, so G[S] = G'[S] for every S inside C, and with t_C the subset
@@ -261,10 +275,10 @@ def permutation_marginals(
 
         b0(P + i) - b0(P) on G'  =  t_C[P_C + i] - t_C[P_C].
 
-    Pieces of at most ``blocks.PIECE_LIMIT`` vertices are looked up so,
-    their masks formed in numpy from the positions of their vertices,
-    when they hold at least ``blocks.LOOKUP_MIN`` vertices in all; the
-    union-find walk runs over the other pieces only.
+    Other pieces of at most ``blocks.PIECE_LIMIT`` vertices are looked up
+    so, their masks formed in numpy from the positions of their
+    vertices, when they hold at least ``blocks.LOOKUP_MIN`` vertices in
+    all; the union-find walk runs over the pieces left only.
     """
     n = complex_.n
     try:
@@ -292,9 +306,9 @@ def permutation_marginals(
     # inner loop a run touches for the first time maps 64 KiB more of
     # numpy's library, and shifts, sums and products are mapped already.
     pieces = complex_.pieces
-    first, second = pieces.bridges
-    # Each bridge counts against its later end: the position gap shifted
-    # by 63 is -1 where ``first`` comes earlier and 0 where it is later.
+    first, second = pieces.closed
+    # Each bridge or edge of a cycle piece counts against its later end: the
+    # position gap shifted by 63 is -1 where ``first`` is earlier, else 0.
     later = first + (first - second) * ((position[first] - position[second]) >> 63)
     changes = np.ones(n, dtype=np.int64)
     if len(pieces.looked):
@@ -313,6 +327,12 @@ def permutation_marginals(
         # walk_local is -1 off the walked pieces, so walked + 1 is 0 exactly there.
         walked = walked[np.flatnonzero(walked + 1)]
         changes[pieces.walked] = component_changes(pieces.walk_neighbors, walked.tolist())
+    if len(pieces.cycle_starts):
+        # The last of each cycle to arrive, at the cycle's latest position,
+        # gains 1: the rest of the cycle already joins its two neighbours.
+        changes[order.take(np.maximum.reduceat(
+            position.take(pieces.cycles), pieces.cycle_starts
+        ))] += 1
     changes -= np.bincount(later, minlength=n)
     changes *= (changes >> 63) * 2 + 1  # |x| = x (2 (x >> 63) + 1)
     return changes

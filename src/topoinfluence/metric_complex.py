@@ -545,7 +545,8 @@ class NeighborComplex:
     def pieces(self) -> Pieces:
         """:func:`~topoinfluence.blocks.split_pieces` of ``neighbors``,
         computed on first read and cached like ``InfluenceResult.mu``: the
-        bridges, and each piece to be looked up with its
+        bridges, the cycle pieces with their edges, and each other piece
+        to be looked up with its
         :func:`~topoinfluence.homology.betti0_table`, filled from its own
         k-bit rows."""
         return split_pieces(

@@ -41,8 +41,9 @@ def brute_force_bridges(g: NeighborComplex) -> set[tuple[int, int]]:
 
 def check_split(g: NeighborComplex) -> None:
     """The bridges against deleting each edge, and the cycle edges
-    against the graph minus them, with every piece walked: at limit 0
-    and minimum 0 the walk's neighbour tuples hold every cycle edge."""
+    against the graph minus them, with every piece but the cycles
+    walked: at limit 0 and minimum 0 the walk's neighbour tuples and the
+    cycle pieces' edges hold every cycle edge between them."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blocks, "PIECE_LIMIT", 0)
         mp.setattr(blocks, "LOOKUP_MIN", 0)
@@ -92,12 +93,18 @@ def test_long_path_needs_no_recursion():
 
 
 def test_long_cycle_has_no_bridge():
+    # The cycle is one cycle piece; with a chord it is one walked piece.
     n = 10_000
     pieces = cycle_graph(n).pieces
-    assert pieces.bridges.shape == (2, 0) and len(pieces.looked) == 0
+    assert pieces.bridges.shape == (2, 0) and len(pieces.looked) == len(pieces.walked) == 0
+    assert pieces.cycles.tolist() == list(range(n)) and pieces.cycle_starts.tolist() == [0]
+    assert sorted(map(tuple, pieces.closed.T.tolist())) == sorted(cycle_graph(n).edges())
+    chorded = NeighborComplex.from_edges(n, [*cycle_graph(n).edges(), (0, n // 2)])
+    pieces = chorded.pieces
+    assert pieces.bridges.shape == (2, 0) and len(pieces.looked) == len(pieces.cycles) == 0
     assert pieces.walked.tolist() == list(range(n))
     assert pieces.walk_local.tolist() == list(range(n))
-    assert pieces.walk_neighbors == cycle_graph(n).neighbors
+    assert pieces.walk_neighbors == chorded.neighbors
 
 
 def test_split_is_cached_on_the_complex():
@@ -134,6 +141,20 @@ def check_pieces(g: NeighborComplex) -> None:
         seen |= component
         if len(component) > 1:
             found.append(sorted(component))
+    # A cycle piece: every vertex has two neighbours in it.
+    cycles = [c for c in found if all(
+        len([w for w in unbridged.neighbors[v] if w in c]) == 2 for v in c
+    )]
+    assert pieces.cycles.tolist() == [v for c in cycles for v in c]
+    assert pieces.cycle_starts.tolist() == np.cumsum([0, *map(len, cycles)])[:-1].tolist()
+    assert pieces.closed.dtype == np.int64
+    assert pieces.closed[:, : len(bridges)].tolist() == pieces.bridges.tolist()
+    cycle_edges = pieces.closed[:, len(bridges):]
+    assert np.all(cycle_edges[0] < cycle_edges[1])
+    assert sorted(map(tuple, cycle_edges.T.tolist())) == sorted(
+        (u, v) for u, v in unbridged.edges() if any(u in c for c in cycles)
+    )
+    found = [c for c in found if c not in cycles]
     small = [c for c in found if len(c) <= blocks.PIECE_LIMIT]
     if sum(map(len, small)) < blocks.LOOKUP_MIN:
         small = []
@@ -163,7 +184,8 @@ def check_pieces(g: NeighborComplex) -> None:
 
 
 @pytest.mark.parametrize("limit, lookup_min", [
-    (0, 0), (3, 0), (blocks.PIECE_LIMIT, 0), (blocks.PIECE_LIMIT, blocks.LOOKUP_MIN),
+    (0, 0), (3, 0), (5, 0), (blocks.PIECE_LIMIT, 0),
+    (blocks.PIECE_LIMIT, blocks.LOOKUP_MIN),
 ])
 @given(st.one_of(small_graphs(max_n=12), bridged_unions(min_n=8, max_piece=7)
                  .filter(lambda g: g.n <= 14)))
@@ -178,27 +200,31 @@ def test_pieces_are_the_components_of_the_graph_minus_its_bridges(limit, lookup_
 def test_pieces_of_named_shapes():
     # The limit falls between the two wheels: the 12-vertex one is looked
     # up, the 13-vertex one walked.  The two 6-cycles share a cut vertex
-    # and form one piece of 11.
+    # and form one piece of 11.  The 5-cycle is a cycle piece; the wheel
+    # of 5 is not.
     g = joined_by_bridges([
         wheel_graph(12), wheel_graph(13), two_cycles_sharing_a_vertex(6),
-        complete_graph(8), cycle_graph(5),
+        complete_graph(8), wheel_graph(5), cycle_graph(5),
     ], seed=3)
     check_pieces(g)
     assert len(g.pieces.looked) == 12 + 11 + 8 + 5 and len(g.pieces.walked) == 13
+    assert len(g.pieces.cycles) == 5
     assert len(g.pieces.tables) == 2**12 + 2**11 + 2**8 + 2**5
 
 
 def test_too_few_small_piece_vertices_are_walked_over_the_split(monkeypatch):
     # Small pieces of 7 vertices in all, one below the minimum: no table,
-    # and they are walked with the 20-cycle.  At 8 they are looked up.
+    # and they are walked with the wheel of 13.  The triangle is a cycle
+    # piece and counts toward no minimum.  At 8 they are looked up.
     monkeypatch.setattr(blocks, "LOOKUP_MIN", 8)
-    g = joined_by_bridges([complete_graph(4), cycle_graph(3), cycle_graph(20)], seed=1)
+    g = joined_by_bridges([wheel_graph(7), cycle_graph(3), wheel_graph(13)], seed=1)
     check_pieces(g)
     assert len(g.pieces.tables) == 0
-    assert len(g.pieces.looked) == 0 and len(g.pieces.walked) == 27
-    g = joined_by_bridges([complete_graph(4), complete_graph(4), cycle_graph(20)], seed=1)
+    assert len(g.pieces.looked) == 0 and len(g.pieces.walked) == 20
+    assert len(g.pieces.cycles) == 3
+    g = joined_by_bridges([complete_graph(4), complete_graph(4), wheel_graph(13)], seed=1)
     check_pieces(g)
-    assert len(g.pieces.looked) == 8 and len(g.pieces.walked) == 20
+    assert len(g.pieces.looked) == 8 and len(g.pieces.walked) == 13
 
 
 def test_a_piece_above_the_limit_gets_no_table():
@@ -229,3 +255,28 @@ def test_pieces_peak_memory_at_scale():
     assert len(pieces.tables) == 1000 * 2**12
     assert peak <= 6_200_000, peak
     assert held <= 5_400_000, held
+
+
+def test_cycle_pieces_peak_memory_at_scale():
+    # One 10^4-cycle and 3000 triangles: 19,000 cycle vertices in 3001
+    # pieces, laid out flat with their start offsets.  A matrix padded to
+    # the longest cycle would take 3001 x 10^4 x 8 bytes, about 240 MB.
+    # The first read must peak under a fixed 3.5 MB (measured 2.9 MB) and
+    # hold under 1 MB after it (measured 0.75 MB).
+    n = 10_000
+    triangle = ((0, 1), (1, 2), (0, 2))
+    edges = list(cycle_graph(n).edges()) + [
+        (n + 3 * k + u, n + 3 * k + v) for k in range(3000) for u, v in triangle
+    ]
+    g = NeighborComplex.from_edges(n + 9000, edges)
+    tracemalloc.start()
+    try:
+        pieces = g.pieces
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pieces.cycles) == 19_000 and len(pieces.cycle_starts) == 3001
+    assert pieces.closed.shape == (2, 19_000) and pieces.bridges.shape == (2, 0)
+    assert len(pieces.looked) == len(pieces.walked) == len(pieces.tables) == 0
+    assert peak <= 3_500_000, peak
+    assert held <= 1_000_000, held

@@ -61,9 +61,11 @@ from oracles import (
 )
 
 # Every route of the sampled walk, as (PIECE_LIMIT, LOOKUP_MIN): every
-# piece walked, only triangles looked up, every piece up to the default
-# limit looked up, and the defaults.
-PIECE_ROUTES = [(0, 0), (3, 0), (blocks.PIECE_LIMIT, 0),
+# piece but the cycles walked, at limit 0 and at 3 alike, since the one
+# piece of three vertices is a triangle, a cycle; only pieces of at most
+# five vertices looked up (K4s, K5s, bowties of two triangles); every
+# piece up to the default limit looked up; and the defaults.
+PIECE_ROUTES = [(0, 0), (3, 0), (5, 0), (blocks.PIECE_LIMIT, 0),
                 (blocks.PIECE_LIMIT, blocks.LOOKUP_MIN)]
 
 
@@ -415,10 +417,76 @@ class TestPieceRoutes:
                     assert (permutation_marginals(g, order).tolist()
                             == whole_graph_marginals(g, order.tolist()))
 
+    @pytest.mark.parametrize("limit, lookup_min", PIECE_ROUTES)
+    @given(st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_cycle_pieces_of_any_length(self, limit, lookup_min, data):
+        # Cycles of 3 to 40 vertices among pieces that are not cycles:
+        # against the flood fill up to 10 vertices, the whole-graph walk
+        # on hundreds.
+        kinds = ("cycle", "cycle", "tree", "bowtie", "clique_with_pendants", "complete")
+        small = data.draw(st.integers(1, 10).flatmap(
+            lambda n: bridged_unions(min_n=n, max_piece=7, kinds=kinds)
+        ).filter(lambda g: g.n <= 10))
+        large = data.draw(bridged_unions(min_n=150, max_piece=40, kinds=kinds))
+        small_order = data.draw(st.permutations(range(small.n)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        order = rng.permutation(large.n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "PIECE_LIMIT", limit)
+            mp.setattr(blocks, "LOOKUP_MIN", lookup_min)
+            got = permutation_marginals(small, small_order).tolist()
+            assert got == flood_marginals(small, small_order)
+            assert got == whole_graph_marginals(small, small_order)
+            assert (permutation_marginals(large, order).tolist()
+                    == whole_graph_marginals(large, order.tolist()))
+
+    def test_cactus_needs_no_table_and_no_walk(self, monkeypatch):
+        # Cycles of 3 to 120 vertices joined by trees, which hang pendant
+        # paths and stars off cycle vertices: every piece is a cycle.
+        def refuse(*args):
+            raise AssertionError("a table or a walk on a cactus of cycles and trees")
+
+        g = joined_by_bridges([
+            cycle_graph(3), path_graph(5), cycle_graph(40), star_graph(6),
+            cycle_graph(4), cycle_graph(3), cycle_graph(17), path_graph(2),
+            cycle_graph(120), star_graph(3),
+        ], seed=6)
+        monkeypatch.setattr(engine, "component_changes", refuse)
+        monkeypatch.setattr(homology, "betti0_table", refuse)
+        est = sampled_shapley(g, 100, 8)
+        monkeypatch.undo()
+        assert len(g.pieces.cycles) == 3 + 40 + 4 + 3 + 17 + 120
+        sums, _ = whole_graph_sums(g, 100, 8)
+        assert est.shapley == tuple(s / 100 for s in sums)
+
+    @pytest.mark.parametrize("limit, lookup_min", PIECE_ROUTES)
+    @pytest.mark.parametrize("shape", [
+        NeighborComplex.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
+        two_cycles_sharing_a_vertex(6),
+        complete_graph(5),
+    ], ids=["bowtie", "two-6-cycles", "K5"])
+    def test_even_degrees_alone_make_no_cycle(self, shape, limit, lookup_min):
+        # Every degree is even, but some vertex has four neighbours in the
+        # piece: it is looked up or walked, and only the 6-cycle beside it
+        # is scored as a cycle.
+        g = joined_by_bridges([shape, cycle_graph(6)], seed=4)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "PIECE_LIMIT", limit)
+            mp.setattr(blocks, "LOOKUP_MIN", lookup_min)
+            pieces = g.pieces
+            assert len(pieces.cycles) == 6
+            assert len(pieces.looked) + len(pieces.walked) == shape.n
+            rng = np.random.default_rng(5)
+            for order in (rng.permutation(g.n) for _ in range(20)):
+                assert (permutation_marginals(g, order).tolist()
+                        == whole_graph_marginals(g, order.tolist()))
+
     def test_sampled_scores_with_both_kinds_of_piece(self):
         g = named_pieces(4)
         pieces = g.pieces
-        assert len(pieces.looked) == 12 + 11 + 10 + 8 and len(pieces.walked) == 13 + 20
+        assert len(pieces.looked) == 12 + 11 + 10 + 8 and len(pieces.walked) == 13
+        assert len(pieces.cycles) == 20
         est = sampled_shapley(g, 60, 3)
         sums, _ = whole_graph_sums(g, 60, 3)
         assert est.shapley == tuple(s / 60 for s in sums)
