@@ -57,7 +57,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -127,6 +127,26 @@ def shannon_entropy(mu: Sequence) -> float:
     return 0.0 if h == 0.0 else h
 
 
+@cache
+def _width_keys(bits: int) -> tuple[tuple, tuple, tuple]:
+    """The groups (lo, w) of up to 8 bits below ``bits``, each group's
+    int16 key (popcount r, the group's bits of r) for every r < 2^bits,
+    and each group's 0/1 matrix of bit j of column v.  They depend on the
+    width alone, so each width builds them once; every array is read-only
+    since all callers share it."""
+    r = np.arange(1 << bits, dtype=np.int32)
+    sizes = np.bitwise_count(r).astype(np.int32)
+    groups = tuple((lo, min(8, bits - lo)) for lo in range(0, bits, 8))
+    # The largest key is below (bits + 1) 2^8, so int16 holds every key.
+    keys = tuple(
+        (sizes << w | r >> lo & (1 << w) - 1).astype(np.int16) for lo, w in groups
+    )
+    has_bit = tuple(np.arange(1 << w)[:, None] >> np.arange(w) & 1 for _, w in groups)
+    for array in keys + has_bit:
+        array.flags.writeable = False
+    return groups, keys, has_bit
+
+
 def _size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Size-graded sums of the subset table t, as int64.
 
@@ -144,16 +164,14 @@ def _size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     are constant inside it, so each set bit of p0 >> CHUNK_BITS gains the
     chunk's per-size totals.  The float64 weights are exact: every
     partial sum is at most 26 2^26 < 2^53.
+
+    The keys and bit matrices depend only on the chunk width
+    min(CHUNK_BITS, n), not on n, so :func:`_width_keys` caches them per
+    width: at most CHUNK_BITS widths, 128 KB of keys at width 15.
     """
     bits = min(CHUNK_BITS, n)
+    groups, keys, has_bits = _width_keys(bits)
     chunk = 1 << bits
-    r = np.arange(chunk, dtype=np.int32)
-    sizes = np.bitwise_count(r).astype(np.int32)
-    groups = [(lo, min(8, bits - lo)) for lo in range(0, bits, 8)]
-    # The largest key is below (bits + 1) 2^8, so int16 holds every key.
-    keys = [
-        (sizes << w | r >> lo & (1 << w) - 1).astype(np.int16) for lo, w in groups
-    ]
     group_sums = [np.zeros((n + 1, 1 << w)) for _, w in groups]
     sums = np.zeros((n, n + 1))
     for p0 in range(0, 1 << n, chunk):
@@ -167,9 +185,8 @@ def _size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
             if p0 >> i & 1:
                 sums[i, rows] += totals
     sums = sums.astype(np.int64)
-    for (lo, w), group in zip(groups, group_sums):
+    for (lo, w), group, has_bit in zip(groups, group_sums, has_bits):
         # Integer matmul, exact and with no BLAS call: column v times bit j of v.
-        has_bit = np.arange(1 << w)[:, None] >> np.arange(w) & 1
         sums[lo : lo + w] = (group.astype(np.int64) @ has_bit).T
     return sums, group_sums[0].sum(axis=1).astype(np.int64)
 

@@ -124,10 +124,11 @@ def rank_nodes(graph: NeighborComplex) -> list[int]:
     """Vertices sorted by exact influence, highest first, ties by index.
 
     The scores sort in the order of ``mu``, their quotients by a positive
-    total, so ``mu`` is never built.
+    total, so ``mu`` is never built.  The sort is stable under
+    ``reverse=True``, so tied vertices keep their index order.
     """
     scores = compute_influence(graph).shapley
-    return sorted(range(graph.n), key=lambda i: (-scores[i], i))
+    return sorted(range(graph.n), key=scores.__getitem__, reverse=True)
 
 
 def mask_nodes(graph: NeighborComplex, vertices: set[int]) -> NeighborComplex:

@@ -11,14 +11,21 @@ Serialization is hand-rolled rather than delegated to json.dumps for
 one reason: identical envelopes must produce identical bytes, with
 float formatting pinned to one spelling, independent of interpreter
 defaults.  No timestamps, no environment leakage.
+
+The JSON writer makes one pass: each container joins its items once,
+separated by a comma and a newline, recursing only into nested
+containers, and each scalar is spelled inline by one helper.  Strings
+and keys go through ``json.encoder.encode_basestring``, the function
+``json.dumps(..., ensure_ascii=False)`` ends up calling: the bytes are
+the same, without a new encoder built for every string.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+from json.encoder import encode_basestring
 
 from .errors import InputError
 
@@ -48,51 +55,57 @@ def make_envelope(kind: str, version: str, config: dict, payload: dict) -> dict:
     }
 
 
-def _write_json(value, out: list[str], indent: int) -> None:
-    pad = "  " * indent
+def _scalar(value) -> str:
+    """One JSON scalar: None, bools, strings, ints, then floats."""
     if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, str):
-        out.append(json.dumps(value, ensure_ascii=False))
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        out.append(fmt_float(value))
-    elif isinstance(value, dict):
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return fmt_float(value)
+    raise InputError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+def _refuse_key(key):
+    raise InputError(f"JSON object keys must be strings, got {key!r}")
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _json(value, pad: str) -> str:
+    """``value`` as JSON, its nested lines indented by ``pad``."""
+    if isinstance(value, dict):
         if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise InputError(f"JSON object keys must be strings, got {key!r}")
-            out.append(f"{pad}  {json.dumps(key, ensure_ascii=False)}: ")
-            _write_json(item, out, indent + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple)):
+            return "{}"
+        inner = pad + "  "
+        body = ",\n".join(
+            f"{inner}{encode_basestring(key) if isinstance(key, str) else _refuse_key(key)}"
+            f": {_json(item, inner) if isinstance(item, _CONTAINERS) else _scalar(item)}"
+            for key, item in value.items()
+        )
+        return f"{{\n{body}\n{pad}}}"
+    if isinstance(value, (list, tuple)):
         if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, item in enumerate(value):
-            out.append(pad + "  ")
-            _write_json(item, out, indent + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise InputError(f"cannot serialize {type(value).__name__} to JSON")
+            return "[]"
+        inner = pad + "  "
+        body = ",\n".join(
+            inner
+            + (_json(item, inner) if isinstance(item, _CONTAINERS) else _scalar(item))
+            for item in value
+        )
+        return f"[\n{body}\n{pad}]"
+    return _scalar(value)
 
 
 def to_json(envelope: dict) -> str:
-    out: list[str] = []
-    _write_json(envelope, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _json(envelope, "") + "\n"
 
 
 # The payload key of each kind's row list.  A sweep's rows are its

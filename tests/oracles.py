@@ -8,12 +8,15 @@ oracles share no code with the lazy enumeration; the scalar edit-distance
 dynamic program shares no code with the package's vectorized kernel, nor
 do the one-pair hamming and euclidean distances with its numpy tiles; the
 pair-list Erdos-Renyi edges share no code with the package's hit walk.
-The whole-graph walk is the sampled estimator's route before bridges were
-scored in closed form: one union-find walk over every edge per order, each
-order drawn from a new Philox bit generator.
+The JSON writer is the package's before it wrote each container in one
+pass: it recurses once per value and spells every string and key through
+``json.dumps``.  The whole-graph walk is the sampled estimator's route
+before bridges were scored in closed form: one union-find walk over every
+edge per order, each order drawn from a new Philox bit generator.
 """
 
 import functools
+import json
 import math
 import random
 
@@ -21,6 +24,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from topoinfluence.homology import component_changes
+from topoinfluence.report import fmt_float
 from topoinfluence import (
     FAMILIES,
     Grammar,
@@ -210,6 +214,55 @@ def reference_size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     totals = np.zeros(n + 1, dtype=np.int64)
     np.add.at(totals, sizes, values)
     return sums, totals
+
+
+def _write_json(value, out: list[str], indent: int) -> None:
+    pad = "  " * indent
+    if value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, str):
+        out.append(json.dumps(value, ensure_ascii=False))
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, float):
+        out.append(fmt_float(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, item) in enumerate(value.items()):
+            if not isinstance(key, str):
+                raise InputError(f"JSON object keys must be strings, got {key!r}")
+            out.append(f"{pad}  {json.dumps(key, ensure_ascii=False)}: ")
+            _write_json(item, out, indent + 1)
+            out.append(",\n" if i < len(value) - 1 else "\n")
+        out.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, item in enumerate(value):
+            out.append(pad + "  ")
+            _write_json(item, out, indent + 1)
+            out.append(",\n" if i < len(value) - 1 else "\n")
+        out.append(pad + "]")
+    else:
+        raise InputError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+def reference_to_json(envelope: dict) -> str:
+    """The JSON writer that recursed once per value and spelled every
+    string and key through ``json.dumps(..., ensure_ascii=False)``."""
+    out: list[str] = []
+    _write_json(envelope, out, 0)
+    out.append("\n")
+    return "".join(out)
 
 
 def _star_plus_cycle() -> NeighborComplex:

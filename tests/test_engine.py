@@ -252,6 +252,32 @@ class TestSizeSums:
         assert sums.tobytes() == want_sums.tobytes()
         assert totals.tobytes() == want_totals.tobytes()
 
+    def test_width_cache_is_read_only(self):
+        groups, keys, has_bits = engine._width_keys(15)
+        assert groups == ((0, 8), (8, 7))
+        for array in keys + has_bits:
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_width_cache_follows_the_chunk_width(self):
+        # The keys depend on min(CHUNK_BITS, n), not on n: a width met again
+        # reads its cached keys, and n = 15 at CHUNK_BITS = 3 must not read
+        # the width-15 keys that n = 15 cached at the default.
+        def check(n):
+            g = erdos_renyi_graph(n, 0.25, seed=n)
+            sums, totals = engine._size_sums(betti0_table(g), n)
+            want_sums, want_totals = reference_size_sums(reference_betti0_table(g), n)
+            assert sums.tobytes() == want_sums.tobytes()
+            assert totals.tobytes() == want_totals.tobytes()
+
+        assert homology.CHUNK_BITS == engine.CHUNK_BITS == 15
+        for n in (14, 9, 14, 3, 15):
+            check(n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(homology, "CHUNK_BITS", 3)
+            mp.setattr(engine, "CHUNK_BITS", 3)
+            check(15)
+
 
 def test_degree_term_is_the_star_identity():
     # sum_k k! (n-1-k)! C(n-1-d, k) = n! / (d + 1): a vertex precedes all
