@@ -17,19 +17,25 @@ the entropy from them, the same way for every method.
 
 Two evaluation modes:
 
-exact     subset table over all 2^n coalitions.  The signed marginal
-          b0(C + i) - b0(C) is 1 minus the number of components among
-          i's neighbours in C, so the absolute one is 2 [i has no
-          neighbour in C] minus it.  Averaged with the Shapley weights
-          the first term is 2 / (deg i + 1), twice the chance that i
-          precedes all its neighbours in a random order, so
+exact     closed form on a forest, else a subset table over all 2^n
+          coalitions.  The signed marginal b0(C + i) - b0(C) is 1 minus
+          the number of components among i's neighbours in C, so the
+          absolute one is 2 [i has no neighbour in C] minus it.  Averaged
+          with the Shapley weights the first term is 2 / (deg i + 1),
+          twice the chance that i precedes all its neighbours in a random
+          order, so
 
               s(i) = 2 / (deg i + 1) - phi(i)
 
           with phi the plain signed Shapley value of b0, read off
           size-graded sums of the table (once per group of 8 vertices).
           Each n! s(i) is a Python int, so scores are bit-for-bit
-          reproducible Fractions.
+          reproducible Fractions.  In a forest i's earlier neighbours lie
+          in distinct components, since the one path between two of them
+          runs through i, so their number e is uniform on 0..deg i and
+          s(i) = E|1 - e| = (2 + d (d - 1)) / (2 (d + 1)), d = deg i: a
+          forest fills no table.  The cap and the past-cap warning apply
+          to forests all the same.
 sampled   Monte Carlo over uniformly random insertion orders; the
           predecessor set of i in a uniform permutation is exactly a
           coalition drawn with the Shapley weights, so the running mean
@@ -64,7 +70,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, SizeCapError
-from .homology import CHUNK_BITS, TABLE_HARD_MAX, betti0_table, component_changes
+from .homology import (
+    CHUNK_BITS, TABLE_HARD_MAX, betti0, betti0_table, component_changes,
+)
 from .metric_complex import NeighborComplex
 from .streams import philox_block
 
@@ -214,7 +222,10 @@ def exact_shapley(
 
     Refuses n above ``cap``; raising the cap past the default is allowed
     up to the table's hard maximum but warns, since time grows as
-    O(n 2^n) and memory as 2^n bytes.
+    O(n 2^n) and memory as 2^n bytes.  Both hold for a forest too, though
+    a forest (m < n edges and m + b0 = n) fills no table: its scores are
+    the closed form (2 + d (d - 1)) / (2 (d + 1)) of the module docstring,
+    d = deg i.
 
     With w_k = k! (n-1-k)! and the size sums A, T of :func:`_size_sums`,
 
@@ -232,6 +243,16 @@ def exact_shapley(
             "time and memory roughly double with each vertex past the default cap",
             RuntimeWarning,
             stacklevel=2,
+        )
+    m = complex_.num_edges()
+    if m < n and m + betti0(complex_) == n:
+        return InfluenceResult(
+            labels=_labels_of(complex_),
+            shapley=tuple(
+                Fraction(2 + d * (d - 1), 2 * (d + 1))
+                for d in map(complex_.degree, range(n))
+            ),
+            method="exact",
         )
     sums, totals = _size_sums(betti0_table(complex_), n)
     totals = totals.tolist()

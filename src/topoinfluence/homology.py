@@ -7,18 +7,20 @@ vertices before it in an order.  It reads each vertex's neighbours from
 neighbour tuples, so a step costs the vertex's degree, not a scan of an
 n-bit row: ``betti0`` walks the complex's ``neighbors``, and the sampled
 walk only the cycle edges of pieces too large for a table.  Exact mode
-needs more: the component count of the induced subgraph on every subset
-S of vertices, all 2^n of them, and the sampled walk the same table for
-each small piece.  ``betti0_table`` fills that table with a peeling
-recurrence instead of 2^n independent traversals: the count for S is
-one more than the count for S minus the component containing S's
-highest vertex, and that smaller subset was already solved.  Most
-subsets are settled by the highest vertex's own neighbours in S: with
-none, it is a component of its own; with exactly one, it joins that
-neighbour's component and the count is that of S without it; with two
-or more, the component starts as the vertex and those neighbours, and
-grows only while it still changes and is not yet all of S.  The fill runs as numpy passes
-over chunks of subsets, never as a Python loop over all 2^n of them.
+on a graph with a cycle needs more: the component count of the induced
+subgraph on every subset S of vertices, all 2^n of them, and the sampled
+walk the same table for each small piece.  (A forest takes a closed form
+in ``engine.exact_shapley`` and fills no table.)  ``betti0_table`` fills
+that table with a peeling recurrence instead of 2^n independent
+traversals: the count for S is one more than the count for S minus the
+component containing S's highest vertex, and that smaller subset was
+already solved.  Most subsets are settled by the highest vertex's own
+neighbours in S: with none, it is a component of its own; with exactly
+one, it joins that neighbour's component and the count is that of S
+without it; with two or more, the component starts as the vertex and
+those neighbours, and grows only while it still changes and is not yet
+all of S.  The fill runs as numpy passes over chunks of subsets, never
+as a Python loop over all 2^n of them.
 
 The slower, independent counters these are tested against (a bitmask
 flood fill per subset, and the zero eigenvalues of the graph Laplacian)

@@ -84,7 +84,9 @@ def generate_er_dataset(
     has room.  Class quotas differ by at most one when count is not a
     multiple of three.  Deterministic per seed: attempt j uses its own
     counter block of a Philox stream, so accepted graphs do not depend
-    on how earlier attempts were rejected.
+    on how earlier attempts were rejected.  GenerationBudgetError comes
+    when the budget of draws runs out, or before the first draw when the
+    ranges rule a class out.
     """
     if count < 3:
         raise InputError(f"need at least 3 graphs for 3 classes, got {count}")
@@ -94,6 +96,18 @@ def generate_er_dataset(
         raise InputError(f"bad vertex range {n_range}")
     if not (0.0 <= p_lo <= p_hi <= 1.0):
         raise InputError(f"bad probability range {p_range}")
+
+    # Refuse, before any draw, a class no draw can reach: n vertices have
+    # at most n components, exactly 1 at p = 1 and exactly n at p = 0.
+    unreachable = [
+        c for c in (1, 2, 3)
+        if c > n_hi or (p_lo == 1.0 and c > 1) or (p_hi == 0.0 and c < n_lo)
+    ]
+    if unreachable:
+        raise GenerationBudgetError(
+            f"no draw can give {unreachable[0]} components; "
+            f"widen n_range={n_range} or p_range={p_range}"
+        )
 
     base, extra = divmod(count, 3)
     quota = {c: base + (1 if c <= extra else 0) for c in (1, 2, 3)}

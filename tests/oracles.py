@@ -284,7 +284,11 @@ def relabeled(complex_: NeighborComplex, seed: int) -> NeighborComplex:
 # chunks, and their components reach across chunk boundaries.  In K17
 # almost every component is its whole mask at the first step; in the
 # relabeled path a top vertex's neighbours lie anywhere below it, where
-# in path18 the one below it is always the next lower vertex.
+# in path18 the one below it is always the next lower vertex.  The paths
+# are forests, which exact mode scores with no table, so against their
+# reference tables they check that closed form at n = 18 in the engine
+# tests; there the other three, star9+cycle9 the sparse one, still fill
+# a multi-chunk table.
 MULTI_CHUNK_GRAPHS = {
     "path18": path_graph(18),
     "path18-relabeled": relabeled(path_graph(18), 7),

@@ -6,7 +6,8 @@ engine's subset-table walk.  Agreement between the two is the main
 correctness evidence for the exact path; the sampled path is checked for
 unbiasedness (full-permutation average) and reproducibility.  The exact
 scores are also held against the absolute marginal tallies of the slow
-routes in ``oracles``, on graphs that span several chunks.
+routes in ``oracles``, on graphs that span several chunks, and on
+forests, which exact mode scores in closed form with no table.
 """
 
 import dataclasses
@@ -36,10 +37,12 @@ from topoinfluence import (
     erdos_renyi_graph,
     exact_shapley,
     path_graph,
+    path_scores,
     permutation_marginals,
     sampled_shapley,
     shannon_entropy,
     star_graph,
+    star_scores,
     wheel_graph,
     wheel_scores,
 )
@@ -234,6 +237,118 @@ class TestMarginalTallies:
     def test_multi_chunk_graphs_match_reference(self, name):
         g, table = multi_chunk_case(name)
         assert exact_shapley(g).shapley == tally_scores(table, g.n)
+
+
+@st.composite
+def forests(draw, max_n=16):
+    """Trees on 1..max_n vertices, isolated vertices among them, under a
+    random relabeling: each vertex after the first hangs from an earlier
+    one or starts a tree of its own, which may stay a single vertex."""
+    n = draw(st.integers(1, max_n))
+    edges = []
+    for v in range(1, n):
+        parent = draw(st.none() | st.integers(0, v - 1))
+        if parent is not None:
+            edges.append((parent, v))
+    label = draw(st.permutations(range(n)))
+    return NeighborComplex.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
+def cyclic_graphs(draw, max_n=7):
+    """A graph on 3..max_n vertices with a triangle on 0, 1, 2 and any
+    other edges: it has a cycle, so exact mode fills its table."""
+    g = draw(small_graphs(min_n=3, max_n=max_n))
+    return NeighborComplex.from_edges(g.n, [*g.edges(), (0, 1), (1, 2), (0, 2)])
+
+
+def degree_scores(g: NeighborComplex) -> tuple[Fraction, ...]:
+    """c(deg i) = 2 / (deg i + 1) + deg i / 2 - 1 for every vertex: the
+    scores of a forest, spelled as in the Euler-characteristic identity."""
+    return tuple(
+        Fraction(2, d + 1) + Fraction(d, 2) - 1 for d in map(g.degree, range(g.n))
+    )
+
+
+class TestForests:
+    """A forest is scored in closed form, with no subset table; every other
+    graph still fills its whole table."""
+
+    @given(forests())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_tallies_and_degree_form(self, g):
+        scores = exact_shapley(g).shapley
+        assert scores == tally_scores(reference_betti0_table(g), g.n)
+        assert scores == degree_scores(g)
+
+    @pytest.mark.parametrize("g, want", [
+        (path_graph(20), path_scores(20)),
+        (star_graph(15), star_scores(15)),
+        (NeighborComplex.from_edges(20, []), (Fraction(1),) * 20),
+    ], ids=["path20", "star15", "edgeless20"])
+    def test_fills_no_table(self, monkeypatch, g, want):
+        def refuse(complex_):
+            raise AssertionError("a forest filled a subset table")
+
+        monkeypatch.setattr(engine, "betti0_table", refuse)
+        res = exact_shapley(g)
+        assert res.method == "exact"
+        assert res.shapley == want
+
+    @pytest.mark.parametrize("g", [
+        NeighborComplex.from_edges(12, [*path_graph(12).edges(), (2, 9)]),
+        # Fewer edges than vertices, yet a cycle: 3 + 3 components is not 5.
+        NeighborComplex.from_edges(5, [(0, 1), (1, 2), (0, 2)]),
+    ], ids=["path12+chord", "triangle+2"])
+    def test_a_cycle_fills_one_whole_table(self, monkeypatch, g):
+        lengths = []
+
+        def counted(complex_):
+            table = betti0_table(complex_)
+            lengths.append(len(table))
+            return table
+
+        monkeypatch.setattr(engine, "betti0_table", counted)
+        scores = exact_shapley(g).shapley
+        assert lengths == [2**g.n]
+        assert scores == tally_scores(reference_betti0_table(g), g.n)
+
+    def test_cap_and_warning_unchanged(self):
+        g = path_graph(21)
+        with pytest.raises(SizeCapError, match="n=21 exceeds cap 20"):
+            exact_shapley(g)
+        with pytest.warns(RuntimeWarning) as record:
+            res = exact_shapley(g, cap=21)
+        assert [str(w.message) for w in record] == [
+            "exact enumeration at n=21 fills a 2^21-entry subset table; time and "
+            "memory roughly double with each vertex past the default cap"
+        ]
+        assert res.shapley == path_scores(21)
+
+
+class TestMetamorphic:
+    """Relations between the exact scores of related graphs, on the forest
+    route and the table route alike."""
+
+    @given(st.one_of(forests(max_n=9), cyclic_graphs()), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_relabeling_permutes_the_scores(self, g, data):
+        label = data.draw(st.permutations(range(g.n)))
+        moved = NeighborComplex.from_edges(
+            g.n, [(label[u], label[v]) for u, v in g.edges()]
+        )
+        scores, moved_scores = exact_shapley(g).shapley, exact_shapley(moved).shapley
+        assert all(moved_scores[label[i]] == s for i, s in enumerate(scores))
+
+    @given(forests(max_n=8), cyclic_graphs())
+    @settings(max_examples=30, deadline=None)
+    def test_disjoint_union_concatenates_the_raw_scores(self, forest, cyclic):
+        union = NeighborComplex.from_edges(forest.n + cyclic.n, [
+            *forest.edges(), *((u + forest.n, v + forest.n) for u, v in cyclic.edges())
+        ])
+        assert exact_shapley(union).shapley == (
+            exact_shapley(forest).shapley + exact_shapley(cyclic).shapley
+        )
 
 
 class TestSizeSums:

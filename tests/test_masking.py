@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings
 
+from topoinfluence import masking
 from topoinfluence import (
     GenerationBudgetError,
     InputError,
@@ -102,6 +103,35 @@ class TestGenerateDataset:
         # n=2 at p=1 is always connected: classes 2 and 3 unreachable.
         with pytest.raises(GenerationBudgetError, match="p_range"):
             generate_er_dataset(3, n_range=(2, 2), p_range=(1.0, 1.0), seed=0)
+
+    @pytest.mark.parametrize("n_range, p_range, first", [
+        ((1, 2), (0.1, 0.5), 3),  # class 3 needs 3 vertices
+        ((5, 9), (1.0, 1.0), 2),  # every graph is complete: class 1 alone
+        ((4, 9), (0.0, 0.0), 1),  # the label is n, at least 4
+        ((2, 9), (0.0, 0.0), 1),  # class 1 needs n = 1
+        ((1, 2), (0.0, 0.0), 3),  # class 3 needs n = 3
+    ])
+    def test_unreachable_class_refused_before_any_draw(
+        self, monkeypatch, n_range, p_range, first
+    ):
+        def refuse(*args):
+            raise AssertionError("a graph was drawn for ranges that cannot fill")
+
+        monkeypatch.setattr(masking, "_er_edges", refuse)
+        with pytest.raises(GenerationBudgetError, match=f"give {first} components.*p_range"):
+            generate_er_dataset(30, n_range=n_range, p_range=p_range, seed=0)
+
+    def test_edgeless_ranges_that_reach_every_class_fill(self):
+        ds = generate_er_dataset(6, n_range=(1, 3), p_range=(0.0, 0.0), seed=1)
+        assert sorted(item.label for item in ds) == [1, 1, 2, 2, 3, 3]
+        assert all(item.label == item.graph.n for item in ds)
+
+    def test_budget_exhaustion_when_every_class_is_reachable(self, monkeypatch):
+        # p just under 1 on 20 vertices can give 2 components, but in
+        # practice never does: the budget runs out.
+        monkeypatch.setattr(masking, "ATTEMPTS_PER_GRAPH", 2)
+        with pytest.raises(GenerationBudgetError, match="after 6 attempts"):
+            generate_er_dataset(3, n_range=(20, 20), p_range=(0.9, 1.0), seed=0)
 
     def test_parameter_validation(self):
         with pytest.raises(InputError):
