@@ -4,7 +4,9 @@ An edge is a bridge when no cycle uses it: deleting it splits a
 component in two.  ``lowlinks`` runs the search of Hopcroft & Tarjan
 (1973) once, iteratively, over neighbour tuples in ascending order, as
 ``NeighborComplex.neighbors`` holds them; bridges, cut vertices and
-biconnected blocks all follow from its three lists.
+biconnected blocks all follow from its three lists.  Exact mode reads
+the blocks off them with ``biconnected_blocks``, and scores a graph
+whose blocks are all complete in closed form.
 
 ``split_pieces`` reads the bridges and the pieces off the search forest
 in one preorder pass, a piece being a component, of at least three
@@ -74,6 +76,36 @@ def lowlinks(neighbors: Sequence[Sequence[int]]) -> tuple[list[int], list[int], 
                 if p >= 0 and low[v] < low[p]:
                     low[p] = low[v]
     return disc, parent, low
+
+
+def biconnected_blocks(neighbors: Sequence[Sequence[int]]) -> list[tuple[list[int], int]]:
+    """Each biconnected block of the graph as (its vertices, its edge count).
+
+    A tree edge (p, v) of :func:`lowlinks` lies on a cycle with p's own
+    tree edge iff something in v's subtree reaches above p, low[v] <
+    disc[p].  So in preorder each vertex but a root joins its parent's
+    block then, and otherwise opens a new block of p and itself, named
+    by v, that the vertices joining v's block extend.  An edge (v, w)
+    with disc[w] < disc[v] is v's tree edge or a back edge to an
+    ancestor, which closes a cycle through v's tree edge: it belongs to
+    v's block.  One O(n + m) pass; an isolated vertex lies in no block.
+    """
+    n = len(neighbors)
+    disc, parent, low = lowlinks(neighbors)
+    head = list(range(n))
+    members: dict[int, list[int]] = {}
+    edges: dict[int, int] = {}
+    for v in sorted(range(n), key=disc.__getitem__):
+        if (p := parent[v]) < 0:
+            continue
+        if low[v] < disc[p]:
+            head[v] = head[p]
+            members[head[v]].append(v)
+        else:
+            members[v] = [p, v]
+            edges[v] = 0
+        edges[head[v]] += sum(disc[w] < disc[v] for w in neighbors[v])
+    return [(vertices, edges[h]) for h, vertices in members.items()]
 
 
 class Pieces(NamedTuple):

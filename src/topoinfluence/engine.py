@@ -17,25 +17,32 @@ the entropy from them, the same way for every method.
 
 Two evaluation modes:
 
-exact     closed form on a forest, else a subset table over all 2^n
-          coalitions.  The signed marginal b0(C + i) - b0(C) is 1 minus
-          the number of components among i's neighbours in C, so the
-          absolute one is 2 [i has no neighbour in C] minus it.  Averaged
-          with the Shapley weights the first term is 2 / (deg i + 1),
-          twice the chance that i precedes all its neighbours in a random
-          order, so
+exact     closed form when every biconnected block is complete, else a
+          subset table over all 2^n coalitions.  The signed marginal
+          b0(C + i) - b0(C) is 1 minus the number of components among
+          i's neighbours in C, so the absolute one is 2 [i has no
+          neighbour in C] minus it.  Averaged with the Shapley weights the
+          first term is 2 / (deg i + 1), twice the chance that i precedes
+          all its neighbours in a random order, so
 
               s(i) = 2 / (deg i + 1) - phi(i)
 
           with phi the plain signed Shapley value of b0, read off
           size-graded sums of the table (once per group of 8 vertices).
           Each n! s(i) is a Python int, so scores are bit-for-bit
-          reproducible Fractions.  In a forest i's earlier neighbours lie
-          in distinct components, since the one path between two of them
-          runs through i, so their number e is uniform on 0..deg i and
-          s(i) = E|1 - e| = (2 + d (d - 1)) / (2 (d + 1)), d = deg i: a
-          forest fills no table.  The cap and the past-cap warning apply
-          to forests all the same.
+          reproducible Fractions.  Since b0 = |V| - |E| + b1 and b1 adds
+          up over blocks, s(i) = c(deg i) + sum over i's blocks B of
+          [s_B(i) - c(deg_B i)], c(d) = 2 / (d + 1) + d / 2 - 1, with s_B
+          the scores of B alone.  K_k scores 1/k everywhere, so a graph
+          whose blocks are all complete (a forest, whose blocks are its
+          edges; disjoint cliques; the complete complex past the
+          diameter) fills no table:
+
+              s(i) = 2 / (deg i + 1) - 1 + sum over i's blocks B of (1 - 1/|B|),
+
+          1 for an isolated sample and (2 + d (d - 1)) / (2 (d + 1)) in a
+          forest.  The cap applies to these graphs all the same; the
+          past-cap warning only where a table is filled.
 sampled   Monte Carlo over uniformly random insertion orders; the
           predecessor set of i in a uniform permutation is exactly a
           coalition drawn with the Shapley weights, so the running mean
@@ -69,10 +76,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .blocks import biconnected_blocks
 from .errors import InputError, SizeCapError
-from .homology import (
-    CHUNK_BITS, TABLE_HARD_MAX, betti0, betti0_table, component_changes,
-)
+from .homology import CHUNK_BITS, TABLE_HARD_MAX, betti0_table, component_changes
 from .metric_complex import NeighborComplex
 from .streams import philox_block
 
@@ -175,7 +181,7 @@ def _size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The keys and bit matrices depend only on the chunk width
     min(CHUNK_BITS, n), not on n, so :func:`_width_keys` caches them per
-    width: at most CHUNK_BITS widths, 128 KB of keys at width 15.
+    width: at most CHUNK_BITS widths, 64 KB of keys at width 14.
     """
     bits = min(CHUNK_BITS, n)
     groups, keys, has_bits = _width_keys(bits)
@@ -215,17 +221,39 @@ def check_permutations(permutations: int) -> None:
         raise InputError(f"need at least one permutation, got {permutations}")
 
 
+def _complete_block_scores(complex_: NeighborComplex) -> tuple[Fraction, ...] | None:
+    """The exact scores of a graph whose biconnected blocks are all
+    complete, in closed form, or None when some block is not: a block of
+    k vertices is complete iff it holds k (k - 1) / 2 edges.  Each score
+    is 2 / (d + 1) - 1 + sum of (1 - 1/k) over i's blocks, built over
+    their common denominator and normalized by one Fraction."""
+    sizes: list[list[int]] = [[] for _ in range(complex_.n)]
+    for vertices, edges in biconnected_blocks(complex_.neighbors):
+        k = len(vertices)
+        if 2 * edges != k * (k - 1):
+            return None
+        for v in vertices:
+            sizes[v].append(k)
+    scores = []
+    for i, ks in enumerate(sizes):
+        d = complex_.degree(i)
+        den = math.lcm(d + 1, *ks)
+        num = 2 * den // (d + 1) - den + sum(den - den // k for k in ks)
+        scores.append(Fraction(num, den))
+    return tuple(scores)
+
+
 def exact_shapley(
     complex_: NeighborComplex, cap: int = DEFAULT_EXACT_CAP
 ) -> InfluenceResult:
     """Exact rational Shapley scores by full coalition enumeration.
 
-    Refuses n above ``cap``; raising the cap past the default is allowed
-    up to the table's hard maximum but warns, since time grows as
-    O(n 2^n) and memory as 2^n bytes.  Both hold for a forest too, though
-    a forest (m < n edges and m + b0 = n) fills no table: its scores are
-    the closed form (2 + d (d - 1)) / (2 (d + 1)) of the module docstring,
-    d = deg i.
+    Refuses n above ``cap``, on every graph.  A graph whose biconnected
+    blocks (:func:`~topoinfluence.blocks.biconnected_blocks`) are all
+    complete fills no table: its scores are the closed form of the module
+    docstring.  Any other graph fills one; raising the cap past the
+    default is allowed for it up to the table's hard maximum but warns,
+    since time grows as O(n 2^n) and memory as 2^n bytes.
 
     With w_k = k! (n-1-k)! and the size sums A, T of :func:`_size_sums`,
 
@@ -237,22 +265,15 @@ def exact_shapley(
     """
     n = complex_.n
     check_exact_cap(n, cap)
+    scores = _complete_block_scores(complex_)
+    if scores is not None:
+        return InfluenceResult(labels=_labels_of(complex_), shapley=scores, method="exact")
     if n > DEFAULT_EXACT_CAP:
         warnings.warn(
             f"exact enumeration at n={n} fills a 2^{n}-entry subset table; "
             "time and memory roughly double with each vertex past the default cap",
             RuntimeWarning,
             stacklevel=2,
-        )
-    m = complex_.num_edges()
-    if m < n and m + betti0(complex_) == n:
-        return InfluenceResult(
-            labels=_labels_of(complex_),
-            shapley=tuple(
-                Fraction(2 + d * (d - 1), 2 * (d + 1))
-                for d in map(complex_.degree, range(n))
-            ),
-            method="exact",
         )
     sums, totals = _size_sums(betti0_table(complex_), n)
     totals = totals.tolist()

@@ -7,14 +7,15 @@ vertices before it in an order.  It reads each vertex's neighbours from
 neighbour tuples, so a step costs the vertex's degree, not a scan of an
 n-bit row: ``betti0`` walks the complex's ``neighbors``, and the sampled
 walk only the cycle edges of pieces too large for a table.  Exact mode
-on a graph with a cycle needs more: the component count of the induced
-subgraph on every subset S of vertices, all 2^n of them, and the sampled
-walk the same table for each small piece.  (A forest takes a closed form
-in ``engine.exact_shapley`` and fills no table.)  ``betti0_table`` fills
-that table with a peeling recurrence instead of 2^n independent
-traversals: the count for S is one more than the count for S minus the
-component containing S's highest vertex, and that smaller subset was
-already solved.  Most subsets are settled by the highest vertex's own
+on a graph with a biconnected block that is not complete needs more:
+the component count of the induced subgraph on every subset S of
+vertices, all 2^n of them, and the sampled walk the same table for each
+small piece.  (A graph whose blocks are all complete, forests included,
+takes a closed form in ``engine.exact_shapley`` and fills no table.)
+``betti0_table`` fills that table with a peeling recurrence instead of
+2^n independent traversals: the count for S is one more than the count
+for S minus the component containing S's highest vertex, and that
+smaller subset was already solved.  Most subsets are settled by the highest vertex's own
 neighbours in S: with none, it is a component of its own; with exactly
 one, it joins that neighbour's component and the count is that of S
 without it; with two or more, the component starts as the vertex and
@@ -43,9 +44,15 @@ if TYPE_CHECKING:  # the complex fills its walk's piece tables through this modu
 TABLE_HARD_MAX = 26
 
 # Passes over the table work on 2^CHUNK_BITS subsets at a time, so their
-# numpy temporaries stay near a megabyte whatever n is: under 1 MB where
-# most masks settle at the first step, under 2 MB where most must grow.
-CHUNK_BITS = 15
+# numpy temporaries stay near half a megabyte whatever n is: under 512 KB
+# where most masks settle at the first step, under 1 MB where most must
+# grow.  Each int64 temporary then holds 128 KiB.  At 2^15 masks, glibc
+# mapped every 256 KiB one afresh, page faults and all, unless a larger
+# freed block had already raised its mmap threshold in the process: on
+# a 2-vCPU Xeon VM a 19-vertex K8,11 table and its size sums took
+# 29.7 ms and 6,677 minor faults cold, 10.4 ms and 192 faults after a
+# 2^20-entry table.  At 2^14 they take 14.3 ms and 144 faults cold.
+CHUNK_BITS = 14
 
 # numpy keeps up to seven freed buffers of each size under 1 KiB for
 # reuse.  Growth indexes shorter than this many int64 entries (1 KiB)

@@ -16,6 +16,7 @@ edge per order, each order drawn from a new Philox bit generator.
 """
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -280,15 +281,15 @@ def relabeled(complex_: NeighborComplex, seed: int) -> NeighborComplex:
     )
 
 
-# Graphs of 17-18 vertices: with CHUNK_BITS = 15 their tables span several
+# Graphs of 17-18 vertices: with CHUNK_BITS = 14 their tables span 8-16
 # chunks, and their components reach across chunk boundaries.  In K17
 # almost every component is its whole mask at the first step; in the
 # relabeled path a top vertex's neighbours lie anywhere below it, where
 # in path18 the one below it is always the next lower vertex.  The paths
-# are forests, which exact mode scores with no table, so against their
-# reference tables they check that closed form at n = 18 in the engine
-# tests; there the other three, star9+cycle9 the sparse one, still fill
-# a multi-chunk table.
+# and K17 have only complete blocks, which exact mode scores with no
+# table, so against their reference tables they check that closed form
+# at n = 17-18 in the engine tests; there K8,9 and star9+cycle9, the
+# sparse one, still fill a multi-chunk table.
 MULTI_CHUNK_GRAPHS = {
     "path18": path_graph(18),
     "path18-relabeled": relabeled(path_graph(18), 7),
@@ -401,6 +402,29 @@ def bridged_unions(draw, min_n=1, max_piece=12, kinds=tuple(PIECES)):
         n += k
     label = draw(st.permutations(range(n)))
     return NeighborComplex.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
+def block_graphs(draw, max_n=16):
+    """(graph, cliques): a graph whose biconnected blocks are all
+    complete, under a random relabeling, and its cliques as tuples of
+    their relabeled vertices.  Each clique of 1-6 vertices after the
+    first is glued at one vertex to the graph so far or set apart, so
+    every clique of two or more vertices is a block; a clique of one is
+    an isolated vertex."""
+    n, cliques = 0, []
+    for _ in range(draw(st.integers(1, 8))):
+        k = draw(st.integers(1, min(6, max_n)))
+        at = [draw(st.integers(0, n - 1))] if n and k > 1 and draw(st.booleans()) else []
+        if n + k - len(at) > max_n:
+            break
+        cliques.append((*at, *range(n, n + k - len(at))))
+        n += k - len(at)
+    label = draw(st.permutations(range(n)))
+    cliques = [tuple(label[v] for v in clique) for clique in cliques]
+    return NeighborComplex.from_edges(n, [
+        (u, v) for clique in cliques for u, v in itertools.combinations(clique, 2)
+    ]), cliques
 
 
 def joined_by_bridges(parts, seed: int) -> NeighborComplex:

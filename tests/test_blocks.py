@@ -5,7 +5,9 @@ brute-force definition, held against the bridges of the depth-first
 split on every edge of small graphs.  The pieces, the components of the
 graph minus its bridges, are held against a flood over the non-bridge
 edges, and each small piece's table against the one-mask-at-a-time
-reference table of its induced subgraph.
+reference table of its induced subgraph.  The biconnected blocks are
+held against a deletion oracle: two edges share a block iff no single
+vertex's deletion parts their other ends.
 """
 
 import dataclasses
@@ -18,9 +20,10 @@ from hypothesis import strategies as st
 
 from topoinfluence import NeighborComplex, betti0, complete_graph, cycle_graph, wheel_graph
 from topoinfluence import blocks
-from topoinfluence.blocks import lowlinks, split_pieces
+from topoinfluence.blocks import biconnected_blocks, lowlinks, split_pieces
 
 from oracles import (
+    block_graphs,
     bridged_unions,
     joined_by_bridges,
     reference_betti0_table,
@@ -73,6 +76,79 @@ def test_split_of_named_shapes():
     check_split(NeighborComplex.from_edges(1, []))
 
 
+def brute_force_blocks(g: NeighborComplex) -> list[tuple[tuple[int, ...], int]]:
+    """The blocks as (sorted vertices, edge count), sorted.  Two edges
+    share a block iff they lie in one component and, with any one vertex
+    x deleted, their ends other than x stay in one component: a cut
+    vertex between two blocks parts them, and no vertex parts a block."""
+    edges = list(g.edges())
+    labels = []
+    for x in range(-1, g.n):  # -1: no vertex deleted
+        label = list(range(g.n))
+        for _ in range(g.n):  # relax until every edge's ends agree
+            for u, v in edges:
+                if x not in (u, v):
+                    label[u] = label[v] = min(label[u], label[v])
+        labels.append((x, label))
+
+    def together(e, f):
+        return all(
+            len({label[v] for v in (*e, *f) if v != x}) <= 1 for x, label in labels
+        )
+
+    classes: list[list[tuple[int, int]]] = []
+    for e in edges:
+        for c in classes:
+            if together(c[0], e):
+                c.append(e)
+                break
+        else:
+            classes.append([e])
+    return sorted((tuple(sorted({v for e in c for v in e})), len(c)) for c in classes)
+
+
+def check_blocks(g: NeighborComplex) -> None:
+    found = biconnected_blocks(g.neighbors)
+    assert all(len(set(vertices)) == len(vertices) for vertices, _ in found)
+    assert sorted((tuple(sorted(vertices)), m) for vertices, m in found) == (
+        brute_force_blocks(g)
+    )
+
+
+@given(st.one_of(small_graphs(max_n=10), bridged_unions(min_n=6, max_piece=5)
+                 .filter(lambda g: g.n <= 10),
+                 block_graphs(max_n=10).map(lambda drawn: drawn[0])))
+@settings(max_examples=150, deadline=None)
+def test_blocks_match_the_deletion_oracle(g):
+    check_blocks(g)
+
+
+@given(block_graphs(max_n=16))
+@settings(max_examples=60, deadline=None)
+def test_blocks_of_a_block_graph_are_its_cliques(drawn):
+    g, cliques = drawn
+    found = biconnected_blocks(g.neighbors)
+    assert sorted((sorted(vertices), m) for vertices, m in found) == sorted(
+        (sorted(c), len(c) * (len(c) - 1) // 2) for c in cliques if len(c) > 1
+    )
+
+
+def test_blocks_of_named_shapes():
+    # A bowtie: two triangles sharing the cut vertex 0.  A diamond: one
+    # block of 4 vertices and 5 edges.  A triangle and a square joined by
+    # the bridge (2, 3), with a pendant edge and an isolated vertex 8.
+    check_blocks(NeighborComplex.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]))
+    check_blocks(NeighborComplex.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
+    g = NeighborComplex.from_edges(
+        9, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (5, 6), (6, 3), (6, 7)]
+    )
+    check_blocks(g)
+    assert sorted((sorted(v), m) for v, m in biconnected_blocks(g.neighbors)) == [
+        ([0, 1, 2], 3), ([2, 3], 1), ([3, 4, 5, 6], 4), ([6, 7], 1),
+    ]
+    assert biconnected_blocks(NeighborComplex.from_edges(3, []).neighbors) == []
+
+
 def no_table(rows):
     raise AssertionError("a table filled for a piece that is walked")
 
@@ -88,6 +164,7 @@ def test_long_path_needs_no_recursion():
     assert disc == list(range(n)) and parent == list(range(-1, n - 1))
     pieces = split_pieces(path, no_table)
     assert pieces.bridges.tolist() == [list(range(n - 1)), list(range(1, n))]
+    assert biconnected_blocks(path) == [([v - 1, v], 1) for v in range(1, n)]
     assert len(pieces.looked) == len(pieces.walked) == 0 and pieces.walk_neighbors == ()
     assert not np.any(pieces.walk_local >= 0)
 

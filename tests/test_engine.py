@@ -7,12 +7,14 @@ correctness evidence for the exact path; the sampled path is checked for
 unbiasedness (full-permutation average) and reproducibility.  The exact
 scores are also held against the absolute marginal tallies of the slow
 routes in ``oracles``, on graphs that span several chunks, and on
-forests, which exact mode scores in closed form with no table.
+graphs whose blocks are all complete, forests among them, which exact
+mode scores in closed form with no table.
 """
 
 import dataclasses
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +52,7 @@ from topoinfluence import (
 from oracles import (
     MULTI_CHUNK_GRAPHS,
     betti0_of_subset,
+    block_graphs,
     bridged_unions,
     flood_marginals,
     joined_by_bridges,
@@ -197,9 +200,13 @@ class TestExact:
     )
     def test_past_default_cap_matches_closed_form(self, build, scores, n):
         # Past 2^CHUNK_BITS masks: bits above the chunk, and a second
-        # 8-bit group inside it.
-        with pytest.warns(RuntimeWarning):
+        # 8-bit group inside it.  The warning comes only with a table:
+        # K21 is one complete block, scored in closed form.
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
             res = exact_shapley(build(n), cap=26)
+        tabled = build is not complete_graph
+        assert [w.category for w in record] == [RuntimeWarning] * tabled
         assert res.shapley == scores(n)
 
     def test_disconnected_graph_attribution(self):
@@ -257,7 +264,8 @@ def forests(draw, max_n=16):
 @st.composite
 def cyclic_graphs(draw, max_n=7):
     """A graph on 3..max_n vertices with a triangle on 0, 1, 2 and any
-    other edges: it has a cycle, so exact mode fills its table."""
+    other edges: it has a cycle, so exact mode fills its table unless
+    every block is complete."""
     g = draw(small_graphs(min_n=3, max_n=max_n))
     return NeighborComplex.from_edges(g.n, [*g.edges(), (0, 1), (1, 2), (0, 2)])
 
@@ -271,8 +279,9 @@ def degree_scores(g: NeighborComplex) -> tuple[Fraction, ...]:
 
 
 class TestForests:
-    """A forest is scored in closed form, with no subset table; every other
-    graph still fills its whole table."""
+    """A forest, whose blocks are its edges, is scored in closed form with
+    no subset table; a graph with a block that is not complete still
+    fills its whole table."""
 
     @given(forests())
     @settings(max_examples=30, deadline=None)
@@ -297,9 +306,15 @@ class TestForests:
 
     @pytest.mark.parametrize("g", [
         NeighborComplex.from_edges(12, [*path_graph(12).edges(), (2, 9)]),
-        # Fewer edges than vertices, yet a cycle: 3 + 3 components is not 5.
-        NeighborComplex.from_edges(5, [(0, 1), (1, 2), (0, 2)]),
-    ], ids=["path12+chord", "triangle+2"])
+        # Fewer edges than vertices, yet a cycle: 4 + 2 components is not 6.
+        NeighborComplex.from_edges(6, list(cycle_graph(4).edges())),
+        # K4 less one edge: one block of 4 vertices with 5 edges, not 6.
+        NeighborComplex.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+        # The bench's traced job: its 6-cycle block keeps the 2^13 table.
+        NeighborComplex.from_edges(13, [
+            *star_graph(7).edges(), *((u + 7, v + 7) for u, v in cycle_graph(6).edges())
+        ]),
+    ], ids=["path12+chord", "C4+2", "diamond", "star7+cycle6"])
     def test_a_cycle_fills_one_whole_table(self, monkeypatch, g):
         lengths = []
 
@@ -314,23 +329,74 @@ class TestForests:
         assert scores == tally_scores(reference_betti0_table(g), g.n)
 
     def test_cap_and_warning_unchanged(self):
+        # The cap refuses a forest as before, but past the default cap a
+        # forest fills no table and so gives no warning; a cycle still does.
         g = path_graph(21)
         with pytest.raises(SizeCapError, match="n=21 exceeds cap 20"):
             exact_shapley(g)
-        with pytest.warns(RuntimeWarning) as record:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             res = exact_shapley(g, cap=21)
+        assert res.shapley == path_scores(21)
+        with pytest.warns(RuntimeWarning) as record:
+            res = exact_shapley(cycle_graph(21), cap=21)
         assert [str(w.message) for w in record] == [
             "exact enumeration at n=21 fills a 2^21-entry subset table; time and "
             "memory roughly double with each vertex past the default cap"
         ]
-        assert res.shapley == path_scores(21)
+        assert res.shapley == cycle_scores(21)
+
+
+def clique_scores(g: NeighborComplex, cliques) -> tuple[Fraction, ...]:
+    """2 / (deg i + 1) - 1 plus 1 - 1/|B| for each clique B holding i."""
+    scores = [Fraction(2, d + 1) - 1 for d in map(g.degree, range(g.n))]
+    for clique in cliques:
+        for v in clique:
+            scores[v] += 1 - Fraction(1, len(clique))
+    return tuple(scores)
+
+
+class TestBlockGraphs:
+    """A graph whose blocks are all complete is scored in closed form,
+    with no subset table."""
+
+    @given(block_graphs())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_reference_tallies_and_block_form(self, drawn):
+        g, cliques = drawn
+        scores = exact_shapley(g).shapley
+        assert scores == tally_scores(reference_betti0_table(g), g.n)
+        assert scores == clique_scores(g, cliques)
+
+    @pytest.mark.parametrize("g, want", [
+        (complete_graph(20), complete_scores(20)),
+        # Two triangles sharing vertex 0: 2/5 - 1 + 2 (2/3) there, 1/3 elsewhere.
+        (NeighborComplex.from_edges(5, [(0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4)]),
+         (Fraction(11, 15),) + (Fraction(1, 3),) * 4),
+        (NeighborComplex.from_edges(10, [
+            *complete_graph(5).edges(), *((u + 5, v + 5) for u, v in complete_graph(4).edges())
+        ]), (Fraction(1, 5),) * 5 + (Fraction(1, 4),) * 4 + (Fraction(1),)),
+    ], ids=["K20", "bowtie", "K5+K4+K1"])
+    def test_fills_no_table(self, monkeypatch, g, want):
+        def refuse(complex_):
+            raise AssertionError("a block graph filled a subset table")
+
+        monkeypatch.setattr(engine, "betti0_table", refuse)
+        res = exact_shapley(g)
+        assert res.method == "exact"
+        assert res.shapley == want
+
+
+def block_graph(max_n):
+    """A graph drawn by ``block_graphs``, without its cliques."""
+    return block_graphs(max_n=max_n).map(lambda drawn: drawn[0])
 
 
 class TestMetamorphic:
-    """Relations between the exact scores of related graphs, on the forest
-    route and the table route alike."""
+    """Relations between the exact scores of related graphs, on the
+    closed-form route and the table route alike."""
 
-    @given(st.one_of(forests(max_n=9), cyclic_graphs()), st.data())
+    @given(st.one_of(forests(max_n=9), block_graph(9), cyclic_graphs()), st.data())
     @settings(max_examples=40, deadline=None)
     def test_relabeling_permutes_the_scores(self, g, data):
         label = data.draw(st.permutations(range(g.n)))
@@ -340,14 +406,14 @@ class TestMetamorphic:
         scores, moved_scores = exact_shapley(g).shapley, exact_shapley(moved).shapley
         assert all(moved_scores[label[i]] == s for i, s in enumerate(scores))
 
-    @given(forests(max_n=8), cyclic_graphs())
+    @given(st.one_of(forests(max_n=8), block_graph(8)), cyclic_graphs())
     @settings(max_examples=30, deadline=None)
-    def test_disjoint_union_concatenates_the_raw_scores(self, forest, cyclic):
-        union = NeighborComplex.from_edges(forest.n + cyclic.n, [
-            *forest.edges(), *((u + forest.n, v + forest.n) for u, v in cyclic.edges())
+    def test_disjoint_union_concatenates_the_raw_scores(self, closed, cyclic):
+        union = NeighborComplex.from_edges(closed.n + cyclic.n, [
+            *closed.edges(), *((u + closed.n, v + closed.n) for u, v in cyclic.edges())
         ])
         assert exact_shapley(union).shapley == (
-            exact_shapley(forest).shapley + exact_shapley(cyclic).shapley
+            exact_shapley(closed).shapley + exact_shapley(cyclic).shapley
         )
 
 
@@ -376,8 +442,8 @@ class TestSizeSums:
 
     def test_width_cache_follows_the_chunk_width(self):
         # The keys depend on min(CHUNK_BITS, n), not on n: a width met again
-        # reads its cached keys, and n = 15 at CHUNK_BITS = 3 must not read
-        # the width-15 keys that n = 15 cached at the default.
+        # reads its cached keys, n = 15 reads the width-14 keys that n = 14
+        # cached, and n = 14 at CHUNK_BITS = 3 must not read them.
         def check(n):
             g = erdos_renyi_graph(n, 0.25, seed=n)
             sums, totals = engine._size_sums(betti0_table(g), n)
@@ -385,13 +451,13 @@ class TestSizeSums:
             assert sums.tobytes() == want_sums.tobytes()
             assert totals.tobytes() == want_totals.tobytes()
 
-        assert homology.CHUNK_BITS == engine.CHUNK_BITS == 15
-        for n in (14, 9, 14, 3, 15):
+        assert homology.CHUNK_BITS == engine.CHUNK_BITS == 14
+        for n in (13, 9, 13, 3, 14, 15):
             check(n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homology, "CHUNK_BITS", 3)
             mp.setattr(engine, "CHUNK_BITS", 3)
-            check(15)
+            check(14)
 
 
 def test_degree_term_is_the_star_identity():
