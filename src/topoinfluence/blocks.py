@@ -1,38 +1,39 @@
-"""Bridges and the pieces they leave, from one depth-first search.
+"""Biconnected blocks from one depth-first search, laid out for the walk.
 
-An edge is a bridge when no cycle uses it: deleting it splits a
-component in two.  ``lowlinks`` runs the search of Hopcroft & Tarjan
-(1973) once, iteratively, over neighbour tuples in ascending order, as
-``NeighborComplex.neighbors`` holds them; bridges, cut vertices and
-biconnected blocks all follow from its three lists.  Exact mode reads
-the blocks off them with ``biconnected_blocks``, and scores a graph
-whose blocks are all complete in closed form.
+A block is a maximal connected subgraph that no single vertex deletion
+disconnects.  Every edge lies in exactly one block, two blocks share at
+most one vertex, a cut vertex, and a block of two vertices is a bridge,
+an edge that no cycle uses.  ``lowlinks`` runs the search of Hopcroft &
+Tarjan (1973) once, iteratively, over neighbour tuples in ascending
+order, as ``NeighborComplex.neighbors`` holds them, and
+``biconnected_blocks`` reads the blocks off its three lists.  Exact mode
+scores a graph whose blocks are all complete in closed form.
 
-``split_pieces`` reads the bridges and the pieces off the search forest
-in one preorder pass, a piece being a component, of at least three
-vertices, of the graph minus its bridges.  It lays them out for the
-sampled walk: a cycle piece is scored in closed form, another piece of
-at most ``PIECE_LIMIT`` vertices by lookups in its own subset table,
-filled once, and a larger one by the union-find walk over its own
-compact neighbour tuples.  Small pieces with fewer than ``LOOKUP_MIN``
-vertices in all are walked too, since the lookup's fixed cost per order
-would outweigh it.
+b1 adds up over blocks, so along any order a vertex's change in b0 is 1
+plus the sum, over the blocks that hold it, of its change in the block
+alone less 1.  ``split_pieces`` lays the blocks out for the sampled
+walk on that identity, a piece being a block: a bridge or a cycle block
+is scored in closed form, another block of at most ``PIECE_LIMIT``
+vertices by lookups in its own subset table, filled once, and the blocks
+left by the union-find walk over the union of their edges.  Small blocks
+with fewer than ``LOOKUP_MIN`` vertices in all are walked too, since the
+lookup's fixed cost per order would outweigh it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-# The largest piece scored by table lookups: its table holds 2^12 int8
-# entries, 4 KiB, under 342 bytes per vertex.  Larger pieces are walked.
+# The largest block scored by table lookups: its table holds 2^12 int8
+# entries, 4 KiB, under 342 bytes per vertex.  Larger blocks are walked.
 PIECE_LIMIT = 12
 
-# Fewer vertices than this in all the small pieces that are not cycles
-# are walked instead: the lookup costs about ten numpy calls per order
-# whatever its size.  On K4s joined by bridges the walk costs as much at
-# 16-24 vertices, and half as much again at 32.
+# Fewer vertices than this in all the small blocks that are neither
+# bridges nor cycles are walked instead: the lookup costs about ten
+# numpy calls per order whatever its size.  On K4s joined by bridges the
+# walk costs as much at 16-24 vertices, and half as much again at 32.
 LOOKUP_MIN = 32
 
 
@@ -109,40 +110,39 @@ def biconnected_blocks(neighbors: Sequence[Sequence[int]]) -> list[tuple[list[in
 
 
 class Pieces(NamedTuple):
-    """The bridges and pieces of a graph as the sampled walk reads them.
+    """The blocks of a graph as the sampled walk reads them, a piece
+    being a block.
 
-    Scored in closed form, the bridges and the cycle pieces:
+    Scored in closed form, the bridges and the cycle blocks:
 
-    - ``closed``, a (2, b + c) int64 array with one column per edge: the
-      b bridges, parent then child in the search forest, the children
-      ascending, then the c edges of the cycle pieces;
-    - ``bridges``, its first b columns;
-    - ``cycles``, the cycle pieces' vertices, int64, piece by piece;
-    - ``cycle_starts``, where each cycle piece starts in ``cycles``.
+    - ``closed``, a (2, c) int64 array with one column per edge of a
+      bridge or a cycle block, block by block;
+    - ``cycles``, the cycle blocks' vertices, int64, block by block;
+    - ``cycle_starts``, where each cycle block starts in ``cycles``.
 
-    Looked up, the other pieces of at most PIECE_LIMIT vertices when they
+    Looked up, the other blocks of at most PIECE_LIMIT vertices when they
     hold at least LOOKUP_MIN vertices in all, each numbered locally in
-    ascending order, and their vertices:
+    the order :func:`biconnected_blocks` lists it, and their vertices:
 
-    - ``members``, an int64 array with one column per piece: row j holds
+    - ``members``, an int64 array with one column per block: row j holds
       its local vertex j, and the rows past its size hold n, a place
       after every vertex;
     - ``row_bits``, 2^j in row j, as an int64 column;
-    - ``tables``, the pieces' int8 subset tables, end to end;
-    - ``looked``, the pieces' vertices, int64;
-    - ``piece``, the column of each looked-up vertex's piece;
-    - ``base``, two int64 rows: where its piece's table starts in
+    - ``tables``, the blocks' int8 subset tables, end to end;
+    - ``looked``, the blocks' vertices, int64, block by block, so a cut
+      vertex appears once per block;
+    - ``piece``, the column of each entry of ``looked``;
+    - ``base``, two int64 rows: where the entry's table starts in
       ``tables``, and that plus 2^(its local index).
 
-    Walked, the vertices of the pieces left:
+    Walked, the blocks left, as one graph, the union of their edges:
 
-    - ``walked``, those vertices, ascending, int64;
+    - ``walked``, its vertices, ascending, int64;
     - ``walk_local``, an int64 array holding v's index in ``walked``, or -1;
-    - ``walk_neighbors``, for each vertex of ``walked`` its cycle-edge
-      neighbours as indices into ``walked``, ascending.
+    - ``walk_neighbors``, for each vertex of ``walked`` its neighbours in
+      those blocks as indices into ``walked``, ascending.
     """
 
-    bridges: np.ndarray
     closed: np.ndarray
     cycles: np.ndarray
     cycle_starts: np.ndarray
@@ -157,86 +157,87 @@ class Pieces(NamedTuple):
     walk_neighbors: tuple[tuple[int, ...], ...]
 
 
+def _block_neighbors(
+    neighbors: Sequence[Sequence[int]], block: list[int]
+) -> Iterator[tuple[int, list[int]]]:
+    """Each vertex of ``block`` with its neighbours in the block,
+    ascending.  Two blocks share at most one vertex, so an edge lies in
+    the block iff both its ends do; the block's vertex set lives only as
+    long as the iterator."""
+    inside = set(block)
+    for v in block:
+        yield v, [w for w in neighbors[v] if w in inside]
+
+
 def split_pieces(
     neighbors: Sequence[Sequence[int]],
     table: Callable[[tuple[int, ...]], np.ndarray],
 ) -> Pieces:
     """The :class:`Pieces` of the graph with these neighbour tuples.
 
-    A tree edge (p, v) of :func:`lowlinks` is a bridge iff nothing in
-    v's subtree reaches back to p or above, low[v] > disc[p]; no other
-    edge is one.  So in preorder each vertex takes its parent's head, or
-    heads itself at a root or below a bridge (Tarjan 1974): a piece is
-    the vertices sharing a head, if two or more, and a cycle edge is an
-    edge whose ends share one.
-
-    A piece is connected, so when each of its vertices has two
-    neighbours in it, it is a simple cycle of any length, a cycle piece:
-    it gets neither a table nor the walk.
+    A block of :func:`biconnected_blocks` with k vertices and m edges is
+    a bridge when k = 2.  Otherwise no vertex of it has fewer than two
+    neighbours in it, so m >= k, with equality iff each has exactly two:
+    then it is a simple cycle of any length, a cycle block, and gets
+    neither a table nor the walk.
 
     ``table(rows)`` returns the int8 subset table of the graph on 0..k-1
     whose adjacency sets are the k-bit ``rows``.  It runs once per other
-    piece of at most PIECE_LIMIT vertices, after the search's lists are
+    block of at most PIECE_LIMIT vertices, after the search's lists are
     freed, and its result is copied into ``tables`` at once, so no more
-    than one piece's table is alive beside them.  When those pieces hold
+    than one block's table is alive beside them.  When those blocks hold
     fewer than LOOKUP_MIN vertices in all, they are walked with the others.
     """
     n = len(neighbors)
-    disc, parent, low = lowlinks(neighbors)
-    head = list(range(n))
-    for v in sorted(range(n), key=disc.__getitem__):
-        if (p := parent[v]) >= 0 and low[v] <= disc[p]:
-            head[v] = head[p]
-    children = [v for v, p in enumerate(parent) if p >= 0 and head[v] == v]
-    firsts, seconds = [parent[v] for v in children], list(children)
-    del disc, parent, low
-
-    def inner(v: int) -> list[int]:
-        """v's neighbours sharing its head, ascending."""
-        return [w for w in neighbors[v] if head[w] == head[v]]
-
-    grouped: dict[int, list[int]] = {}
-    for v, h in enumerate(head):
-        grouped.setdefault(h, []).append(v)
-    cycles, rest = [], []
-    for piece in grouped.values():
-        if len(piece) > 1:
-            (cycles if all(len(inner(v)) == 2 for v in piece) else rest).append(piece)
-    for u, w in ((u, w) for piece in cycles for u in piece for w in inner(u) if u < w):
-        firsts.append(u)
-        seconds.append(w)
+    firsts, seconds, cycles, rest = [], [], [], []
+    for block, m in biconnected_blocks(neighbors):
+        if len(block) == 2:
+            firsts.append(block[0])
+            seconds.append(block[1])
+        elif m == len(block):
+            cycles.append(block)
+            for u, inner in _block_neighbors(neighbors, block):
+                for w in inner:
+                    if u < w:
+                        firsts.append(u)
+                        seconds.append(w)
+        else:
+            rest.append(block)
     closed = np.array([firsts, seconds], dtype=np.int64)
     del firsts, seconds
-    small = [piece for piece in rest if len(piece) <= PIECE_LIMIT]
+    small = [block for block in rest if len(block) <= PIECE_LIMIT]
     if sum(map(len, small)) < LOOKUP_MIN:
         small = []
-    large = [piece for piece in rest if not small or len(piece) > PIECE_LIMIT]
+    large = [block for block in rest if not small or len(block) > PIECE_LIMIT]
     width = max(map(len, small), default=0)
     members = np.full((width, len(small)), n, dtype=np.int64)
-    tables = np.empty(sum(1 << len(piece) for piece in small), dtype=np.int8)
-    looked = np.array([v for piece in small for v in piece], dtype=np.int64)
+    tables = np.empty(sum(1 << len(block) for block in small), dtype=np.int8)
+    looked = np.array([v for block in small for v in block], dtype=np.int64)
     piece_of = np.empty_like(looked)
     base = np.empty((2, len(looked)), dtype=np.int64)
     start = stop = 0
-    for column, piece in enumerate(small):
-        k = len(piece)
-        number = {v: j for j, v in enumerate(piece)}
+    for column, block in enumerate(small):
+        k = len(block)
+        number = {v: j for j, v in enumerate(block)}
         tables[start : start + (1 << k)] = table(tuple(
-            sum(1 << number[w] for w in inner(v)) for v in piece
+            sum(1 << number[w] for w in neighbors[v] if w in number) for v in block
         ))
         members[:k, column] = looked[stop : stop + k]
         piece_of[stop : stop + k] = column
         base[:, stop : stop + k] = start + [[0], [1]] * (1 << np.arange(k))
         start += 1 << k
         stop += k
-    kept = sorted(v for piece in large for v in piece)
+    walk: dict[int, list[int]] = {}
+    for block in large:
+        for v, inner in _block_neighbors(neighbors, block):
+            walk.setdefault(v, []).extend(inner)
+    kept = sorted(walk)
     index = {v: j for j, v in enumerate(kept)}
     walk_local = np.full(n, -1, dtype=np.int64)
     walk_local[kept] = np.arange(len(kept))
     return Pieces(
-        bridges=closed[:, : len(children)],
         closed=closed,
-        cycles=np.array([v for piece in cycles for v in piece], dtype=np.int64),
+        cycles=np.array([v for block in cycles for v in block], dtype=np.int64),
         cycle_starts=np.cumsum([0, *map(len, cycles)][:-1], dtype=np.int64),
         members=members,
         row_bits=1 << np.arange(width, dtype=np.int64)[:, None],
@@ -246,5 +247,5 @@ def split_pieces(
         base=base,
         walked=np.array(kept, dtype=np.int64),
         walk_local=walk_local,
-        walk_neighbors=tuple(tuple(index[w] for w in inner(v)) for v in kept),
+        walk_neighbors=tuple(tuple(sorted(index[w] for w in walk[v])) for v in kept),
     )

@@ -6,11 +6,11 @@ sampled walk all count components with one union-find walk,
 vertices before it in an order.  It reads each vertex's neighbours from
 neighbour tuples, so a step costs the vertex's degree, not a scan of an
 n-bit row: ``betti0`` walks the complex's ``neighbors``, and the sampled
-walk only the cycle edges of pieces too large for a table.  Exact mode
-on a graph with a biconnected block that is not complete needs more:
-the component count of the induced subgraph on every subset S of
-vertices, all 2^n of them, and the sampled walk the same table for each
-small piece.  (A graph whose blocks are all complete, forests included,
+walk only the edges of the biconnected blocks that are neither bridges,
+cycles nor small enough for a table.  Exact mode on a graph with a block
+that is not complete needs more: the component count of the induced
+subgraph on every subset S of vertices, all 2^n of them, and the sampled
+walk the same table for each small block.  (A graph whose blocks are all complete, forests included,
 takes a closed form in ``engine.exact_shapley`` and fills no table.)
 ``betti0_table`` fills that table with a peeling recurrence instead of
 2^n independent traversals: the count for S is one more than the count
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import InputError, SizeCapError
 
-if TYPE_CHECKING:  # the complex fills its walk's piece tables through this module
+if TYPE_CHECKING:  # the complex fills its walk's block tables through this module
     from .metric_complex import NeighborComplex
 
 # betti0_table allocates 2^n bytes and touches every subset once.

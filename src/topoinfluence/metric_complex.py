@@ -545,8 +545,8 @@ class NeighborComplex:
     def pieces(self) -> Pieces:
         """:func:`~topoinfluence.blocks.split_pieces` of ``neighbors``,
         computed on first read and cached like ``InfluenceResult.mu``: the
-        bridges, the cycle pieces with their edges, and each other piece
-        to be looked up with its
+        biconnected blocks, the bridges and cycle blocks with their edges,
+        and each other block to be looked up with its
         :func:`~topoinfluence.homology.betti0_table`, filled from its own
         k-bit rows."""
         return split_pieces(

@@ -404,6 +404,23 @@ def bridged_unions(draw, min_n=1, max_piece=12, kinds=tuple(PIECES)):
     return NeighborComplex.from_edges(n, [(label[u], label[v]) for u, v in edges])
 
 
+def _glued(draw, max_n, count, size):
+    """(n, parts): up to ``count`` parts of ``size`` vertices each, under
+    a random relabeling of the n vertices, as tuples of their vertices.
+    Each part after the first is glued at one vertex to the graph so far
+    or set apart, and the parts stop before they would pass ``max_n``."""
+    n, parts = 0, []
+    for _ in range(draw(count)):
+        k = draw(size)
+        at = [draw(st.integers(0, n - 1))] if n and k > 1 and draw(st.booleans()) else []
+        if n + k - len(at) > max_n:
+            break
+        parts.append((*at, *range(n, n + k - len(at))))
+        n += k - len(at)
+    label = draw(st.permutations(range(n)))
+    return n, [tuple(label[v] for v in part) for part in parts]
+
+
 @st.composite
 def block_graphs(draw, max_n=16):
     """(graph, cliques): a graph whose biconnected blocks are all
@@ -412,19 +429,23 @@ def block_graphs(draw, max_n=16):
     first is glued at one vertex to the graph so far or set apart, so
     every clique of two or more vertices is a block; a clique of one is
     an isolated vertex."""
-    n, cliques = 0, []
-    for _ in range(draw(st.integers(1, 8))):
-        k = draw(st.integers(1, min(6, max_n)))
-        at = [draw(st.integers(0, n - 1))] if n and k > 1 and draw(st.booleans()) else []
-        if n + k - len(at) > max_n:
-            break
-        cliques.append((*at, *range(n, n + k - len(at))))
-        n += k - len(at)
-    label = draw(st.permutations(range(n)))
-    cliques = [tuple(label[v] for v in clique) for clique in cliques]
+    n, cliques = _glued(draw, max_n, st.integers(1, 8), st.integers(1, min(6, max_n)))
     return NeighborComplex.from_edges(n, [
         (u, v) for clique in cliques for u, v in itertools.combinations(clique, 2)
     ]), cliques
+
+
+@st.composite
+def cactus_graphs(draw, max_n=16):
+    """A cactus under a random relabeling: cycles of 3-8 vertices, edges
+    and isolated vertices, each part after the first glued at one vertex
+    to the graph so far or set apart, so that cycles share cut vertices
+    and every block is a cycle or a bridge."""
+    n, rings = _glued(draw, max_n, st.integers(1, 10), st.sampled_from([1, 2, 3, 3, 4, 5, 6, 8]))
+    return NeighborComplex.from_edges(n, [
+        (ring[i], ring[(i + 1) % len(ring)])
+        for ring in rings for i in range(len(ring) if len(ring) > 2 else len(ring) - 1)
+    ])
 
 
 def joined_by_bridges(parts, seed: int) -> NeighborComplex:
@@ -444,14 +465,23 @@ def joined_by_bridges(parts, seed: int) -> NeighborComplex:
 
 
 def two_cycles_sharing_a_vertex(k: int) -> NeighborComplex:
-    """Two k-cycles through vertex 0, 2k - 1 vertices: one piece whose
-    vertex 0 is a cut vertex."""
+    """Two k-cycles through vertex 0, 2k - 1 vertices: two cycle blocks
+    whose one common vertex 0 is a cut vertex."""
     second = [0, *range(k, 2 * k - 1)]
     return NeighborComplex.from_edges(
         2 * k - 1,
         [(i, (i + 1) % k) for i in range(k)]
         + [(second[i], second[(i + 1) % k]) for i in range(k)],
     )
+
+
+def two_cliques_sharing_a_vertex(k: int) -> NeighborComplex:
+    """Two copies of K_k through vertex 0, 2k - 1 vertices: two blocks
+    whose one common vertex 0 is a cut vertex."""
+    second = [0, *range(k, 2 * k - 1)]
+    return NeighborComplex.from_edges(2 * k - 1, [
+        *itertools.combinations(range(k), 2), *itertools.combinations(second, 2)
+    ])
 
 
 def accepts(grammar: Grammar, string: str) -> bool:

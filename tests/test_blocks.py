@@ -1,13 +1,13 @@
-"""Bridge finder and piece split tests.
+"""Block finder and piece layout tests.
 
+The biconnected blocks are held against a deletion oracle: two edges
+share a block iff no single vertex's deletion parts their other ends.
 An edge is a bridge iff deleting it raises the component count: the
-brute-force definition, held against the bridges of the depth-first
-split on every edge of small graphs.  The pieces, the components of the
-graph minus its bridges, are held against a flood over the non-bridge
-edges, and each small piece's table against the one-mask-at-a-time
-reference table of its induced subgraph.  The biconnected blocks are
-held against a deletion oracle: two edges share a block iff no single
-vertex's deletion parts their other ends.
+brute-force definition, held against the blocks of two vertices on
+every edge of small graphs.  The pieces of the sampled walk, the
+blocks, are held against the deletion oracle too, the cycle blocks'
+edges against the graph's, and each looked-up block's table against the
+one-mask-at-a-time reference table of its induced subgraph.
 """
 
 import dataclasses
@@ -25,9 +25,11 @@ from topoinfluence.blocks import biconnected_blocks, lowlinks, split_pieces
 from oracles import (
     block_graphs,
     bridged_unions,
+    cactus_graphs,
     joined_by_bridges,
     reference_betti0_table,
     small_graphs,
+    two_cliques_sharing_a_vertex,
     two_cycles_sharing_a_vertex,
 )
 
@@ -43,20 +45,21 @@ def brute_force_bridges(g: NeighborComplex) -> set[tuple[int, int]]:
 
 
 def check_split(g: NeighborComplex) -> None:
-    """The bridges against deleting each edge, and the cycle edges
-    against the graph minus them, with every piece but the cycles
-    walked: at limit 0 and minimum 0 the walk's neighbour tuples and the
-    cycle pieces' edges hold every cycle edge between them."""
+    """The bridges, the blocks of two vertices, against deleting each
+    edge, and the pieces against the blocks of the deletion oracle, with
+    every block but the bridges and cycles walked: at limit 0 and
+    minimum 0 the walk's neighbour tuples and ``closed`` hold every edge
+    between them."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blocks, "PIECE_LIMIT", 0)
         mp.setattr(blocks, "LOOKUP_MIN", 0)
         g = NeighborComplex(g.n, g.rows)  # pieces not yet read
         check_pieces(g)
-    bridges = g.pieces.bridges
-    want = brute_force_bridges(g)
-    got = {(min(u, v), max(u, v)) for u, v in bridges.T.tolist()}
-    assert got == want and bridges.shape == (2, len(want)) and bridges.dtype == np.int64
-    assert bridges[1].tolist() == sorted(bridges[1].tolist())
+    got = {
+        (min(vertices), max(vertices))
+        for vertices, _ in biconnected_blocks(g.neighbors) if len(vertices) == 2
+    }
+    assert got == brute_force_bridges(g)
 
 
 @given(st.one_of(small_graphs(max_n=12), bridged_unions(min_n=8, max_piece=6)
@@ -163,22 +166,22 @@ def test_long_path_needs_no_recursion():
     disc, parent, low = lowlinks(path)
     assert disc == list(range(n)) and parent == list(range(-1, n - 1))
     pieces = split_pieces(path, no_table)
-    assert pieces.bridges.tolist() == [list(range(n - 1)), list(range(1, n))]
+    assert pieces.closed.tolist() == [list(range(n - 1)), list(range(1, n))]
     assert biconnected_blocks(path) == [([v - 1, v], 1) for v in range(1, n)]
     assert len(pieces.looked) == len(pieces.walked) == 0 and pieces.walk_neighbors == ()
     assert not np.any(pieces.walk_local >= 0)
 
 
 def test_long_cycle_has_no_bridge():
-    # The cycle is one cycle piece; with a chord it is one walked piece.
+    # The cycle is one cycle block; with a chord it is one walked block.
     n = 10_000
     pieces = cycle_graph(n).pieces
-    assert pieces.bridges.shape == (2, 0) and len(pieces.looked) == len(pieces.walked) == 0
+    assert len(pieces.looked) == len(pieces.walked) == 0
     assert pieces.cycles.tolist() == list(range(n)) and pieces.cycle_starts.tolist() == [0]
     assert sorted(map(tuple, pieces.closed.T.tolist())) == sorted(cycle_graph(n).edges())
     chorded = NeighborComplex.from_edges(n, [*cycle_graph(n).edges(), (0, n // 2)])
     pieces = chorded.pieces
-    assert pieces.bridges.shape == (2, 0) and len(pieces.looked) == len(pieces.cycles) == 0
+    assert pieces.closed.shape == (2, 0) and len(pieces.looked) == len(pieces.cycles) == 0
     assert pieces.walked.tolist() == list(range(n))
     assert pieces.walk_local.tolist() == list(range(n))
     assert pieces.walk_neighbors == chorded.neighbors
@@ -202,62 +205,53 @@ def induced(g: NeighborComplex, vertices: list[int]) -> NeighborComplex:
 
 def check_pieces(g: NeighborComplex) -> None:
     pieces = g.pieces
-    bridges = {(min(u, v), max(u, v)) for u, v in pieces.bridges.T.tolist()}
-    unbridged = NeighborComplex.from_edges(g.n, [e for e in g.edges() if e not in bridges])
-    # The pieces by flood fill: the components of more than one vertex.
-    found, seen = [], set()
-    for root in range(g.n):
-        if root in seen:
-            continue
-        component = {root}
-        while True:
-            grown = component | {w for v in component for w in unbridged.neighbors[v]}
-            if grown == component:
-                break
-            component = grown
-        seen |= component
-        if len(component) > 1:
-            found.append(sorted(component))
-    # A cycle piece: every vertex has two neighbours in it.
-    cycles = [c for c in found if all(
-        len([w for w in unbridged.neighbors[v] if w in c]) == 2 for v in c
-    )]
-    assert pieces.cycles.tolist() == [v for c in cycles for v in c]
-    assert pieces.cycle_starts.tolist() == np.cumsum([0, *map(len, cycles)])[:-1].tolist()
-    assert pieces.closed.dtype == np.int64
-    assert pieces.closed[:, : len(bridges)].tolist() == pieces.bridges.tolist()
-    cycle_edges = pieces.closed[:, len(bridges):]
-    assert np.all(cycle_edges[0] < cycle_edges[1])
-    assert sorted(map(tuple, cycle_edges.T.tolist())) == sorted(
-        (u, v) for u, v in unbridged.edges() if any(u in c for c in cycles)
+    found = brute_force_blocks(g)
+    cycles = [vertices for vertices, m in found if len(vertices) > 2 and m == len(vertices)]
+    rest = [vertices for vertices, m in found if m > len(vertices)]
+    starts = [*pieces.cycle_starts.tolist(), len(pieces.cycles)]
+    laid_out = [pieces.cycles[a:b].tolist() for a, b in zip(starts, starts[1:])]
+    assert sorted(tuple(sorted(c)) for c in laid_out) == cycles
+    assert all(len(set(c)) == len(c) for c in laid_out)
+    # The closed columns: every bridge and every edge of a cycle block.
+    assert pieces.closed.dtype == np.int64 and pieces.closed.shape[0] == 2
+    closed = [(min(u, v), max(u, v)) for u, v in pieces.closed.T.tolist()]
+    assert sorted(closed) == sorted(
+        (u, v) for u, v in g.edges()
+        if any(u in c and v in c for c in cycles)
+        or any(vertices == (u, v) for vertices, _ in found)
     )
-    found = [c for c in found if c not in cycles]
-    small = [c for c in found if len(c) <= blocks.PIECE_LIMIT]
+    small = [c for c in rest if len(c) <= blocks.PIECE_LIMIT]
     if sum(map(len, small)) < blocks.LOOKUP_MIN:
         small = []
-    large = sorted(v for c in found if c not in small for v in c)
+    large = [c for c in rest if c not in small]
     width = max(map(len, small), default=0)
-    assert pieces.members.T.tolist() == [c + [g.n] * (width - len(c)) for c in small]
+    assert pieces.members.shape == (width, len(small))
     assert pieces.row_bits.ravel().tolist() == [1 << j for j in range(width)]
-    # Each piece's table starts where the one before it ends.
-    starts = np.cumsum([0] + [1 << len(c) for c in small]).tolist()
+    # Each column is one block in its local order, padded with n; each
+    # block's table starts where the one before it ends.
+    columns = [[v for v in column if v != g.n] for column in pieces.members.T.tolist()]
+    assert pieces.members.T.tolist() == [c + [g.n] * (width - len(c)) for c in columns]
+    assert sorted(tuple(sorted(c)) for c in columns) == small
+    starts = np.cumsum([0] + [1 << len(c) for c in columns]).tolist()
     assert len(pieces.tables) == starts[-1]
-    for c, start in zip(small, starts):
+    for c, start in zip(columns, starts):
         want = reference_betti0_table(induced(g, c))
         assert pieces.tables[start : start + len(want)].tolist() == want.tolist()
-    assert pieces.looked.tolist() == [v for c in small for v in c]
+    assert pieces.looked.tolist() == [v for c in columns for v in c]
     for v, column, low, high in zip(pieces.looked.tolist(), pieces.piece.tolist(),
                                     *pieces.base.tolist()):
-        assert v in small[column]
-        assert low == starts[column] and high == low + (1 << small[column].index(v))
-    assert pieces.walked.tolist() == large
+        assert v in columns[column]
+        assert low == starts[column] and high == low + (1 << columns[column].index(v))
+    # The walked blocks, as the union of their edges.
+    walked = sorted({v for c in large for v in c})
+    assert pieces.walked.tolist() == walked
     assert pieces.walk_local.tolist() == [
-        large.index(v) if v in large else -1 for v in range(g.n)
+        walked.index(v) if v in walked else -1 for v in range(g.n)
     ]
-    for k, v in enumerate(large):
-        assert [large[j] for j in pieces.walk_neighbors[k]] == sorted(
-            w for w in unbridged.neighbors[v] if w in large
-        )
+    for k, v in enumerate(walked):
+        assert [walked[j] for j in pieces.walk_neighbors[k]] == [
+            w for w in g.neighbors[v] if any(v in c and w in c for c in large)
+        ]
 
 
 @pytest.mark.parametrize("limit, lookup_min", [
@@ -265,9 +259,10 @@ def check_pieces(g: NeighborComplex) -> None:
     (blocks.PIECE_LIMIT, blocks.LOOKUP_MIN),
 ])
 @given(st.one_of(small_graphs(max_n=12), bridged_unions(min_n=8, max_piece=7)
-                 .filter(lambda g: g.n <= 14)))
+                 .filter(lambda g: g.n <= 14), block_graphs(max_n=12).map(lambda drawn: drawn[0]),
+                 cactus_graphs(max_n=14)))
 @settings(max_examples=60, deadline=None)
-def test_pieces_are_the_components_of_the_graph_minus_its_bridges(limit, lookup_min, g):
+def test_pieces_are_the_biconnected_blocks(limit, lookup_min, g):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(blocks, "PIECE_LIMIT", limit)
         mp.setattr(blocks, "LOOKUP_MIN", lookup_min)
@@ -277,16 +272,17 @@ def test_pieces_are_the_components_of_the_graph_minus_its_bridges(limit, lookup_
 def test_pieces_of_named_shapes():
     # The limit falls between the two wheels: the 12-vertex one is looked
     # up, the 13-vertex one walked.  The two 6-cycles share a cut vertex
-    # and form one piece of 11.  The 5-cycle is a cycle piece; the wheel
-    # of 5 is not.
+    # and are two cycle blocks, as the 5-cycle is one; the wheel of 5 is
+    # not.  The two K4s share a cut vertex, looked up once in each.
     g = joined_by_bridges([
         wheel_graph(12), wheel_graph(13), two_cycles_sharing_a_vertex(6),
-        complete_graph(8), wheel_graph(5), cycle_graph(5),
+        complete_graph(8), wheel_graph(5), cycle_graph(5), two_cliques_sharing_a_vertex(4),
     ], seed=3)
     check_pieces(g)
-    assert len(g.pieces.looked) == 12 + 11 + 8 + 5 and len(g.pieces.walked) == 13
-    assert len(g.pieces.cycles) == 5
-    assert len(g.pieces.tables) == 2**12 + 2**11 + 2**8 + 2**5
+    assert len(g.pieces.looked) == 12 + 8 + 5 + 4 + 4 and len(g.pieces.walked) == 13
+    assert len(g.pieces.cycles) == 6 + 6 + 5 and len(g.pieces.cycle_starts) == 3
+    assert len(g.pieces.tables) == 2**12 + 2**8 + 2**5 + 2**4 + 2**4
+    assert len(set(g.pieces.looked.tolist())) == len(g.pieces.looked) - 1
 
 
 def test_too_few_small_piece_vertices_are_walked_over_the_split(monkeypatch):
@@ -336,7 +332,7 @@ def test_pieces_peak_memory_at_scale():
 
 def test_cycle_pieces_peak_memory_at_scale():
     # One 10^4-cycle and 3000 triangles: 19,000 cycle vertices in 3001
-    # pieces, laid out flat with their start offsets.  A matrix padded to
+    # cycle blocks, laid out flat with their start offsets.  A matrix padded to
     # the longest cycle would take 3001 x 10^4 x 8 bytes, about 240 MB.
     # The first read must peak under a fixed 3.5 MB (measured 2.9 MB) and
     # hold under 1 MB after it (measured 0.75 MB).
@@ -353,7 +349,7 @@ def test_cycle_pieces_peak_memory_at_scale():
     finally:
         tracemalloc.stop()
     assert len(pieces.cycles) == 19_000 and len(pieces.cycle_starts) == 3001
-    assert pieces.closed.shape == (2, 19_000) and pieces.bridges.shape == (2, 0)
+    assert pieces.closed.shape == (2, 19_000)
     assert len(pieces.looked) == len(pieces.walked) == len(pieces.tables) == 0
     assert peak <= 3_500_000, peak
     assert held <= 1_000_000, held

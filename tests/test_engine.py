@@ -54,6 +54,7 @@ from oracles import (
     betti0_of_subset,
     block_graphs,
     bridged_unions,
+    cactus_graphs,
     flood_marginals,
     joined_by_bridges,
     multi_chunk_case,
@@ -61,28 +62,30 @@ from oracles import (
     reference_size_sums,
     reference_tallies,
     small_graphs,
+    two_cliques_sharing_a_vertex,
     two_cycles_sharing_a_vertex,
     whole_graph_marginals,
     whole_graph_sums,
 )
 
 # Every route of the sampled walk, as (PIECE_LIMIT, LOOKUP_MIN): every
-# piece but the cycles walked, at limit 0 and at 3 alike, since the one
-# piece of three vertices is a triangle, a cycle; only pieces of at most
-# five vertices looked up (K4s, K5s, bowties of two triangles); every
-# piece up to the default limit looked up; and the defaults.
+# block but the bridges and cycles walked, at limit 0 and at 3 alike,
+# since the one block of three vertices is a triangle, a cycle; only
+# blocks of at most five vertices looked up (K4s, K5s, diamonds); every
+# block up to the default limit looked up; and the defaults.
 PIECE_ROUTES = [(0, 0), (3, 0), (5, 0), (blocks.PIECE_LIMIT, 0),
                 (blocks.PIECE_LIMIT, blocks.LOOKUP_MIN)]
 
 
 def named_pieces(seed: int) -> NeighborComplex:
-    """Pieces at, above and below the table limit of 12, joined by bridges
+    """Blocks at, above and below the table limit of 12, joined by bridges
     with a tree and a path: a wheel of 12, a wheel of 13, two 6-cycles
-    sharing a cut vertex (11), K_{4,6}, K8 and a 20-cycle."""
+    sharing a cut vertex, K_{4,6}, K8, two K4s sharing a cut vertex and a
+    20-cycle."""
     return joined_by_bridges([
         wheel_graph(12), wheel_graph(13), two_cycles_sharing_a_vertex(6),
-        complete_bipartite_graph(4, 6), complete_graph(8), cycle_graph(20),
-        star_graph(5), path_graph(4),
+        complete_bipartite_graph(4, 6), complete_graph(8), two_cliques_sharing_a_vertex(4),
+        cycle_graph(20), star_graph(5), path_graph(4),
     ], seed)
 
 
@@ -648,42 +651,84 @@ class TestPieceRoutes:
             assert (permutation_marginals(large, order).tolist()
                     == whole_graph_marginals(large, order.tolist()))
 
+    @pytest.mark.parametrize("limit, lookup_min", PIECE_ROUTES)
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_sharing_cut_vertices(self, limit, lookup_min, data):
+        # Block graphs and cacti, whose cut vertices lie in several
+        # complete or cycle blocks, against the whole-graph walk.
+        g = data.draw(st.one_of(block_graphs(max_n=24).map(lambda drawn: drawn[0]),
+                                cactus_graphs(max_n=40)))
+        order = np.random.default_rng(data.draw(st.integers(0, 2**32))).permutation(g.n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "PIECE_LIMIT", limit)
+            mp.setattr(blocks, "LOOKUP_MIN", lookup_min)
+            assert (permutation_marginals(g, order).tolist()
+                    == whole_graph_marginals(g, order.tolist()))
+
+    @pytest.mark.parametrize("limit, lookup_min", PIECE_ROUTES)
+    @pytest.mark.parametrize("shape", [
+        two_cycles_sharing_a_vertex(3), two_cycles_sharing_a_vertex(6),
+        two_cliques_sharing_a_vertex(4),
+    ], ids=["bowtie", "two-6-cycles", "two-K4s"])
+    def test_a_cut_vertex_last_in_two_blocks(self, shape, limit, lookup_min):
+        # Vertex 0, last, has two components among its earlier neighbours,
+        # one per block, and scores |1 - 2| = 1; each block adds its own
+        # term to it, so none may be dropped as a repeated index.
+        order = list(range(1, shape.n)) + [0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "PIECE_LIMIT", limit)
+            mp.setattr(blocks, "LOOKUP_MIN", lookup_min)
+            g = NeighborComplex(shape.n, shape.rows)  # pieces not yet read
+            marginals = permutation_marginals(g, order).tolist()
+        # Each of its blocks lists it: the cycles of the first two shapes,
+        # and the K4s where the limit reaches 4 and the minimum 8.
+        cycles, looked = g.pieces.cycles.tolist(), g.pieces.looked.tolist()
+        assert cycles.count(0) == (0 if shape.n == 7 else 2)
+        assert looked.count(0) == (2 if shape.n == 7 and limit >= 4 and lookup_min <= 8 else 0)
+        assert marginals[0] == 1
+        assert marginals == whole_graph_marginals(g, order)
+
     def test_cactus_needs_no_table_and_no_walk(self, monkeypatch):
         # Cycles of 3 to 120 vertices joined by trees, which hang pendant
-        # paths and stars off cycle vertices: every piece is a cycle.
+        # paths and stars off cycle vertices, and cycles sharing cut
+        # vertices: every block is a bridge or a cycle.
         def refuse(*args):
             raise AssertionError("a table or a walk on a cactus of cycles and trees")
 
         g = joined_by_bridges([
             cycle_graph(3), path_graph(5), cycle_graph(40), star_graph(6),
             cycle_graph(4), cycle_graph(3), cycle_graph(17), path_graph(2),
-            cycle_graph(120), star_graph(3),
+            cycle_graph(120), star_graph(3), two_cycles_sharing_a_vertex(3),
+            two_cycles_sharing_a_vertex(7),
         ], seed=6)
         monkeypatch.setattr(engine, "component_changes", refuse)
         monkeypatch.setattr(homology, "betti0_table", refuse)
         est = sampled_shapley(g, 100, 8)
         monkeypatch.undo()
-        assert len(g.pieces.cycles) == 3 + 40 + 4 + 3 + 17 + 120
+        assert len(g.pieces.cycles) == 3 + 40 + 4 + 3 + 17 + 120 + 2 * 3 + 2 * 7
         sums, _ = whole_graph_sums(g, 100, 8)
         assert est.shapley == tuple(s / 100 for s in sums)
 
     @pytest.mark.parametrize("limit, lookup_min", PIECE_ROUTES)
-    @pytest.mark.parametrize("shape", [
-        NeighborComplex.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]),
-        two_cycles_sharing_a_vertex(6),
-        complete_graph(5),
+    @pytest.mark.parametrize("shape, cycles", [
+        (NeighborComplex.from_edges(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)]), 6),
+        (two_cycles_sharing_a_vertex(6), 12),
+        (complete_graph(5), 0),
     ], ids=["bowtie", "two-6-cycles", "K5"])
-    def test_even_degrees_alone_make_no_cycle(self, shape, limit, lookup_min):
-        # Every degree is even, but some vertex has four neighbours in the
-        # piece: it is looked up or walked, and only the 6-cycle beside it
-        # is scored as a cycle.
+    def test_even_degrees_alone_make_no_cycle(self, shape, cycles, limit, lookup_min):
+        # Every degree is even.  In K5 each vertex has four neighbours in
+        # its block, so it is looked up or walked; the cut vertex of the
+        # bowtie and of the two 6-cycles has four neighbours too, but two
+        # in each of its two blocks, which are cycles.  The 6-cycle beside
+        # the shape is one more.
         g = joined_by_bridges([shape, cycle_graph(6)], seed=4)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(blocks, "PIECE_LIMIT", limit)
             mp.setattr(blocks, "LOOKUP_MIN", lookup_min)
             pieces = g.pieces
-            assert len(pieces.cycles) == 6
-            assert len(pieces.looked) + len(pieces.walked) == shape.n
+            assert len(pieces.cycles) == 6 + cycles
+            assert len(pieces.looked) + len(pieces.walked) == (0 if cycles else shape.n)
             rng = np.random.default_rng(5)
             for order in (rng.permutation(g.n) for _ in range(20)):
                 assert (permutation_marginals(g, order).tolist()
@@ -692,8 +737,8 @@ class TestPieceRoutes:
     def test_sampled_scores_with_both_kinds_of_piece(self):
         g = named_pieces(4)
         pieces = g.pieces
-        assert len(pieces.looked) == 12 + 11 + 10 + 8 and len(pieces.walked) == 13
-        assert len(pieces.cycles) == 20
+        assert len(pieces.looked) == 12 + 10 + 8 + 4 + 4 and len(pieces.walked) == 13
+        assert len(pieces.cycles) == 6 + 6 + 20
         est = sampled_shapley(g, 60, 3)
         sums, _ = whole_graph_sums(g, 60, 3)
         assert est.shapley == tuple(s / 60 for s in sums)
@@ -723,9 +768,10 @@ class TestPieceRoutes:
         monkeypatch.setattr(homology, "betti0_table", counted)
         g = named_pieces(5)
         first = sampled_shapley(g, 20, 1)
-        # One table per piece of at most 12 vertices, none for the wheel
-        # of 13 or the 20-cycle.
-        assert sorted(calls) == [8, 10, 11, 12]
+        # One table per block of at most 12 vertices that is neither a
+        # bridge nor a cycle, a K4 each for the two that share a vertex,
+        # and none for the wheel of 13.
+        assert sorted(calls) == [4, 4, 8, 10, 12]
         calls.clear()
         assert sampled_shapley(g, 20, 1) == first and calls == []
 
