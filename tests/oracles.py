@@ -12,7 +12,9 @@ The JSON writer is the package's before it wrote each container in one
 pass: it recurses once per value and spells every string and key through
 ``json.dumps``.  The whole-graph walk is the sampled estimator's route
 before bridges were scored in closed form: one union-find walk over every
-edge per order, each order drawn from a new Philox bit generator.
+edge per order, each order drawn from a new Philox bit generator.  The
+efficiency totals need neither a table nor a walk: by Shapley efficiency
+they come from degrees, the order and the component count alone.
 """
 
 import functools
@@ -20,6 +22,7 @@ import itertools
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -141,18 +144,50 @@ def whole_graph_marginals(complex_: NeighborComplex, order) -> list[int]:
     return [abs(c) for c in component_changes(complex_.neighbors, order)]
 
 
-def whole_graph_sums(complex_: NeighborComplex, permutations: int, seed: int):
-    """(sums, sums of squares) of :func:`whole_graph_marginals` over the
-    orders of a sampled run: order j is the permutation drawn by a new
-    ``Philox(key=seed, counter=j << 64)``."""
-    sums, squares = [0] * complex_.n, [0] * complex_.n
+def philox_orders(n: int, permutations: int, seed: int):
+    """The orders of a sampled run, as lists: order j is the permutation
+    drawn by a new ``Philox(key=seed, counter=j << 64)``."""
     for j in range(permutations):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=j << 64))
-        order = rng.permutation(complex_.n).tolist()
+        yield rng.permutation(n).tolist()
+
+
+def whole_graph_sums(complex_: NeighborComplex, permutations: int, seed: int):
+    """(sums, sums of squares) of :func:`whole_graph_marginals` over the
+    :func:`philox_orders` of a sampled run."""
+    sums, squares = [0] * complex_.n, [0] * complex_.n
+    for order in philox_orders(complex_.n, permutations, seed):
         for v, m in enumerate(whole_graph_marginals(complex_, order)):
             sums[v] += m
             squares[v] += m * m
     return sums, squares
+
+
+def efficiency_total(complex_: NeighborComplex) -> Fraction:
+    """The sum of the exact scores by Shapley efficiency, with no table:
+    the signed Shapley values of b0 sum to b0(G), and s(i) is
+    2 / (deg i + 1) less i's, so the scores sum to the sum of
+    2 / (deg i + 1) less b0(G), here counted by the flood fill."""
+    n = complex_.n
+    degree_terms = sum(Fraction(2, complex_.degree(i) + 1) for i in range(n))
+    return degree_terms - betti0_of_subset(complex_, (1 << n) - 1)
+
+
+def walk_totals(complex_: NeighborComplex, orders) -> list[int]:
+    """The sum of each order's absolute marginals, with no walk: 2L - b0(G),
+    with L the vertices placed before all of their neighbours.  A vertex
+    with c earlier components among its neighbours changes b0 by 1 - c,
+    so its absolute change is 2 [c = 0] less its signed one, and the
+    signed changes of one order add up to b0(G)."""
+    b0 = betti0_of_subset(complex_, (1 << complex_.n) - 1)
+    totals = []
+    for order in orders:
+        placed = leading = 0
+        for v in order:
+            leading += not complex_.rows[v] & placed
+            placed |= 1 << v
+        totals.append(2 * leading - b0)
+    return totals
 
 
 def laplacian(complex_: NeighborComplex) -> np.ndarray:
@@ -448,11 +483,13 @@ def cactus_graphs(draw, max_n=16):
     ])
 
 
-def joined_by_bridges(parts, seed: int) -> NeighborComplex:
+def joined_by_bridges(parts, seed: int | random.Random) -> NeighborComplex:
     """The disjoint union of the complexes ``parts`` under a seeded
     relabeling, each part after the first joined by one edge, a bridge,
-    from a random vertex of it to a random earlier vertex."""
-    rng = random.Random(seed)
+    from a random vertex of it to a random earlier vertex.  ``seed`` may
+    be the generator itself, which ``parts`` may also draw from as it is
+    iterated."""
+    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     edges, n = [], 0
     for part in parts:
         if n:

@@ -747,26 +747,24 @@ def test_profile_payload_key_order(
     assert list(payload["samples"][0]) == row_keys
 
 
-def _readme_example(command: str) -> str:
-    """Output shown under ``$ topoinfluence <command>`` in README.md."""
-    text = README.read_text(encoding="utf-8")
-    pattern = rf"```\n\$ topoinfluence {re.escape(command)}\n(.*?)```"
-    block = re.search(pattern, text, re.S)
-    assert block, f"no README example for {command!r}"
-    return block.group(1)
+# Every ``$ topoinfluence <command>`` block of README.md, as (command,
+# the output shown under it).
+README_EXAMPLES = re.findall(
+    r"```\n\$ topoinfluence (.*?)\n(.*?)```", README.read_text(encoding="utf-8"), re.S
+)
+
+
+def test_readme_shows_one_example_per_command():
+    commands = [command.split()[0] for command, _ in README_EXAMPLES]
+    assert sorted(commands) == ["family", "grammar", "influence"]
 
 
 @pytest.mark.parametrize(
-    "command",
-    [
-        "influence --input demo.txt --metric edit --radius 1",
-        "family --kind wheel --n 6",
-        "grammar --g 3 --len 4",
-    ],
+    "command, want", README_EXAMPLES, ids=[command for command, _ in README_EXAMPLES]
 )
-def test_readme_examples_match_output(capsys, tmp_path, monkeypatch, command):
+def test_readme_examples_match_output(capsys, tmp_path, monkeypatch, command, want):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "demo.txt").write_text(G3_STRINGS, encoding="utf-8")
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0, err
-    assert out == _readme_example(command)
+    assert out == want

@@ -8,7 +8,8 @@ unbiasedness (full-permutation average) and reproducibility.  The exact
 scores are also held against the absolute marginal tallies of the slow
 routes in ``oracles``, on graphs that span several chunks, and on
 graphs whose blocks are all complete, forests among them, which exact
-mode scores in closed form with no table.
+mode scores in closed form with no table.  Shapley efficiency fixes the
+sum of the exact scores and of each order's marginals on every route.
 """
 
 import dataclasses
@@ -55,6 +56,7 @@ from oracles import (
     block_graphs,
     bridged_unions,
     cactus_graphs,
+    efficiency_total,
     flood_marginals,
     joined_by_bridges,
     multi_chunk_case,
@@ -64,6 +66,7 @@ from oracles import (
     small_graphs,
     two_cliques_sharing_a_vertex,
     two_cycles_sharing_a_vertex,
+    walk_totals,
     whole_graph_marginals,
     whole_graph_sums,
 )
@@ -774,6 +777,48 @@ class TestPieceRoutes:
         assert sorted(calls) == [4, 4, 8, 10, 12]
         calls.clear()
         assert sampled_shapley(g, 20, 1) == first and calls == []
+
+
+class TestEfficiency:
+    """Shapley efficiency fixes the totals with no oracle walk or table:
+    the exact scores sum to the sum of 2 / (deg i + 1) less b0(G), and one
+    order's absolute marginals to 2L - b0(G), with L the vertices placed
+    before all of their neighbours."""
+
+    @given(st.one_of(forests(), block_graph(16)))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_total_in_closed_form(self, g):
+        def refuse(complex_):
+            raise AssertionError("a graph whose blocks are all complete filled a table")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "betti0_table", refuse)
+            assert sum(exact_shapley(g).shapley) == efficiency_total(g)
+
+    @given(st.one_of(small_graphs(max_n=10), block_graph(12), cactus_graphs(max_n=12)))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_total_by_table(self, g):
+        # With the closed form refused, every graph fills its table.
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_complete_block_scores", lambda complex_: None)
+            assert sum(exact_shapley(g).shapley) == efficiency_total(g)
+
+    @pytest.mark.parametrize("limit, lookup_min", PIECE_ROUTES)
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_walk_total(self, limit, lookup_min, data):
+        g = data.draw(st.one_of(
+            small_graphs(max_n=10), bridged_unions(min_n=60, max_piece=20),
+            block_graph(24), cactus_graphs(max_n=40), st.builds(named_pieces, st.integers(0, 2)),
+        ))
+        orders = np.random.default_rng(data.draw(st.integers(0, 2**32))).permuted(
+            np.tile(np.arange(g.n), (5, 1)), axis=1
+        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(blocks, "PIECE_LIMIT", limit)
+            mp.setattr(blocks, "LOOKUP_MIN", lookup_min)
+            totals = [int(permutation_marginals(g, order).sum()) for order in orders]
+        assert totals == walk_totals(g, orders.tolist())
 
 
 class TestSampled:
