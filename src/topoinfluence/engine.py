@@ -67,6 +67,7 @@ sampled   Monte Carlo over uniformly random insertion orders; the
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cache, cached_property
@@ -275,13 +276,15 @@ def exact_shapley(
             stacklevel=2,
         )
     sums, totals = _size_sums(betti0_table(complex_), n)
-    totals = totals.tolist()
     weights = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
     n_fact = math.factorial(n)
+    # Row i, column k: A[i, k+1] + A[i, k] - T[k], i's signed marginals
+    # summed over the size-k coalitions that avoid it, exact in int64.
+    # Weighted by w_k, they add up on Python ints.
+    marginals = sums[:, 1:] + sums[:, :-1] - totals[:-1]
     numerators = [
-        2 * n_fact // (complex_.degree(i) + 1)
-        - sum(w * (a1 + a0 - t) for w, a0, a1, t in zip(weights, a, a[1:], totals))
-        for i, a in enumerate(sums.tolist())
+        2 * n_fact // (complex_.degree(i) + 1) - sum(map(operator.mul, weights, row))
+        for i, row in enumerate(marginals.tolist())
     ]
     return InfluenceResult(
         labels=_labels_of(complex_),

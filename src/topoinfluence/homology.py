@@ -1,16 +1,18 @@
 """Connected-component counting, as the pipelines run it.
 
-Single graphs, the masked subgraphs the masking harness labels, and the
-sampled walk all count components with one union-find walk,
-``component_changes``: the signed change in b0 as each vertex joins the
-vertices before it in an order.  It reads each vertex's neighbours from
-neighbour tuples, so a step costs the vertex's degree, not a scan of an
-n-bit row: ``betti0`` walks the complex's ``neighbors``, and the sampled
-walk only the edges of the biconnected blocks that are neither bridges,
-cycles nor small enough for a table.  Exact mode on a graph with a block
-that is not complete needs more: the component count of the induced
-subgraph on every subset S of vertices, all 2^n of them, and the sampled
-walk the same table for each small block.  (A graph whose blocks are all complete, forests included,
+Single graphs, the masking harness's draws and the masked subgraphs it
+labels, and the sampled walk all count components with one union-find
+walk, ``component_changes``: the signed change in b0 as each vertex
+joins the vertices before it in an order.  It reads each vertex's
+neighbours from neighbour sequences, so a step costs the vertex's
+degree, not a scan of an n-bit row: ``betti0`` walks the complex's
+``neighbors``, the harness each draw's lists built from its edges before
+any complex is, and the sampled walk only the edges of the biconnected
+blocks that are neither bridges, cycles nor small enough for a table.
+Exact mode on a graph with a block that is not complete needs more: the
+component count of the induced subgraph on every subset S of vertices,
+all 2^n of them, and the sampled walk the same table for each small
+block.  (A graph whose blocks are all complete, forests included,
 takes a closed form in ``engine.exact_shapley`` and fills no table.)
 ``betti0_table`` fills that table with a peeling recurrence instead of
 2^n independent traversals: the count for S is one more than the count
@@ -52,6 +54,10 @@ TABLE_HARD_MAX = 26
 # a 2-vCPU Xeon VM a 19-vertex K8,11 table and its size sums took
 # 29.7 ms and 6,677 minor faults cold, 10.4 ms and 192 faults after a
 # 2^20-entry table.  At 2^14 they take 14.3 ms and 144 faults cold.
+# A 14-vertex table still goes in two chunks of 2^13: filled as one, its
+# int64 temporaries reach 128 KiB, and four 200-graph ``mask`` runs
+# (seeds 4-7, 8-14 vertices) took 6,456 minor faults a pass on the same
+# VM, against 1,514 with two.
 CHUNK_BITS = 14
 
 # numpy keeps up to seven freed buffers of each size under 1 KiB for
@@ -136,9 +142,10 @@ def betti0_table(complex_: NeighborComplex) -> np.ndarray:
     t[0] = 0.  Peeling recurrence: let c be the component of the highest
     set bit 2^b of ``mask``; then t[mask] = t[mask ^ c] + 1, and
     ``mask ^ c`` is below 2^b.  So the block of masks [2^b, 2^(b+1))
-    reads only earlier blocks.  The masks go in chunks of 2^CHUNK_BITS,
-    or of the top block when it is shorter, and the chunk at 0 holds
-    every block below the chunk length.
+    reads only earlier blocks.  A table of fewer than 2^CHUNK_BITS masks
+    is one chunk.  A longer one goes in chunks of 2^CHUNK_BITS, or of
+    its top block when that is shorter, and the chunk at 0 holds every
+    block below the chunk length.
 
     The first step is closed-form: every mask of block b shares row b,
     so c starts as (mask & row b) | 2^b, the top and its neighbours in
@@ -164,9 +171,10 @@ def betti0_table(complex_: NeighborComplex) -> np.ndarray:
     table = np.zeros(1 << n, dtype=np.int8)
     low = _union_table(complex_.rows[: n // 2])
     high = _union_table(complex_.rows[n // 2 :])
-    # A chunk no longer than the top block keeps the temporaries of a
-    # block-by-block fill.
-    chunk = 1 << min(CHUNK_BITS, n - 1)
+    # A table shorter than a chunk is one chunk.  A longer one goes in
+    # chunks no longer than its top block, which keep the temporaries of
+    # a block-by-block fill.
+    chunk = 1 << (n if n < CHUNK_BITS else min(CHUNK_BITS, n - 1))
     for start in range(0, 1 << n, chunk):
         first, stop = max(start, 1), min(start + chunk, 1 << n)
         _fill_chunk(table, complex_.rows, low, high, first, stop)

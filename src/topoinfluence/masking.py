@@ -7,21 +7,23 @@ label.  If influence scores mean anything, removing the most
 influential vertices should disturb the label most and the least
 influential ones least, with random deletion in between.
 
-Labels come from the exact component count of each masked graph,
-counted on the parent graph restricted to its surviving vertices, with
-no reindexed copy built.  No learned classifier stands in the loop, so
-the measured quantity is ground-truth label disruption, not model
-accuracy.
+Labels come from exact component counts.  A draw's label is counted on
+its edges, and a complex is built only for a draw that is kept.  A
+masked graph's label is counted on the parent graph restricted to its
+surviving vertices, with no reindexed copy built.  No learned
+classifier stands in the loop, so the measured quantity is ground-truth
+label disruption, not model accuracy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .engine import compute_influence
 from .errors import GenerationBudgetError, InputError
 from .families import _er_edges
-from .homology import betti0
+from .homology import betti0, component_changes
 from .metric_complex import NeighborComplex
 from .streams import philox_block
 
@@ -79,12 +81,15 @@ def generate_er_dataset(
     """Rejection-sample random graphs into three near-equal label classes.
 
     Each attempt draws a vertex count uniformly from ``n_range``, an edge
-    probability uniformly from ``p_range``, then the graph itself; it is
+    probability uniformly from ``p_range``, then the graph's edges; it is
     kept only if its component count is 1, 2, or 3 and that class still
-    has room.  Class quotas differ by at most one when count is not a
-    multiple of three.  Deterministic per seed: attempt j uses its own
-    counter block of a Philox stream, so accepted graphs do not depend
-    on how earlier attempts were rejected.  GenerationBudgetError comes
+    has room.  The count is the union-find walk of
+    :func:`~topoinfluence.homology.component_changes` over neighbour
+    lists built from the edges, and the graph's complex is built only
+    once the draw is kept.  Class quotas differ by at most one when
+    count is not a multiple of three.  Deterministic per seed: attempt j
+    uses its own counter block of a Philox stream, so accepted graphs do
+    not depend on how earlier attempts were rejected.  GenerationBudgetError comes
     when the budget of draws runs out, or before the first draw when the
     ranges rule a class out.
     """
@@ -121,10 +126,15 @@ def generate_er_dataset(
         attempt += 1
         n = int(rng.integers(n_lo, n_hi + 1))
         p = float(rng.uniform(p_lo, p_hi))
-        graph = NeighborComplex.from_edges(n, _er_edges(rng, n, p))
-        label = betti0(graph)
+        edges = _er_edges(rng, n, p)
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            neighbors[u].append(v)
+            neighbors[v].append(u)
+        label = sum(component_changes(neighbors, range(n)))
         if label in quota and filled[label] < quota[label]:
             filled[label] += 1
+            graph = NeighborComplex.from_edges(n, edges)
             dataset.append(LabeledGraph(graph=graph, label=label))
     if len(dataset) < count:
         raise GenerationBudgetError(
@@ -138,11 +148,15 @@ def rank_nodes(graph: NeighborComplex) -> list[int]:
     """Vertices sorted by exact influence, highest first, ties by index.
 
     The scores sort in the order of ``mu``, their quotients by a positive
-    total, so ``mu`` is never built.  The sort is stable under
-    ``reverse=True``, so tied vertices keep their index order.
+    total, so ``mu`` is never built.  Nor are Fractions compared: each
+    score sorts by its numerator over the scores' least common
+    denominator, an int.  The sort is stable under ``reverse=True``, so
+    tied vertices keep their index order.
     """
     scores = compute_influence(graph).shapley
-    return sorted(range(graph.n), key=scores.__getitem__, reverse=True)
+    common = math.lcm(*(s.denominator for s in scores))
+    keys = [s.numerator * (common // s.denominator) for s in scores]
+    return sorted(range(graph.n), key=keys.__getitem__, reverse=True)
 
 
 def mask_nodes(graph: NeighborComplex, vertices: set[int]) -> NeighborComplex:

@@ -8,6 +8,9 @@ oracles share no code with the lazy enumeration; the scalar edit-distance
 dynamic program shares no code with the package's vectorized kernel, nor
 do the one-pair hamming and euclidean distances with its numpy tiles; the
 pair-list Erdos-Renyi edges share no code with the package's hit walk.
+The Erdos-Renyi dataset is the package's before each draw was labeled
+on its edges: it builds every draw's complex and labels it with
+``betti0``.
 The JSON writer is the package's before it wrote each container in one
 pass: it recurses once per value and spells every string and key through
 ``json.dumps``.  The whole-graph walk is the sampled estimator's route
@@ -27,14 +30,20 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
+from topoinfluence import masking
+from topoinfluence.families import _er_edges
 from topoinfluence.homology import component_changes
 from topoinfluence.report import fmt_float
+from topoinfluence.streams import philox_block
 from topoinfluence import (
     FAMILIES,
+    GenerationBudgetError,
     Grammar,
     InputError,
+    LabeledGraph,
     LabeledPointSet,
     NeighborComplex,
+    betti0,
     build_complex,
     build_distance_matrix,
     builtin_grammar,
@@ -122,6 +131,35 @@ def er_edges_pair_list(rng: np.random.Generator, n: int, p: float) -> list:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     draws = rng.random(len(pairs))
     return [pair for pair, u in zip(pairs, draws) if u < p]
+
+
+def reference_er_dataset(count, n_range=(8, 14), p_range=(0.02, 0.21), seed=0):
+    """``generate_er_dataset``'s draws by its route before each label was
+    counted on the drawn edges: every draw builds its complex, and
+    ``betti0`` labels it.  Same Philox blocks, quotas, budget and error
+    text; the ranges are taken as valid."""
+    base, extra = divmod(count, 3)
+    quota = {c: base + (1 if c <= extra else 0) for c in (1, 2, 3)}
+    filled = {1: 0, 2: 0, 3: 0}
+    dataset = []
+    budget = count * masking.ATTEMPTS_PER_GRAPH
+    attempt, rng = 0, None
+    while len(dataset) < count and attempt < budget:
+        rng = philox_block(seed, attempt, rng)
+        attempt += 1
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        p = float(rng.uniform(*p_range))
+        graph = NeighborComplex.from_edges(n, _er_edges(rng, n, p))
+        label = betti0(graph)
+        if label in quota and filled[label] < quota[label]:
+            filled[label] += 1
+            dataset.append(LabeledGraph(graph=graph, label=label))
+    if len(dataset) < count:
+        raise GenerationBudgetError(
+            f"after {budget} attempts classes filled {filled} of {quota}; "
+            f"widen n_range={n_range} or p_range={p_range}"
+        )
+    return dataset
 
 
 def flood_marginals(complex_: NeighborComplex, order) -> list[int]:

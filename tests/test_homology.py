@@ -29,6 +29,7 @@ from oracles import (
     laplacian,
     multi_chunk_case,
     reference_betti0_table,
+    relabeled,
     small_graphs,
 )
 
@@ -231,6 +232,28 @@ class TestBetti0Table:
             table = betti0_table(g)
         assert table.dtype == np.int8
         assert len(table) == 1 << g.n
+        assert table.tobytes() == reference_betti0_table(g).tobytes()
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("chunk_bits", [3, 4])
+    def test_chunks_at_the_chunk_length(self, monkeypatch, chunk_bits, offset, seed):
+        # Fewer than 2^CHUNK_BITS masks fill as one chunk; 2^CHUNK_BITS
+        # and 2^(CHUNK_BITS + 1) masks as two chunks of their top block.
+        n = chunk_bits + offset
+        g = relabeled(erdos_renyi_graph(n, 0.4, seed), seed)
+        chunks = []
+        fill = homology._fill_chunk
+
+        def recording(table, rows, low, high, first, stop):
+            chunks.append((first, stop))
+            fill(table, rows, low, high, first, stop)
+
+        monkeypatch.setattr(homology, "CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(homology, "_fill_chunk", recording)
+        table = betti0_table(g)
+        half = 1 << n - 1
+        assert chunks == ([(1, 1 << n)] if n < chunk_bits else [(1, half), (half, 1 << n)])
         assert table.tobytes() == reference_betti0_table(g).tobytes()
 
     @pytest.mark.parametrize("name", sorted(MULTI_CHUNK_GRAPHS))

@@ -2,10 +2,12 @@ import pytest
 from hypothesis import given, settings
 
 from topoinfluence import masking
+from topoinfluence.engine import _complete_block_scores
 from topoinfluence import (
     GenerationBudgetError,
     InputError,
     LabeledGraph,
+    NeighborComplex,
     betti0,
     complete_graph,
     compute_influence,
@@ -17,7 +19,11 @@ from topoinfluence import (
     star_graph,
 )
 
-from oracles import small_graphs
+from oracles import reference_er_dataset, small_graphs
+
+
+def dataset_key(dataset):
+    return [(item.graph.n, item.graph.rows, item.label) for item in dataset]
 
 
 class TestMaskNodes:
@@ -70,6 +76,19 @@ class TestRankNodes:
     def test_ties_break_by_index(self):
         assert rank_nodes(complete_graph(5)) == [0, 1, 2, 3, 4]
 
+    def test_integer_keys_sort_as_the_fractions(self):
+        # The ensemble holds graphs scored in closed form and graphs that
+        # fill a table, and graphs with tied scores.
+        routes, ties = set(), 0
+        for item in generate_er_dataset(200, seed=4):
+            g = item.graph
+            scores = compute_influence(g).shapley
+            routes.add(_complete_block_scores(g) is None)
+            ties += len(set(scores)) < g.n
+            assert rank_nodes(g) == sorted(range(g.n), key=lambda i: (-scores[i], i))
+        assert routes == {False, True}
+        assert ties
+
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
     def test_scores_rank_in_the_order_of_mu(self, g):
@@ -91,6 +110,43 @@ class TestGenerateDataset:
             assert item.label == betti0(item.graph)
             assert 1 <= item.label <= 3
             assert 8 <= item.graph.n <= 14
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_draws_match_reference_route(self, seed):
+        assert dataset_key(generate_er_dataset(200, seed=seed)) == dataset_key(
+            reference_er_dataset(200, seed=seed)
+        )
+
+    @pytest.mark.parametrize("n_range, p_range", [
+        ((1, 3), (0.0, 0.0)),
+        ((5, 9), (0.0, 0.3)),
+    ])
+    def test_draws_match_reference_route_at_other_ranges(self, n_range, p_range):
+        for seed in range(3):
+            got = generate_er_dataset(30, n_range=n_range, p_range=p_range, seed=seed)
+            want = reference_er_dataset(30, n_range=n_range, p_range=p_range, seed=seed)
+            assert dataset_key(got) == dataset_key(want)
+
+    def test_budget_error_matches_reference_route(self, monkeypatch):
+        monkeypatch.setattr(masking, "ATTEMPTS_PER_GRAPH", 2)
+        ranges = dict(n_range=(20, 20), p_range=(0.9, 1.0), seed=0)
+        with pytest.raises(GenerationBudgetError) as got:
+            generate_er_dataset(3, **ranges)
+        with pytest.raises(GenerationBudgetError) as want:
+            reference_er_dataset(3, **ranges)
+        assert str(got.value) == str(want.value)
+
+    def test_complex_built_only_for_kept_draws(self, monkeypatch):
+        built = []
+        from_edges = NeighborComplex.from_edges.__func__
+
+        def counting(cls, n, edges):
+            built.append(n)
+            return from_edges(cls, n, edges)
+
+        monkeypatch.setattr(NeighborComplex, "from_edges", classmethod(counting))
+        dataset = generate_er_dataset(60, seed=1)
+        assert built == [item.graph.n for item in dataset]
 
     def test_deterministic(self):
         a = generate_er_dataset(15, seed=9)
