@@ -9,22 +9,20 @@ order, as ``NeighborComplex.neighbors`` holds them, and
 ``biconnected_blocks`` reads the blocks off its three lists.  Exact mode
 scores a graph whose blocks are all complete in closed form.
 
-b1 adds up over blocks, so along any order a vertex's change in b0 is 1
-plus the sum, over the blocks that hold it, of its change in the block
-alone less 1.  ``split_pieces`` lays the blocks out for the sampled
-walk on that identity, a piece being a block: a bridge or a cycle block
-is scored in closed form, another block of at most ``PIECE_LIMIT``
-vertices by lookups in its own subset table, filled once, and the blocks
-left by the union-find walk over the union of their edges.  Small blocks
-with fewer than ``LOOKUP_MIN`` vertices in all are walked too, since the
-lookup's fixed cost per order would outweigh it.
+b1 adds up over blocks, so the sampled walk scores each order block by
+block, a piece being a block: ``split_pieces`` lays the blocks out once
+per graph, filling each small block's subset table from its own k-bit
+adjacency rows, and ``block_changes`` scores one order over them, each
+kind of block its own way.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
+
+from .homology import _table_of_rows, component_changes
 
 # The largest block scored by table lookups: its table holds 2^12 int8
 # entries, 4 KiB, under 342 bytes per vertex.  Larger blocks are walked.
@@ -34,6 +32,9 @@ PIECE_LIMIT = 12
 # bridges nor cycles are walked instead: the lookup costs about ten
 # numpy calls per order whatever its size.  On K4s joined by bridges the
 # walk costs as much at 16-24 vertices, and half as much again at 32.
+# The bench walks ``strings_sweep``'s 12 and 4 such vertices at r = 1
+# and 2 and looks up ``sampled_union``'s 300; a minimum of 0 raised the
+# former's median wall from 0.1189 to 0.1228 s (5 of 5 pairs, 2 vCPUs).
 LOOKUP_MIN = 32
 
 
@@ -169,10 +170,7 @@ def _block_neighbors(
         yield v, [w for w in neighbors[v] if w in inside]
 
 
-def split_pieces(
-    neighbors: Sequence[Sequence[int]],
-    table: Callable[[tuple[int, ...]], np.ndarray],
-) -> Pieces:
+def split_pieces(neighbors: Sequence[Sequence[int]]) -> Pieces:
     """The :class:`Pieces` of the graph with these neighbour tuples.
 
     A block of :func:`biconnected_blocks` with k vertices and m edges is
@@ -181,10 +179,10 @@ def split_pieces(
     then it is a simple cycle of any length, a cycle block, and gets
     neither a table nor the walk.
 
-    ``table(rows)`` returns the int8 subset table of the graph on 0..k-1
-    whose adjacency sets are the k-bit ``rows``.  It runs once per other
-    block of at most PIECE_LIMIT vertices, after the search's lists are
-    freed, and its result is copied into ``tables`` at once, so no more
+    Each other block of at most PIECE_LIMIT vertices gets the subset
+    table of :func:`~topoinfluence.homology.betti0_table`, filled from
+    its k-bit adjacency rows with no complex built, after the search's
+    lists are freed.  It is copied into ``tables`` at once, so no more
     than one block's table is alive beside them.  When those blocks hold
     fewer than LOOKUP_MIN vertices in all, they are walked with the others.
     """
@@ -219,9 +217,9 @@ def split_pieces(
     for column, block in enumerate(small):
         k = len(block)
         number = {v: j for j, v in enumerate(block)}
-        tables[start : start + (1 << k)] = table(tuple(
+        tables[start : start + (1 << k)] = _table_of_rows([
             sum(1 << number[w] for w in neighbors[v] if w in number) for v in block
-        ))
+        ])
         members[:k, column] = looked[stop : stop + k]
         piece_of[stop : stop + k] = column
         base[:, stop : stop + k] = start + [[0], [1]] * (1 << np.arange(k))
@@ -249,3 +247,69 @@ def split_pieces(
         walk_local=walk_local,
         walk_neighbors=tuple(tuple(sorted(index[w] for w in walk[v])) for v in kept),
     )
+
+
+def block_changes(pieces: Pieces, order: np.ndarray, position: np.ndarray) -> np.ndarray:
+    """Signed change in b0 as each vertex i joins the vertices P before
+    it in ``order``, an integer array, as an int64 array indexed by
+    vertex.  ``position[v]`` is v's place in ``order``, and position[n]
+    = n, after every vertex, the place of the lookups' padding.  Then
+
+        b0(P + i) - b0(P)  =  1 + sum over i's blocks B of [d_B(i) - 1],
+
+    with d_B(i) the same change in B alone, on the vertices of B in P,
+    which each kind of block in :class:`Pieces` gives its own way:
+
+    - a bridge or a cycle block, with c(i) the number of i's neighbours
+      in B before i: d_B(i) = 1 - c(i) + [B is a cycle and i the last of
+      it to come].  i's earlier neighbours in B lie in c(i) components
+      unless both of a cycle's do; then the one path between them that
+      avoids i joins them iff all the rest of the cycle came first.  So
+      each of these edges counts against its later end in one bincount,
+      and the vertex at each cycle's latest position, one
+      ``np.maximum.reduceat``, gains 1 in another;
+    - a looked-up block: d_B(i) = t_B[P_B + i] - t_B[P_B], with t_B its
+      subset table and P_B the mask of its local vertices in P, formed
+      in numpy from their positions;
+    - the walked blocks: 1 plus the sum of [d_B(i) - 1] over them is i's
+      marginal in their union, which the union-find walk of
+      :func:`~topoinfluence.homology.component_changes` runs over.
+
+    A cut vertex lies in several blocks, so each kind's terms are summed
+    by a bincount, which adds up repeated indices.
+    """
+    n = len(order)
+    # Signs come from shifts, here and in permutation_marginals' absolute
+    # values, not from comparisons or np.abs: every numpy inner loop a run
+    # touches for the first time maps 64 KiB more of numpy's library, and
+    # shifts, sums and products are mapped already.
+    first, second = pieces.closed
+    # Each edge of a bridge or a cycle block counts against its later end:
+    # the position gap shifted by 63 is -1 where ``first`` is earlier, else 0.
+    later = first + (first - second) * ((position[first] - position[second]) >> 63)
+    changes = np.ones(n, dtype=np.int64)
+    if len(pieces.walked):
+        walked = pieces.walk_local[order]
+        # walk_local is -1 off the walked blocks, so walked + 1 is 0 exactly there.
+        walked = walked[np.flatnonzero(walked + 1)]
+        changes[pieces.walked] = component_changes(pieces.walk_neighbors, walked.tolist())
+    if len(pieces.looked):
+        # Row j, column i: where local vertex j of i's block came, less
+        # where i came, shifted to -1 if j came first and to 0 if not
+        # (i itself and padding).  Masked by the rows' bits, column i sums
+        # to the mask of the vertices of i's block placed before it.
+        earlier = position.take(pieces.members).take(pieces.piece, axis=1)
+        earlier -= position.take(pieces.looked)
+        earlier >>= 63
+        earlier &= pieces.row_bits
+        before, after = pieces.tables.take(earlier.sum(axis=0) + pieces.base)
+        # The weights become float64, exact for counts this small.
+        changes += np.bincount(pieces.looked, after - before - 1, minlength=n).astype(np.int64)
+    if len(pieces.cycle_starts):
+        # The last of each cycle to arrive, at the cycle's latest position,
+        # gains 1: the rest of the cycle already joins its two neighbours.
+        changes += np.bincount(order.take(np.maximum.reduceat(
+            position.take(pieces.cycles), pieces.cycle_starts
+        )), minlength=n)
+    changes -= np.bincount(later, minlength=n)
+    return changes

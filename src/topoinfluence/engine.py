@@ -47,21 +47,12 @@ sampled   Monte Carlo over uniformly random insertion orders; the
           predecessor set of i in a uniform permutation is exactly a
           coalition drawn with the Shapley weights, so the running mean
           of the walk marginals is unbiased for s(i).  b1 adds up over
-          blocks here too: along one order, i's signed marginal is 1
-          plus the sum, over i's blocks B, of its marginal in B less 1.
-          A bridge or a cycle block of any length gives that term in
-          closed form, from the positions of its vertices alone.
-          Another block of at most ``blocks.PIECE_LIMIT`` vertices reads
-          its marginal as the difference of two entries of the block's
-          subset table, in numpy for all such blocks at once, unless
-          they hold fewer than ``blocks.LOOKUP_MIN`` vertices in all;
-          the union-find walk of ``homology.component_changes`` runs
-          only over the union of the blocks left, and not at all on any
-          cactus.  The blocks and their tables come once per complex
-          from one depth-first search (``NeighborComplex.pieces``).
-          Order j is the permutation drawn from counter block j of the
-          seed's Philox stream, with one generator repositioned from
-          block to block.
+          blocks here too, so ``blocks.block_changes`` scores each order
+          block by block over the layout that ``NeighborComplex.pieces``
+          builds once per complex from one depth-first search.  Order j
+          is the permutation drawn from counter block j of the seed's
+          Philox stream, with one generator repositioned from block to
+          block.
 """
 
 from __future__ import annotations
@@ -76,7 +67,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import biconnected_blocks
+from .blocks import biconnected_blocks, block_changes
 from .errors import InputError, SizeCapError
 from .homology import CHUNK_BITS, TABLE_HARD_MAX, betti0_table, component_changes
 from .metric_complex import NeighborComplex
@@ -302,36 +293,9 @@ def permutation_marginals(
     for the vertices P before i, the absolute values of
     :func:`~topoinfluence.homology.component_changes` over the complex's
     ``neighbors``, as an int64 array.  ``order`` must be a permutation of
-    0..n-1, as a sequence or an array of integers.
-
-    b0 = |V| - |E| + b1, and b1 adds up over the graph's blocks
-    (:attr:`~topoinfluence.metric_complex.NeighborComplex.pieces`), so
-    for the vertices P before i,
-
-        b0(P + i) - b0(P)  =  1 + sum over i's blocks B of [d_B(i) - 1],
-
-    with d_B(i) the same marginal in B alone, on the vertices of B in P.
-    Each kind of block gives d_B(i) its own way:
-
-    - a bridge or a cycle block, with c(i) the number of i's neighbours
-      in B before i: d_B(i) = 1 - c(i) + [B is a cycle and i the last of
-      it to come].  i's earlier neighbours in B lie in c(i) components
-      unless both of a cycle's do; then the one path between them that
-      avoids i joins them iff all the rest of the cycle came first.  So
-      each of these edges counts against its later end in one bincount,
-      and the vertex at each cycle's latest position, one
-      ``np.maximum.reduceat``, gains 1 in another;
-    - another block of at most ``blocks.PIECE_LIMIT`` vertices, when
-      such blocks hold at least ``blocks.LOOKUP_MIN`` vertices in all:
-      d_B(i) = t_B[P_B + i] - t_B[P_B], with t_B the block's subset
-      table (:func:`~topoinfluence.homology.betti0_table`) and P_B the
-      mask of its local vertices in P, formed in numpy from their
-      positions;
-    - the blocks left: 1 plus the sum of [d_B(i) - 1] over them is i's
-      marginal in their union, which the union-find walk runs over.
-
-    A cut vertex lies in several blocks, so each kind's terms are summed
-    by a bincount, which adds up repeated indices.
+    0..n-1, as a sequence or an array of integers.  The signed changes
+    come from :func:`~topoinfluence.blocks.block_changes`, block by block
+    over the complex's cached ``pieces``.
     """
     n = complex_.n
     try:
@@ -356,39 +320,7 @@ def permutation_marginals(
     if distinct != n:
         # The walk names the first entry out of range or repeated.
         component_changes(complex_.neighbors, order.tolist())
-    # Signs come from shifts, not comparisons or np.abs: every numpy
-    # inner loop a run touches for the first time maps 64 KiB more of
-    # numpy's library, and shifts, sums and products are mapped already.
-    pieces = complex_.pieces
-    first, second = pieces.closed
-    # Each edge of a bridge or a cycle block counts against its later end:
-    # the position gap shifted by 63 is -1 where ``first`` is earlier, else 0.
-    later = first + (first - second) * ((position[first] - position[second]) >> 63)
-    changes = np.ones(n, dtype=np.int64)
-    if len(pieces.walked):
-        walked = pieces.walk_local[order]
-        # walk_local is -1 off the walked blocks, so walked + 1 is 0 exactly there.
-        walked = walked[np.flatnonzero(walked + 1)]
-        changes[pieces.walked] = component_changes(pieces.walk_neighbors, walked.tolist())
-    if len(pieces.looked):
-        # Row j, column i: where local vertex j of i's block came, less
-        # where i came, shifted to -1 if j came first and to 0 if not
-        # (i itself and padding).  Masked by the rows' bits, column i sums
-        # to the mask of the vertices of i's block placed before it.
-        earlier = position.take(pieces.members).take(pieces.piece, axis=1)
-        earlier -= position.take(pieces.looked)
-        earlier >>= 63
-        earlier &= pieces.row_bits
-        before, after = pieces.tables.take(earlier.sum(axis=0) + pieces.base)
-        # The weights become float64, exact for counts this small.
-        changes += np.bincount(pieces.looked, after - before - 1, minlength=n).astype(np.int64)
-    if len(pieces.cycle_starts):
-        # The last of each cycle to arrive, at the cycle's latest position,
-        # gains 1: the rest of the cycle already joins its two neighbours.
-        changes += np.bincount(order.take(np.maximum.reduceat(
-            position.take(pieces.cycles), pieces.cycle_starts
-        )), minlength=n)
-    changes -= np.bincount(later, minlength=n)
+    changes = block_changes(complex_.pieces, order, position)
     changes *= (changes >> 63) * 2 + 1  # |x| = x (2 (x >> 63) + 1)
     return changes
 

@@ -12,8 +12,10 @@ blocks that are neither bridges, cycles nor small enough for a table.
 Exact mode on a graph with a block that is not complete needs more: the
 component count of the induced subgraph on every subset S of vertices,
 all 2^n of them, and the sampled walk the same table for each small
-block.  (A graph whose blocks are all complete, forests included,
-takes a closed form in ``engine.exact_shapley`` and fills no table.)
+block, which ``blocks.split_pieces`` fills from the block's own k-bit
+rows with no complex built.  (A graph whose blocks are all complete,
+forests included, takes a closed form in ``engine.exact_shapley`` and
+fills no table.)
 ``betti0_table`` fills that table with a peeling recurrence instead of
 2^n independent traversals: the count for S is one more than the count
 for S minus the component containing S's highest vertex, and that
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import InputError, SizeCapError
 
-if TYPE_CHECKING:  # the complex fills its walk's block tables through this module
+if TYPE_CHECKING:  # a cycle at run time: metric_complex -> blocks -> here
     from .metric_complex import NeighborComplex
 
 # betti0_table allocates 2^n bytes and touches every subset once.
@@ -162,22 +164,28 @@ def betti0_table(complex_: NeighborComplex) -> np.ndarray:
 
     Component counts fit in int8 because n <= TABLE_HARD_MAX.
     """
-    n = complex_.n
+    return _table_of_rows(complex_.rows)
+
+
+def _table_of_rows(rows: Sequence[int]) -> np.ndarray:
+    """:func:`betti0_table` of the graph on 0..len(rows)-1 whose adjacency
+    sets are the bits of ``rows``, with no complex built or checked."""
+    n = len(rows)
     if n > TABLE_HARD_MAX:
         raise SizeCapError(
             f"subset table for n={n} needs 2^{n} entries; hard max is "
             f"n={TABLE_HARD_MAX}"
         )
     table = np.zeros(1 << n, dtype=np.int8)
-    low = _union_table(complex_.rows[: n // 2])
-    high = _union_table(complex_.rows[n // 2 :])
+    low = _union_table(rows[: n // 2])
+    high = _union_table(rows[n // 2 :])
     # A table shorter than a chunk is one chunk.  A longer one goes in
     # chunks no longer than its top block, which keep the temporaries of
     # a block-by-block fill.
     chunk = 1 << (n if n < CHUNK_BITS else min(CHUNK_BITS, n - 1))
     for start in range(0, 1 << n, chunk):
         first, stop = max(start, 1), min(start + chunk, 1 << n)
-        _fill_chunk(table, complex_.rows, low, high, first, stop)
+        _fill_chunk(table, rows, low, high, first, stop)
     return table
 
 

@@ -38,7 +38,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import homology
 from .blocks import Pieces, split_pieces
 from .errors import InputError
 
@@ -545,14 +544,9 @@ class NeighborComplex:
     def pieces(self) -> Pieces:
         """:func:`~topoinfluence.blocks.split_pieces` of ``neighbors``,
         computed on first read and cached like ``InfluenceResult.mu``: the
-        biconnected blocks, the bridges and cycle blocks with their edges,
-        and each other block to be looked up with its
-        :func:`~topoinfluence.homology.betti0_table`, filled from its own
-        k-bit rows."""
-        return split_pieces(
-            self.neighbors,
-            lambda rows: homology.betti0_table(NeighborComplex(len(rows), rows)),
-        )
+        layout of the biconnected blocks that the sampled walk scores
+        each order over."""
+        return split_pieces(self.neighbors)
 
 
 def check_radius(r: float) -> None:

@@ -156,7 +156,7 @@ def no_table(rows):
     raise AssertionError("a table filled for a piece that is walked")
 
 
-def test_long_path_needs_no_recursion():
+def test_long_path_needs_no_recursion(monkeypatch):
     # 10^5 vertices, far past the interpreter's recursion limit: every
     # edge is a bridge and no vertex lies on a cycle.
     n = 100_000
@@ -165,7 +165,8 @@ def test_long_path_needs_no_recursion():
     )
     disc, parent, low = lowlinks(path)
     assert disc == list(range(n)) and parent == list(range(-1, n - 1))
-    pieces = split_pieces(path, no_table)
+    monkeypatch.setattr(blocks, "_table_of_rows", no_table)
+    pieces = split_pieces(path)
     assert pieces.closed.tolist() == [list(range(n - 1)), list(range(1, n))]
     assert biconnected_blocks(path) == [([v - 1, v], 1) for v in range(1, n)]
     assert len(pieces.looked) == len(pieces.walked) == 0 and pieces.walk_neighbors == ()

@@ -705,8 +705,8 @@ class TestPieceRoutes:
             cycle_graph(120), star_graph(3), two_cycles_sharing_a_vertex(3),
             two_cycles_sharing_a_vertex(7),
         ], seed=6)
-        monkeypatch.setattr(engine, "component_changes", refuse)
-        monkeypatch.setattr(homology, "betti0_table", refuse)
+        monkeypatch.setattr(blocks, "component_changes", refuse)
+        monkeypatch.setattr(blocks, "_table_of_rows", refuse)
         est = sampled_shapley(g, 100, 8)
         monkeypatch.undo()
         assert len(g.pieces.cycles) == 3 + 40 + 4 + 3 + 17 + 120 + 2 * 3 + 2 * 7
@@ -754,7 +754,7 @@ class TestPieceRoutes:
             wheel_graph(12), complete_bipartite_graph(4, 6), two_cycles_sharing_a_vertex(3),
             complete_graph(8), path_graph(6), wheel_graph(12),
         ], seed=2)
-        monkeypatch.setattr(engine, "component_changes", walk)
+        monkeypatch.setattr(blocks, "component_changes", walk)
         est = sampled_shapley(g, 100, 5)
         monkeypatch.undo()
         sums, _ = whole_graph_sums(g, 100, 5)
@@ -763,12 +763,12 @@ class TestPieceRoutes:
     def test_tables_are_filled_once_per_complex(self, monkeypatch):
         calls = []
 
-        def counted(complex_):
-            calls.append(complex_.n)
-            return fill(complex_)
+        def counted(rows):
+            calls.append(len(rows))
+            return fill(rows)
 
-        fill = homology.betti0_table
-        monkeypatch.setattr(homology, "betti0_table", counted)
+        fill = blocks._table_of_rows
+        monkeypatch.setattr(blocks, "_table_of_rows", counted)
         g = named_pieces(5)
         first = sampled_shapley(g, 20, 1)
         # One table per block of at most 12 vertices that is neither a
@@ -777,6 +777,21 @@ class TestPieceRoutes:
         assert sorted(calls) == [4, 4, 8, 10, 12]
         calls.clear()
         assert sampled_shapley(g, 20, 1) == first and calls == []
+
+    def test_pieces_build_no_complex_per_block(self, monkeypatch):
+        # Each looked-up block's table is filled from its k-bit rows, with
+        # no NeighborComplex built or validated for it.
+        built = []
+        check = NeighborComplex.__post_init__
+
+        def counted(self):
+            built.append(self.n)
+            check(self)
+
+        g = named_pieces(5)
+        monkeypatch.setattr(NeighborComplex, "__post_init__", counted)
+        assert len(g.pieces.tables) == 2**12 + 2**10 + 2**8 + 2**4 + 2**4
+        assert built == []
 
 
 class TestEfficiency:
@@ -895,7 +910,7 @@ class TestSampled:
         def walk(*args):
             raise AssertionError("the union-find walk ran on a forest")
 
-        monkeypatch.setattr(engine, "component_changes", walk)
+        monkeypatch.setattr(blocks, "component_changes", walk)
         forest = NeighborComplex.from_edges(
             30, [(0, 1), (1, 2), (1, 3), (3, 4), (10, 11), (11, 12), (20, 29)]
         )

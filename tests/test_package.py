@@ -1,9 +1,36 @@
+import os
+import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import topoinfluence
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# The package under test, first on the path of the interpreters started here.
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(topoinfluence.__file__).resolve().parents[1]),
+                  os.environ.get("PYTHONPATH")])
+)}
+
+# Imports the module named in its argument before the package's __init__
+# runs, so that the module's own imports, not __init__'s order, decide
+# which module loads first; then runs __init__ and imports cli.  cli reads
+# the package's __version__, so it alone comes after __init__.
+IMPORT_FIRST = """import importlib, importlib.util, sys
+spec = importlib.util.find_spec("topoinfluence")
+package = sys.modules["topoinfluence"] = importlib.util.module_from_spec(spec)
+if sys.argv[1] != "cli":
+    importlib.import_module("topoinfluence." + sys.argv[1])
+spec.loader.exec_module(package)
+importlib.import_module("topoinfluence.cli")
+"""
+
+MODULES = sorted(module.name for module in pkgutil.iter_modules(topoinfluence.__path__))
 
 PUBLIC_NAMES = (
     "__version__",
@@ -74,3 +101,11 @@ def test_readme_library_block_prints_its_comments(capsys):
     assert len(comments) == 2
     # The entropy comment names its unit after the printed value.
     assert printed == [comment.removesuffix(" nats") for comment in comments]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_first_in_a_fresh_interpreter(name):
+    # An import cycle shows only when a module on it is imported first.
+    done = subprocess.run([sys.executable, "-c", IMPORT_FIRST, name], env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
