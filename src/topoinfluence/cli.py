@@ -153,14 +153,8 @@ def _resolve_input_plan(args) -> tuple[str, str]:
 
 
 def _run_engine(args, complex_, labels=None) -> InfluenceResult:
-    mode = "exact" if args.sample is None else "sampled"
     return compute_influence(
-        complex_,
-        labels=labels,
-        mode=mode,
-        cap=args.cap,
-        permutations=args.sample or 0,
-        seed=args.seed,
+        complex_, labels=labels, cap=args.cap, permutations=args.sample, seed=args.seed
     )
 
 
@@ -272,7 +266,7 @@ def _cmd_family(args) -> int:
         _write_output(dump_edges(graph, comment=comment), args.output)
         return EXIT_OK
     if args.kind == "erdos_renyi":
-        result = compute_influence(graph, mode="exact", cap=args.cap)
+        result = compute_influence(graph, cap=args.cap)
     else:
         result = InfluenceResult(
             labels=family.roles(*params),

@@ -28,7 +28,7 @@ exact     closed form when every biconnected block is complete, else a
               s(i) = 2 / (deg i + 1) - phi(i)
 
           with phi the plain signed Shapley value of b0, read off
-          size-graded sums of the table (once per group of 8 vertices).
+          size-graded sums of the table, which ``homology`` fills and sums.
           Each n! s(i) is a Python int, so scores are bit-for-bit
           reproducible Fractions.  Since b0 = |V| - |E| + b1 and b1 adds
           up over blocks, s(i) = c(deg i) + sum over i's blocks B of
@@ -41,8 +41,9 @@ exact     closed form when every biconnected block is complete, else a
               s(i) = 2 / (deg i + 1) - 1 + sum over i's blocks B of (1 - 1/|B|),
 
           1 for an isolated sample and (2 + d (d - 1)) / (2 (d + 1)) in a
-          forest.  The cap applies to these graphs all the same; the
-          past-cap warning only where a table is filled.
+          forest; ``blocks`` finds and scores these graphs.  The cap
+          applies to them too, the past-cap warning only to a table.
+          The engine holds the cap and weights and runs both routes.
 sampled   Monte Carlo over uniformly random insertion orders; the
           predecessor set of i in a uniform permutation is exactly a
           coalition drawn with the Shapley weights, so the running mean
@@ -61,15 +62,15 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .blocks import biconnected_blocks, block_changes
+from .blocks import _complete_block_scores, block_changes
 from .errors import InputError, SizeCapError
-from .homology import CHUNK_BITS, TABLE_HARD_MAX, betti0_table, component_changes
+from .homology import TABLE_HARD_MAX, _size_sums, betti0_table, component_changes
 from .metric_complex import NeighborComplex
 from .streams import philox_block
 
@@ -132,70 +133,6 @@ def shannon_entropy(mu: Sequence) -> float:
     return 0.0 if h == 0.0 else h
 
 
-@cache
-def _width_keys(bits: int) -> tuple[tuple, tuple, tuple]:
-    """The groups (lo, w) of up to 8 bits below ``bits``, each group's
-    int16 key (popcount r, the group's bits of r) for every r < 2^bits,
-    and each group's 0/1 matrix of bit j of column v.  They depend on the
-    width alone, so each width builds them once; every array is read-only
-    since all callers share it."""
-    r = np.arange(1 << bits, dtype=np.int32)
-    sizes = np.bitwise_count(r).astype(np.int32)
-    groups = tuple((lo, min(8, bits - lo)) for lo in range(0, bits, 8))
-    # The largest key is below (bits + 1) 2^8, so int16 holds every key.
-    keys = tuple(
-        (sizes << w | r >> lo & (1 << w) - 1).astype(np.int16) for lo, w in groups
-    )
-    has_bit = tuple(np.arange(1 << w)[:, None] >> np.arange(w) & 1 for _, w in groups)
-    for array in keys + has_bit:
-        array.flags.writeable = False
-    return groups, keys, has_bit
-
-
-def _size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Size-graded sums of the subset table t, as int64.
-
-    A[i, k] is the sum of t[S] over the subsets S of size k that contain
-    i, and T[k] the sum over all subsets of size k, for k = 0..n.  Over
-    the size-k coalitions C that avoid i, b0(C + i) then sums to
-    A[i, k + 1] and b0(C) to T[k] - A[i, k].
-
-    The table is read once, in chunks of 2^CHUNK_BITS masks p0 + r with
-    p0 a multiple of the chunk length, so |S| = popcount(p0) + popcount(r).
-    Each group of up to 8 low bits takes one bincount per chunk, weighted
-    by t and keyed by (popcount r, the group's bits of r), and adds it
-    popcount(p0) rows down into the group's sums; bit i of the group reads
-    A[i] off the columns whose key has bit i set.  Bits above the chunk
-    are constant inside it, so each set bit of p0 >> CHUNK_BITS gains the
-    chunk's per-size totals.  The float64 weights are exact: every
-    partial sum is at most 26 2^26 < 2^53.
-
-    The keys and bit matrices depend only on the chunk width
-    min(CHUNK_BITS, n), not on n, so :func:`_width_keys` caches them per
-    width: at most CHUNK_BITS widths, 64 KB of keys at width 14.
-    """
-    bits = min(CHUNK_BITS, n)
-    groups, keys, has_bits = _width_keys(bits)
-    chunk = 1 << bits
-    group_sums = [np.zeros((n + 1, 1 << w)) for _, w in groups]
-    sums = np.zeros((n, n + 1))
-    for p0 in range(0, 1 << n, chunk):
-        weights = table[p0 : p0 + chunk].astype(np.float64)
-        rows = slice(p0.bit_count(), p0.bit_count() + bits + 1)
-        for key, group in zip(keys, group_sums):
-            part = np.bincount(key, weights).reshape(bits + 1, -1)
-            group[rows] += part
-        totals = part.sum(axis=1)  # any group's rows sum to the size totals
-        for i in range(bits, n):
-            if p0 >> i & 1:
-                sums[i, rows] += totals
-    sums = sums.astype(np.int64)
-    for (lo, w), group, has_bit in zip(groups, group_sums, has_bits):
-        # Integer matmul, exact and with no BLAS call: column v times bit j of v.
-        sums[lo : lo + w] = (group.astype(np.int64) @ has_bit).T
-    return sums, group_sums[0].sum(axis=1).astype(np.int64)
-
-
 def check_exact_cap(n: int, cap: int) -> None:
     """Refuse exact enumeration of n vertices above ``cap``, or above the
     table's hard maximum, which no cap raises."""
@@ -212,41 +149,20 @@ def check_permutations(permutations: int) -> None:
         raise InputError(f"need at least one permutation, got {permutations}")
 
 
-def _complete_block_scores(complex_: NeighborComplex) -> tuple[Fraction, ...] | None:
-    """The exact scores of a graph whose biconnected blocks are all
-    complete, in closed form, or None when some block is not: a block of
-    k vertices is complete iff it holds k (k - 1) / 2 edges.  Each score
-    is 2 / (d + 1) - 1 + sum of (1 - 1/k) over i's blocks, built over
-    their common denominator and normalized by one Fraction."""
-    sizes: list[list[int]] = [[] for _ in range(complex_.n)]
-    for vertices, edges in biconnected_blocks(complex_.neighbors):
-        k = len(vertices)
-        if 2 * edges != k * (k - 1):
-            return None
-        for v in vertices:
-            sizes[v].append(k)
-    scores = []
-    for i, ks in enumerate(sizes):
-        d = complex_.degree(i)
-        den = math.lcm(d + 1, *ks)
-        num = 2 * den // (d + 1) - den + sum(den - den // k for k in ks)
-        scores.append(Fraction(num, den))
-    return tuple(scores)
-
-
 def exact_shapley(
     complex_: NeighborComplex, cap: int = DEFAULT_EXACT_CAP
 ) -> InfluenceResult:
     """Exact rational Shapley scores by full coalition enumeration.
 
     Refuses n above ``cap``, on every graph.  A graph whose biconnected
-    blocks (:func:`~topoinfluence.blocks.biconnected_blocks`) are all
-    complete fills no table: its scores are the closed form of the module
-    docstring.  Any other graph fills one; raising the cap past the
-    default is allowed for it up to the table's hard maximum but warns,
-    since time grows as O(n 2^n) and memory as 2^n bytes.
+    blocks are all complete fills no table: its scores are the closed form
+    of :func:`~topoinfluence.blocks._complete_block_scores`.  Any other
+    graph fills one; raising the cap past the default is allowed for it up
+    to the table's hard maximum but warns, since time grows as O(n 2^n)
+    and memory as 2^n bytes.
 
-    With w_k = k! (n-1-k)! and the size sums A, T of :func:`_size_sums`,
+    With w_k = k! (n-1-k)! and the size sums A, T of
+    :func:`~topoinfluence.homology._size_sums`,
 
         n! s(i) = 2 n! / (deg i + 1) - sum_k w_k (A[i, k+1] + A[i, k] - T[k])
 
@@ -256,7 +172,7 @@ def exact_shapley(
     """
     n = complex_.n
     check_exact_cap(n, cap)
-    scores = _complete_block_scores(complex_)
+    scores = _complete_block_scores(complex_.neighbors)
     if scores is not None:
         return InfluenceResult(labels=_labels_of(complex_), shapley=scores, method="exact")
     if n > DEFAULT_EXACT_CAP:
@@ -368,21 +284,19 @@ def sampled_shapley(
 def compute_influence(
     complex_: NeighborComplex,
     labels: Sequence[str] | None = None,
-    mode: str = "exact",
     cap: int = DEFAULT_EXACT_CAP,
-    permutations: int = 0,
+    permutations: int | None = None,
     seed: int = 0,
 ) -> InfluenceResult:
-    """Front door: dispatch to exact or sampled evaluation.
+    """Front door: exact evaluation under ``cap``, or sampled evaluation
+    of ``permutations`` orders from ``seed`` when it is given.
 
     ``labels`` override the positional defaults; length must match.
     """
-    if mode == "exact":
+    if permutations is None:
         result = exact_shapley(complex_, cap=cap)
-    elif mode == "sampled":
-        result = sampled_shapley(complex_, permutations=permutations, seed=seed)
     else:
-        raise InputError(f"unknown mode {mode!r}, expected 'exact' or 'sampled'")
+        result = sampled_shapley(complex_, permutations=permutations, seed=seed)
     if labels is not None:
         labels = tuple(labels)
         if len(labels) != result.n:

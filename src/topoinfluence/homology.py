@@ -14,8 +14,8 @@ component count of the induced subgraph on every subset S of vertices,
 all 2^n of them, and the sampled walk the same table for each small
 block, which ``blocks.split_pieces`` fills from the block's own k-bit
 rows with no complex built.  (A graph whose blocks are all complete,
-forests included, takes a closed form in ``engine.exact_shapley`` and
-fills no table.)
+forests included, takes the closed form of
+``blocks._complete_block_scores`` and fills no table.)
 ``betti0_table`` fills that table with a peeling recurrence instead of
 2^n independent traversals: the count for S is one more than the count
 for S minus the component containing S's highest vertex, and that
@@ -25,7 +25,8 @@ one, it joins that neighbour's component and the count is that of S
 without it; with two or more, the component starts as the vertex and
 those neighbours, and grows only while it still changes and is not yet
 all of S.  The fill runs as numpy passes over chunks of subsets, never
-as a Python loop over all 2^n of them.
+as a Python loop over all 2^n of them.  ``_size_sums`` then reads the
+table once per chunk into the size-graded sums that exact mode weights.
 
 The slower, independent counters these are tested against (a bitmask
 flood fill per subset, and the zero eigenvalues of the graph Laplacian)
@@ -34,6 +35,7 @@ live in ``tests/oracles.py``, outside the package.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -235,3 +237,67 @@ def _fill_chunk(table, rows, low, high, first: int, stop: int) -> None:
     # Growth reads no table entry, but block b reads blocks below it.
     for lo, hi, _ in blocks:
         table[first + lo : first + hi] = table[comp[lo:hi]] + add[lo:hi]
+
+
+@cache
+def _width_keys(bits: int) -> tuple[tuple, tuple, tuple]:
+    """The groups (lo, w) of up to 8 bits below ``bits``, each group's
+    int16 key (popcount r, the group's bits of r) for every r < 2^bits,
+    and each group's 0/1 matrix of bit j of column v.  They depend on the
+    width alone, so each width builds them once; every array is read-only
+    since all callers share it."""
+    r = np.arange(1 << bits, dtype=np.int32)
+    sizes = np.bitwise_count(r).astype(np.int32)
+    groups = tuple((lo, min(8, bits - lo)) for lo in range(0, bits, 8))
+    # The largest key is below (bits + 1) 2^8, so int16 holds every key.
+    keys = tuple(
+        (sizes << w | r >> lo & (1 << w) - 1).astype(np.int16) for lo, w in groups
+    )
+    has_bit = tuple(np.arange(1 << w)[:, None] >> np.arange(w) & 1 for _, w in groups)
+    for array in keys + has_bit:
+        array.flags.writeable = False
+    return groups, keys, has_bit
+
+
+def _size_sums(table: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Size-graded sums of the subset table t, as int64.
+
+    A[i, k] is the sum of t[S] over the subsets S of size k that contain
+    i, and T[k] the sum over all subsets of size k, for k = 0..n.  Over
+    the size-k coalitions C that avoid i, b0(C + i) then sums to
+    A[i, k + 1] and b0(C) to T[k] - A[i, k].
+
+    The table is read once, in chunks of 2^CHUNK_BITS masks p0 + r with
+    p0 a multiple of the chunk length, so |S| = popcount(p0) + popcount(r).
+    Each group of up to 8 low bits takes one bincount per chunk, weighted
+    by t and keyed by (popcount r, the group's bits of r), and adds it
+    popcount(p0) rows down into the group's sums; bit i of the group reads
+    A[i] off the columns whose key has bit i set.  Bits above the chunk
+    are constant inside it, so each set bit of p0 >> CHUNK_BITS gains the
+    chunk's per-size totals.  The float64 weights are exact: every
+    partial sum is at most 26 2^26 < 2^53.
+
+    The keys and bit matrices depend only on the chunk width
+    min(CHUNK_BITS, n), not on n, so :func:`_width_keys` caches them per
+    width: at most CHUNK_BITS widths, 64 KB of keys at width 14.
+    """
+    bits = min(CHUNK_BITS, n)
+    groups, keys, has_bits = _width_keys(bits)
+    chunk = 1 << bits
+    group_sums = [np.zeros((n + 1, 1 << w)) for _, w in groups]
+    sums = np.zeros((n, n + 1))
+    for p0 in range(0, 1 << n, chunk):
+        weights = table[p0 : p0 + chunk].astype(np.float64)
+        rows = slice(p0.bit_count(), p0.bit_count() + bits + 1)
+        for key, group in zip(keys, group_sums):
+            part = np.bincount(key, weights).reshape(bits + 1, -1)
+            group[rows] += part
+        totals = part.sum(axis=1)  # any group's rows sum to the size totals
+        for i in range(bits, n):
+            if p0 >> i & 1:
+                sums[i, rows] += totals
+    sums = sums.astype(np.int64)
+    for (lo, w), group, has_bit in zip(groups, group_sums, has_bits):
+        # Integer matmul, exact and with no BLAS call: column v times bit j of v.
+        sums[lo : lo + w] = (group.astype(np.int64) @ has_bit).T
+    return sums, group_sums[0].sum(axis=1).astype(np.int64)

@@ -586,8 +586,7 @@ def grammar_influence(
     index: int,
     length: int,
     radius: float,
-    mode: str = "exact",
-    permutations: int = 0,
+    permutations: int | None = None,
     seed: int = 0,
 ):
     """Influence profile of a built-in grammar's length-N strings, through
@@ -600,7 +599,6 @@ def grammar_influence(
     return compute_influence(
         complex_,
         labels=points.labels,
-        mode=mode,
         permutations=permutations,
         seed=seed,
     )

@@ -242,7 +242,6 @@ class TestMarginalTallies:
     def test_matches_reference(self, g, chunk_bits):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homology, "CHUNK_BITS", chunk_bits)
-            mp.setattr(engine, "CHUNK_BITS", chunk_bits)
             scores = exact_shapley(g).shapley
         assert scores == tally_scores(reference_betti0_table(g), g.n)
 
@@ -432,15 +431,14 @@ class TestSizeSums:
         g = data.draw(small_graphs(min_n=n, max_n=n))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homology, "CHUNK_BITS", chunk_bits)
-            mp.setattr(engine, "CHUNK_BITS", chunk_bits)
-            sums, totals = engine._size_sums(betti0_table(g), n)
+            sums, totals = homology._size_sums(betti0_table(g), n)
         want_sums, want_totals = reference_size_sums(reference_betti0_table(g), n)
         assert sums.dtype == totals.dtype == np.int64
         assert sums.tobytes() == want_sums.tobytes()
         assert totals.tobytes() == want_totals.tobytes()
 
     def test_width_cache_is_read_only(self):
-        groups, keys, has_bits = engine._width_keys(15)
+        groups, keys, has_bits = homology._width_keys(15)
         assert groups == ((0, 8), (8, 7))
         for array in keys + has_bits:
             with pytest.raises(ValueError):
@@ -452,17 +450,17 @@ class TestSizeSums:
         # cached, and n = 14 at CHUNK_BITS = 3 must not read them.
         def check(n):
             g = erdos_renyi_graph(n, 0.25, seed=n)
-            sums, totals = engine._size_sums(betti0_table(g), n)
+            sums, totals = homology._size_sums(betti0_table(g), n)
             want_sums, want_totals = reference_size_sums(reference_betti0_table(g), n)
             assert sums.tobytes() == want_sums.tobytes()
             assert totals.tobytes() == want_totals.tobytes()
 
-        assert homology.CHUNK_BITS == engine.CHUNK_BITS == 14
+        assert homology.CHUNK_BITS == 14
+        assert not hasattr(engine, "CHUNK_BITS")
         for n in (13, 9, 13, 3, 14, 15):
             check(n)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homology, "CHUNK_BITS", 3)
-            mp.setattr(engine, "CHUNK_BITS", 3)
             check(14)
 
 
@@ -941,9 +939,7 @@ class TestComputeInfluence:
 
     def test_labels_keep_every_other_field(self):
         g = complete_graph(4)
-        res = compute_influence(
-            g, labels="wxyz", mode="sampled", permutations=50, seed=3
-        )
+        res = compute_influence(g, labels="wxyz", permutations=50, seed=3)
         unlabeled = sampled_shapley(g, permutations=50, seed=3)
         assert res == dataclasses.replace(unlabeled, labels=tuple("wxyz"))
 
@@ -951,18 +947,20 @@ class TestComputeInfluence:
         with pytest.raises(InputError):
             compute_influence(path_graph(3), labels=("a",))
 
-    def test_unknown_mode(self):
-        with pytest.raises(InputError):
-            compute_influence(path_graph(3), mode="guess")
-
     def test_sampled_dispatch(self):
-        res = compute_influence(
-            complete_graph(4), mode="sampled", permutations=50, seed=3
-        )
+        res = compute_influence(complete_graph(4), permutations=50, seed=3)
         assert res.method == "sampled"
         assert res.permutations == 50
         assert res.seed == 3
         assert len(res.std_error) == 4
+
+    def test_permutations_alone_select_the_sampler(self):
+        # Past the exact cap, so an exact run would refuse this graph.
+        res = compute_influence(erdos_renyi_graph(30, 0.1, 1), permutations=500, seed=1)
+        assert res.method == "sampled"
+        assert res.permutations == 500
+        with pytest.raises(InputError, match="need at least one permutation, got 0"):
+            compute_influence(path_graph(3), permutations=0)
 
 
 class TestEntropy:

@@ -207,6 +207,6 @@ class TestGrammarInfluence:
             grammar_influence(2, 3, 1.0)
 
     def test_sampled_mode_passes_through(self):
-        res = grammar_influence(4, 4, 1.0, mode="sampled", permutations=200, seed=5)
+        res = grammar_influence(4, 4, 1.0, permutations=200, seed=5)
         assert res.method == "sampled"
         assert res.permutations == 200
