@@ -304,14 +304,9 @@ def block_changes(pieces: Pieces, order: np.ndarray, position: np.ndarray) -> np
     by a bincount, which adds up repeated indices.
     """
     n = len(order)
-    # Signs come from shifts, here and in permutation_marginals' absolute
-    # values, not from comparisons or np.abs: every numpy inner loop a run
-    # touches for the first time maps 64 KiB more of numpy's library, and
-    # shifts, sums and products are mapped already.
     first, second = pieces.closed
-    # Each edge of a bridge or a cycle block counts against its later end:
-    # the position gap shifted by 63 is -1 where ``first`` is earlier, else 0.
-    later = first + (first - second) * ((position[first] - position[second]) >> 63)
+    # Each edge of a bridge or a cycle block counts against its later end.
+    later = np.where(position[first] < position[second], second, first)
     changes = np.ones(n, dtype=np.int64)
     if len(pieces.walked):
         walked = pieces.walk_local[order]
@@ -319,14 +314,11 @@ def block_changes(pieces: Pieces, order: np.ndarray, position: np.ndarray) -> np
         walked = walked[np.flatnonzero(walked + 1)]
         changes[pieces.walked] = component_changes(pieces.walk_neighbors, walked.tolist())
     if len(pieces.looked):
-        # Row j, column i: where local vertex j of i's block came, less
-        # where i came, shifted to -1 if j came first and to 0 if not
-        # (i itself and padding).  Masked by the rows' bits, column i sums
-        # to the mask of the vertices of i's block placed before it.
+        # Row j, column i: 2^j if local vertex j of i's block came before
+        # i, else 0 (i itself and padding), so column i sums to the mask
+        # of the vertices of i's block placed before it.
         earlier = position.take(pieces.members).take(pieces.piece, axis=1)
-        earlier -= position.take(pieces.looked)
-        earlier >>= 63
-        earlier &= pieces.row_bits
+        earlier = (earlier < position.take(pieces.looked)) * pieces.row_bits
         before, after = pieces.tables.take(earlier.sum(axis=0) + pieces.base)
         # The weights become float64, exact for counts this small.
         changes += np.bincount(pieces.looked, after - before - 1, minlength=n).astype(np.int64)

@@ -251,7 +251,7 @@ def _cmd_family(args) -> int:
         graph = erdos_renyi_graph(*params)
     else:
         family = FAMILIES[args.kind]
-        if family.arity == 2:
+        if len(family.min_params) == 2:
             if args.m is None:
                 raise InputError(f"{args.kind} needs --m for the left side size")
             params = (args.m, args.n)

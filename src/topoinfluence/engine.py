@@ -237,8 +237,7 @@ def permutation_marginals(
         # The walk names the first entry out of range or repeated.
         component_changes(complex_.neighbors, order.tolist())
     changes = block_changes(complex_.pieces, order, position)
-    changes *= (changes >> 63) * 2 + 1  # |x| = x (2 (x >> 63) + 1)
-    return changes
+    return np.abs(changes, out=changes)
 
 
 def sampled_shapley(

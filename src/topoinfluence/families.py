@@ -177,8 +177,7 @@ class Family:
     """A named analytic family: constructor, exact scores, vertex roles."""
 
     name: str
-    arity: int  # number of size parameters
-    min_params: tuple[int, ...]
+    min_params: tuple[int, ...]  # one lower bound per size parameter
     build: Callable[..., NeighborComplex]
     scores: Callable[..., tuple[Fraction, ...]]
     roles: Callable[..., tuple[str, ...]]
@@ -186,27 +185,27 @@ class Family:
 
 FAMILIES: dict[str, Family] = {
     "complete": Family(
-        "complete", 1, (1,), complete_graph, complete_scores,
+        "complete", (1,), complete_graph, complete_scores,
         lambda n: ("vertex",) * n,
     ),
     "cycle": Family(
-        "cycle", 1, (3,), cycle_graph, cycle_scores,
+        "cycle", (3,), cycle_graph, cycle_scores,
         lambda n: ("vertex",) * n,
     ),
     "wheel": Family(
-        "wheel", 1, (4,), wheel_graph, wheel_scores,
+        "wheel", (4,), wheel_graph, wheel_scores,
         lambda n: ("rim",) * (n - 1) + ("hub",),
     ),
     "star": Family(
-        "star", 1, (2,), star_graph, star_scores,
+        "star", (2,), star_graph, star_scores,
         lambda n: ("leaf",) * (n - 1) + ("center",),
     ),
     "path": Family(
-        "path", 1, (2,), path_graph, path_scores,
+        "path", (2,), path_graph, path_scores,
         lambda n: ("end",) + ("interior",) * (n - 2) + ("end",),
     ),
     "complete_bipartite": Family(
-        "complete_bipartite", 2, (1, 1),
+        "complete_bipartite", (1, 1),
         complete_bipartite_graph, complete_bipartite_scores,
         lambda m, n: ("left",) * m + ("right",) * n,
     ),

@@ -64,12 +64,6 @@ TABLE_HARD_MAX = 26
 # VM, against 1,514 with two.
 CHUNK_BITS = 14
 
-# numpy keeps up to seven freed buffers of each size under 1 KiB for
-# reuse.  Growth indexes shorter than this many int64 entries (1 KiB)
-# are padded to it, so the loop's arrays do not leave buffers of a
-# hundred odd sizes in that cache on runs of many small tables.
-INDEX_FLOOR = 128
-
 
 def component_changes(neighbors: Sequence[Sequence[int]], order: Iterable[int]) -> list[int]:
     """Signed change in b0 as each vertex of ``order`` joins those before it,
@@ -129,13 +123,6 @@ def _union_table(rows) -> np.ndarray:
     for k, row in enumerate(rows):
         union[1 << k : 2 << k] = union[: 1 << k] | row
     return union
-
-
-def _padded(index: np.ndarray) -> np.ndarray:
-    """``index`` repeated up to INDEX_FLOOR entries when it is shorter and
-    not empty.  A repeated mask grows and is written exactly as its
-    first copy, so the repeats change no result."""
-    return np.resize(index, INDEX_FLOOR) if 0 < len(index) < INDEX_FLOOR else index
 
 
 def betti0_table(complex_: NeighborComplex) -> np.ndarray:
@@ -208,11 +195,9 @@ def _fill_chunk(table, rows, low, high, first: int, stop: int) -> None:
     for lo, hi, b in blocks:
         np.bitwise_and(masks[lo:hi], rows[b] | 1 << b, out=comp[lo:hi])
     size = np.bitwise_count(comp)
-    # One neighbour: the top joins its component and adds nothing.  The
-    # int8 view keeps the fill's sum on numpy's int8 loop: every other
-    # inner loop a run touches maps 64 KiB more of numpy's library.
-    add = (size != 2).view(np.int8)
-    live = _padded(np.flatnonzero((size > 2) & (comp != masks)))
+    # One neighbour: the top joins its component and adds nothing.
+    add = size != 2
+    live = np.flatnonzero((size > 2) & (comp != masks))
     c = comp[live]
     # With at most one neighbour the peel is the top bit alone.
     for lo, hi, b in blocks:
@@ -232,7 +217,7 @@ def _fill_chunk(table, rows, low, high, first: int, stop: int) -> None:
         c ^= grown
         # Still growing: it gained bits (c) and is short of its mask (m).
         # Both are below 2^26, so their product is exact.
-        moving = _padded(np.flatnonzero(c * m))
+        moving = np.flatnonzero(c * m)
         live, c = live[moving], grown[moving]
     # Growth reads no table entry, but block b reads blocks below it.
     for lo, hi, _ in blocks:

@@ -187,7 +187,7 @@ def _levenshtein(
 
 def _edit_chunks(strings: Sequence[str], r_max: float) -> Iterator[tuple]:
     """(i, j, d) arrays, chunk by chunk, for every pair of strings at edit
-    distance d <= r_max, each pair once.
+    distance d <= r_max, each pair once, with i < j.
 
     With k = min(floor(r_max), longest string), a pair whose lengths differ
     by more than k is never scheduled.  Strings are sorted by length and
@@ -215,7 +215,8 @@ def _edit_chunks(strings: Sequence[str], r_max: float) -> Iterator[tuple]:
         shorter, longer = shorter[lanes], longer[lanes]
         dist = _levenshtein(codes, offsets, lengths, shorter, longer, k)
         near = dist <= r_max
-        return index[shorter[near]], index[longer[near]], dist[near]
+        i, j = index[shorter[near]], index[longer[near]]
+        return np.minimum(i, j), np.maximum(i, j), dist[near]
 
     chunk, lanes = [], 0
     for q in range(1, n):
@@ -333,7 +334,7 @@ METRICS = {
 
 def _vector_chunks(vectors: tuple, metric: str, r_max: float) -> Iterator[tuple]:
     """(i, j, d) arrays, tile by tile, for every pair of vectors at
-    distance d <= r_max, each pair once.
+    distance d <= r_max, each pair once, with i < j.
 
     Tiles of rows by columns of the upper triangle keep rows x columns x
     coordinates within EDIT_CHUNK_CELLS.  Hamming counts unequal
@@ -380,7 +381,8 @@ def _vector_chunks(vectors: tuple, metric: str, r_max: float) -> Iterator[tuple]
 
 def _pair_chunks(points: LabeledPointSet, metric: str, r_max: float) -> Iterator[tuple]:
     """(i, j, d) arrays for every pair at distance d <= r_max under
-    ``metric``, each pair once, after checking that the metric applies.
+    ``metric``, each pair once, with i < j, after checking that the
+    metric applies.
 
     Each metric of ``METRICS`` applies to one item kind.  Mixed item
     kinds or a metric/kind mismatch raise InputError.
@@ -451,16 +453,13 @@ def neighbor_pairs(points: LabeledPointSet, metric: str, r_max: float) -> Neighb
     """
     check_radius(r_max)
     empty = (np.zeros(0, dtype=np.int64),) * 3
-    i, j, dist = map(np.concatenate, zip(empty, *_pair_chunks(points, metric, r_max)))
-    left, right = np.minimum(i, j), np.maximum(i, j)
+    left, right, dist = map(np.concatenate, zip(empty, *_pair_chunks(points, metric, r_max)))
     order = np.lexsort((right, left))
-    return NeighborPairs(
-        n=len(points),
-        r_max=float(r_max),
-        left=left[order],
-        right=right[order],
-        distances=dist[order].astype(np.float64),
-    )
+    # One array at a time, so a reordered copy replaces its original.
+    left = left[order]
+    right = right[order]
+    dist = dist[order].astype(np.float64, copy=False)
+    return NeighborPairs(n=len(points), r_max=float(r_max), left=left, right=right, distances=dist)
 
 
 @dataclass(frozen=True)

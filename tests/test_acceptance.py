@@ -71,7 +71,7 @@ def induced_subcomplex(graph, mask: int):
 def family_instances(total_lo: int, total_hi: int):
     """Every registry parameterization with total vertex count in range."""
     for fam in FAMILIES.values():
-        if fam.arity == 1:
+        if len(fam.min_params) == 1:
             lo = max(fam.min_params[0], total_lo)
             for n in range(lo, total_hi + 1):
                 yield fam, (n,)

@@ -262,7 +262,7 @@ class TestRegistry:
     def test_roles_align_with_scores(self):
         for fam in FAMILIES.values():
             params = tuple(max(p, 2) for p in fam.min_params)
-            if fam.arity == 1:
+            if len(fam.min_params) == 1:
                 params = (max(params[0], fam.min_params[0] + 1),)
             roles = fam.roles(*params)
             scores = fam.scores(*params)

@@ -192,12 +192,10 @@ class TestBetti0Table:
         assert first_step_branch(BRANCH_GRAPH, 0b111) == "whole at once"
         assert first_step_branch(BRANCH_GRAPH, 0b1111110) == "grows to whole"
 
-    @pytest.mark.parametrize("index_floor", [homology.INDEX_FLOOR, 1])
     @pytest.mark.parametrize("chunk_bits", [homology.CHUNK_BITS, 1, 3])
-    def test_every_branch_matches_reference(self, chunk_bits, index_floor):
+    def test_every_branch_matches_reference(self, chunk_bits):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homology, "CHUNK_BITS", chunk_bits)
-            mp.setattr(homology, "INDEX_FLOOR", index_floor)
             table = betti0_table(BRANCH_GRAPH)
         want = reference_betti0_table(BRANCH_GRAPH)
         wrong = Counter(

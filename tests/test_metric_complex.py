@@ -510,6 +510,25 @@ class TestNeighborPairs:
         assert len(pairs.left) > 0
         assert peak <= 2000 * 2000 * 8 // 4
 
+    def test_pair_arrays_are_not_copied(self):
+        # Two int64 indexes and a float64 distance are 24 bytes a pair.
+        # Concatenated once and reordered one array at a time, the arrays
+        # peak near 48 bytes a pair.
+        rng = np.random.default_rng(1)
+        strings = [
+            "".join(rng.choice(["0", "1"], size=rng.integers(6, 9)))
+            for _ in range(2000)
+        ]
+        points = LabeledPointSet.from_strings(strings)
+        tracemalloc.start()
+        try:
+            pairs = neighbor_pairs(points, "edit", 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(pairs.left) > 500_000
+        assert peak <= 56 * len(pairs.left)
+
 
 class TestNeighborComplex:
     def test_edge_rule_is_closed_at_r(self):
