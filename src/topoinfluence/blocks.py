@@ -6,9 +6,7 @@ most one vertex, a cut vertex, and a block of two vertices is a bridge,
 an edge that no cycle uses.  ``lowlinks`` runs the search of Hopcroft &
 Tarjan (1973) once, iteratively, over neighbour tuples in ascending
 order, as ``NeighborComplex.neighbors`` holds them, and
-``biconnected_blocks`` reads the blocks off its three lists.  This
-module decides each block's kind on both routes: exact mode scores a
-graph whose blocks are all complete by ``_complete_block_scores``.
+``biconnected_blocks`` reads the blocks off its three lists.
 
 b1 adds up over blocks, so the sampled walk scores each order block by
 block, a piece being a block: ``split_pieces`` lays the blocks out once
@@ -19,8 +17,6 @@ kind of block its own way.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -111,28 +107,6 @@ def biconnected_blocks(neighbors: Sequence[Sequence[int]]) -> list[tuple[list[in
             edges[v] = 0
         edges[head[v]] += sum(disc[w] < disc[v] for w in neighbors[v])
     return [(vertices, edges[h]) for h, vertices in members.items()]
-
-
-def _complete_block_scores(neighbors: Sequence[Sequence[int]]) -> tuple[Fraction, ...] | None:
-    """The exact scores of a graph whose biconnected blocks are all
-    complete, in closed form, or None when some block is not: a block of
-    k vertices is complete iff it holds k (k - 1) / 2 edges.  Each score
-    is 2 / (d + 1) - 1 + sum of (1 - 1/k) over i's blocks, built over
-    their common denominator and normalized by one Fraction."""
-    sizes: list[list[int]] = [[] for _ in range(len(neighbors))]
-    for vertices, edges in biconnected_blocks(neighbors):
-        k = len(vertices)
-        if 2 * edges != k * (k - 1):
-            return None
-        for v in vertices:
-            sizes[v].append(k)
-    scores = []
-    for i, ks in enumerate(sizes):
-        d = len(neighbors[i])
-        den = math.lcm(d + 1, *ks)
-        num = 2 * den // (d + 1) - den + sum(den - den // k for k in ks)
-        scores.append(Fraction(num, den))
-    return tuple(scores)
 
 
 class Pieces(NamedTuple):

@@ -17,7 +17,7 @@ the entropy from them, the same way for every method.
 
 Two evaluation modes:
 
-exact     closed form when every biconnected block is complete, else a
+exact     closed form on a chordal graph, else a
           subset table over all 2^n coalitions.  The signed marginal
           b0(C + i) - b0(C) is 1 minus the number of components among
           i's neighbours in C, so the absolute one is 2 [i has no
@@ -30,30 +30,22 @@ exact     closed form when every biconnected block is complete, else a
           with phi the plain signed Shapley value of b0, read off
           size-graded sums of the table, which ``homology`` fills and sums.
           Each n! s(i) is a Python int, so scores are bit-for-bit
-          reproducible Fractions.  Since b0 = |V| - |E| + b1 and b1 adds
-          up over blocks, s(i) = c(deg i) + sum over i's blocks B of
-          [s_B(i) - c(deg_B i)], c(d) = 2 / (d + 1) + d / 2 - 1, with s_B
-          the scores of B alone.  K_k scores 1/k everywhere, so a graph
-          whose blocks are all complete (a forest, whose blocks are its
-          edges; disjoint cliques; the complete complex past the
-          diameter) fills no table:
-
-              s(i) = 2 / (deg i + 1) - 1 + sum over i's blocks B of (1 - 1/|B|),
-
-          1 for an isolated sample and (2 + d (d - 1)) / (2 (d + 1)) in a
-          forest; ``blocks`` finds and scores these graphs.  The cap
-          applies to them too, the past-cap warning only to a table.
-          The engine holds the cap and weights and runs both routes.
+          reproducible Fractions.  In a chordal graph (no chordless cycle
+          of four or more vertices: forests, cliques, 1-D point complexes)
+          b0 of every induced subgraph is the signed count of its cliques,
+          so ``_chordal_scores`` needs no table.  The cap applies to it
+          too, the past-cap warning only to a table.  The engine holds the
+          cap and weights and runs both routes.
 sampled   Monte Carlo over uniformly random insertion orders; the
           predecessor set of i in a uniform permutation is exactly a
           coalition drawn with the Shapley weights, so the running mean
-          of the walk marginals is unbiased for s(i).  b1 adds up over
-          blocks here too, so ``blocks.block_changes`` scores each order
-          block by block over the layout that ``NeighborComplex.pieces``
-          builds once per complex from one depth-first search.  Order j
-          is the permutation drawn from counter block j of the seed's
-          Philox stream, with one generator repositioned from block to
-          block.
+          of the walk marginals is unbiased for s(i).  b1 = b0 - |V| + |E|
+          adds up over blocks, so ``blocks.block_changes`` scores each
+          order block by block over the layout that
+          ``NeighborComplex.pieces`` builds once per complex from one
+          depth-first search.  Order j is the permutation drawn from
+          counter block j of the seed's Philox stream, with one generator
+          repositioned from block to block.
 """
 
 from __future__ import annotations
@@ -68,7 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .blocks import _complete_block_scores, block_changes
+from .blocks import block_changes
 from .errors import InputError, SizeCapError
 from .homology import TABLE_HARD_MAX, _size_sums, betti0_table, component_changes
 from .metric_complex import NeighborComplex
@@ -154,12 +146,10 @@ def exact_shapley(
 ) -> InfluenceResult:
     """Exact rational Shapley scores by full coalition enumeration.
 
-    Refuses n above ``cap``, on every graph.  A graph whose biconnected
-    blocks are all complete fills no table: its scores are the closed form
-    of :func:`~topoinfluence.blocks._complete_block_scores`.  Any other
-    graph fills one; raising the cap past the default is allowed for it up
-    to the table's hard maximum but warns, since time grows as O(n 2^n)
-    and memory as 2^n bytes.
+    Refuses n above ``cap``, on every graph.  A chordal graph is scored by
+    :func:`_chordal_scores` with no table.  Any other graph fills one; past
+    the default cap, up to the table's hard maximum, that warns, since time
+    grows as O(n 2^n) and memory as 2^n bytes.
 
     With w_k = k! (n-1-k)! and the size sums A, T of
     :func:`~topoinfluence.homology._size_sums`,
@@ -172,7 +162,7 @@ def exact_shapley(
     """
     n = complex_.n
     check_exact_cap(n, cap)
-    scores = _complete_block_scores(complex_.neighbors)
+    scores = _chordal_scores(complex_)
     if scores is not None:
         return InfluenceResult(labels=_labels_of(complex_), shapley=scores, method="exact")
     if n > DEFAULT_EXACT_CAP:
@@ -198,6 +188,43 @@ def exact_shapley(
         shapley=tuple(Fraction(num, n_fact) for num in numerators),
         method="exact",
     )
+
+
+def _chordal_scores(complex_: NeighborComplex) -> tuple[Fraction, ...] | None:
+    """The exact scores of a chordal graph in closed form, or None as soon
+    as a vertex's earlier-numbered neighbours in maximum cardinality search
+    are not a clique, the chordality test of Tarjan & Yannakakis (1984).
+    Each clique K adds (-1)^(|K|+1) / |K| to each member's phi; with q(v)
+    the number of v's earlier-numbered neighbours, s = 2 / (deg + 1) - phi is
+
+        s(i) = 2 / (deg i + 1) - 1 / (q(i) + 1)
+               + sum over later-numbered neighbours v of i of 1 / (q(v) (q(v) + 1)),
+
+    over their common denominator, normalized by one Fraction."""
+    rows, neighbors = complex_.rows, complex_.neighbors
+    weight = [0] * complex_.n
+    later: list[list[int]] = [[] for _ in weight]
+    unnumbered = list(range(complex_.n))
+    numbered = 0
+    while unnumbered:
+        v = max(unnumbered, key=weight.__getitem__)
+        unnumbered.remove(v)
+        earlier = rows[v] & numbered
+        for u in neighbors[v]:
+            if not earlier >> u & 1:
+                weight[u] += 1
+            elif earlier & ~rows[u] != 1 << u:  # u misses another of them
+                return None
+            else:
+                later[u].append(weight[v])
+        numbered |= 1 << v
+    scores = []
+    for i, qs in enumerate(later):
+        d, q = len(neighbors[i]), weight[i]
+        den = math.lcm(d + 1, q + 1, *(p * (p + 1) for p in qs))
+        num = 2 * den // (d + 1) - den // (q + 1) + sum(den // (p * (p + 1)) for p in qs)
+        scores.append(Fraction(num, den))
+    return tuple(scores)
 
 
 def permutation_marginals(

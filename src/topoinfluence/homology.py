@@ -9,13 +9,12 @@ degree, not a scan of an n-bit row: ``betti0`` walks the complex's
 ``neighbors``, the harness each draw's lists built from its edges before
 any complex is, and the sampled walk only the edges of the biconnected
 blocks that are neither bridges, cycles nor small enough for a table.
-Exact mode on a graph with a block that is not complete needs more: the
-component count of the induced subgraph on every subset S of vertices,
-all 2^n of them, and the sampled walk the same table for each small
-block, which ``blocks.split_pieces`` fills from the block's own k-bit
-rows with no complex built.  (A graph whose blocks are all complete,
-forests included, takes the closed form of
-``blocks._complete_block_scores`` and fills no table.)
+Exact mode on a graph that is not chordal needs more: the component
+count of the induced subgraph on every subset S of vertices, all 2^n of
+them, and the sampled walk the same table for each small block, which
+``blocks.split_pieces`` fills from the block's own k-bit rows with no
+complex built.  (A chordal graph, forests included, takes the closed
+form of ``engine._chordal_scores`` and fills no table.)
 ``betti0_table`` fills that table with a peeling recurrence instead of
 2^n independent traversals: the count for S is one more than the count
 for S minus the component containing S's highest vertex, and that

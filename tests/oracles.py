@@ -521,6 +521,51 @@ def cactus_graphs(draw, max_n=16):
     ])
 
 
+def k_tree(n: int, k: int, rng: random.Random) -> NeighborComplex:
+    """A random k-tree on n vertices: K_(k+1), or K_n when n <= k + 1,
+    and then each further vertex joined to all of a k-clique drawn from
+    those so far.  Every k-tree is chordal."""
+    edges = list(itertools.combinations(range(min(n, k + 1)), 2))
+    cliques = list(itertools.combinations(range(k + 1), k))
+    for v in range(k + 1, n):
+        clique = rng.choice(cliques)
+        edges += [(u, v) for u in clique]
+        cliques += [(*(u for u in clique if u != x), v) for x in clique]
+    return NeighborComplex.from_edges(n, edges)
+
+
+def interval_graph(n: int, rng: random.Random) -> NeighborComplex:
+    """The complex of n random integer points in [0, 2n] at an integer
+    radius of 0-4: a unit interval graph, so chordal."""
+    points = [rng.randint(0, 2 * n) for _ in range(n)]
+    radius = rng.randint(0, 4)
+    return NeighborComplex.from_edges(n, [
+        (u, v) for u, v in itertools.combinations(range(n), 2)
+        if abs(points[u] - points[v]) <= radius
+    ])
+
+
+@st.composite
+def chordal_graphs(draw, max_n=16):
+    """A chordal graph on 1..max_n vertices under a random relabeling:
+    the disjoint union of one to three random k-trees (k = 1-4) and
+    interval graphs."""
+    rng = draw(st.randoms(use_true_random=False))
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        if n == max_n:
+            break
+        k = draw(st.integers(1, max_n - n))
+        if draw(st.booleans()):
+            part = k_tree(k, draw(st.integers(1, 4)), rng)
+        else:
+            part = interval_graph(k, rng)
+        edges += [(u + n, v + n) for u, v in part.edges()]
+        n += k
+    label = draw(st.permutations(range(n)))
+    return NeighborComplex.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
 def joined_by_bridges(parts, seed: int | random.Random) -> NeighborComplex:
     """The disjoint union of the complexes ``parts`` under a seeded
     relabeling, each part after the first joined by one edge, a bridge,

@@ -1,9 +1,11 @@
 import argparse
 import csv
 import gc
+import hashlib
 import io
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -768,3 +770,46 @@ def test_readme_examples_match_output(capsys, tmp_path, monkeypatch, command, wa
     code, out, err = run_cli(capsys, *command.split())
     assert code == 0, err
     assert out == want
+
+
+# SHA-256 of five JSON reports: any change to their bytes must be a
+# stated one.  The sampled runs read numpy's ``Generator.permutation``,
+# the masking run and the Erdos-Renyi family its ``integers``,
+# ``uniform``, ``choice`` and ``random``, whose algorithms numpy does not
+# promise to keep (NEP 19), so every numpy that CI runs is held to them.
+# The 18 seeded 1-D points at r = 1.5 form an interval graph, chordal
+# with blocks that are not complete, which exact mode scores in closed
+# form.
+REPORT_DIGESTS = {
+    "influence-sampled": "4d9594aa62867f2c9dcceb9e1771b1488fcbc00a3f8c18913260b7675ab995c9",
+    "sweep-sampled": "dbfa2634c34c7b826e1fac490ca4227c1dabfaa462fcc1ce7b21f5bd0399054e",
+    "mask": "26e5d7d5bfcee49620f07a78c57cb761ef870528eecb2e93ce88ce54b737ebe9",
+    "family-erdos_renyi": "c9c0b60b9fd9cc0c55a1a0eadf36a19b3c088a30747eb3aabd4b07a9d297b7d9",
+    "influence-exact-points": "5ef7214e180920366edfdf3cc6b7064c6b7918801bc52d8a04fd49218ba9b3fb",
+}
+
+
+def test_report_digests_are_pinned(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    strings = [format(i, "06b") for i in range(0, 64, 3)]
+    (tmp_path / "strings.txt").write_text("\n".join(strings) + "\n", encoding="utf-8")
+    rng = random.Random(1)
+    points = [round(rng.uniform(0, 12), 2) for _ in range(18)]
+    (tmp_path / "points.txt").write_text("".join(f"{p}\n" for p in points), encoding="utf-8")
+    runs = {
+        "influence-sampled": ("influence", "--input", "strings.txt", "--metric", "edit",
+                              "--radius", "1", "--sample", "200", "--seed", "3"),
+        "sweep-sampled": ("sweep", "--input", "strings.txt", "--metric", "edit",
+                          "--radii", "1,2", "--sample", "100", "--seed", "5"),
+        "mask": ("mask", "--count", "30", "--seed", "2"),
+        "family-erdos_renyi": ("family", "--kind", "erdos_renyi", "--n", "16",
+                               "--p", "0.25", "--seed", "3"),
+        "influence-exact-points": ("influence", "--input", "points.txt",
+                                   "--metric", "euclidean", "--radius", "1.5", "--exact"),
+    }
+    digests = {}
+    for name, argv in runs.items():
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0, err
+        digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digests == REPORT_DIGESTS

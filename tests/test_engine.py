@@ -7,14 +7,16 @@ correctness evidence for the exact path; the sampled path is checked for
 unbiasedness (full-permutation average) and reproducibility.  The exact
 scores are also held against the absolute marginal tallies of the slow
 routes in ``oracles``, on graphs that span several chunks, and on
-graphs whose blocks are all complete, forests among them, which exact
-mode scores in closed form with no table.  Shapley efficiency fixes the
-sum of the exact scores and of each order's marginals on every route.
+chordal graphs, forests and graphs whose blocks are all complete among
+them, which exact mode scores in closed form with no table.  Shapley
+efficiency fixes the sum of the exact scores and of each order's
+marginals on every route.
 """
 
 import dataclasses
 import itertools
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -56,9 +58,12 @@ from oracles import (
     block_graphs,
     bridged_unions,
     cactus_graphs,
+    chordal_graphs,
     efficiency_total,
     flood_marginals,
+    interval_graph,
     joined_by_bridges,
+    k_tree,
     multi_chunk_case,
     reference_betti0_table,
     reference_size_sums,
@@ -270,9 +275,21 @@ def forests(draw, max_n=16):
 def cyclic_graphs(draw, max_n=7):
     """A graph on 3..max_n vertices with a triangle on 0, 1, 2 and any
     other edges: it has a cycle, so exact mode fills its table unless
-    every block is complete."""
+    it is chordal."""
     g = draw(small_graphs(min_n=3, max_n=max_n))
     return NeighborComplex.from_edges(g.n, [*g.edges(), (0, 1), (1, 2), (0, 2)])
+
+
+@st.composite
+def chordless_cycle_graphs(draw, max_n=8):
+    """A graph on 4..max_n vertices whose first k >= 4 vertices induce a
+    chordless cycle, with any other edges that touch a later vertex: it
+    is not chordal, so exact mode fills its table."""
+    n = draw(st.integers(4, max_n))
+    k = draw(st.integers(4, n))
+    pairs = [(u, v) for u, v in itertools.combinations(range(n), 2) if v >= k]
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return NeighborComplex.from_edges(n, [*cycle_graph(k).edges(), *sorted(chosen)])
 
 
 def degree_scores(g: NeighborComplex) -> tuple[Fraction, ...]:
@@ -285,8 +302,8 @@ def degree_scores(g: NeighborComplex) -> tuple[Fraction, ...]:
 
 class TestForests:
     """A forest, whose blocks are its edges, is scored in closed form with
-    no subset table; a graph with a block that is not complete still
-    fills its whole table."""
+    no subset table; a graph with a chordless cycle of four or more
+    vertices still fills its whole table."""
 
     @given(forests())
     @settings(max_examples=30, deadline=None)
@@ -313,13 +330,11 @@ class TestForests:
         NeighborComplex.from_edges(12, [*path_graph(12).edges(), (2, 9)]),
         # Fewer edges than vertices, yet a cycle: 4 + 2 components is not 6.
         NeighborComplex.from_edges(6, list(cycle_graph(4).edges())),
-        # K4 less one edge: one block of 4 vertices with 5 edges, not 6.
-        NeighborComplex.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
         # The bench's traced job: its 6-cycle block keeps the 2^13 table.
         NeighborComplex.from_edges(13, [
             *star_graph(7).edges(), *((u + 7, v + 7) for u, v in cycle_graph(6).edges())
         ]),
-    ], ids=["path12+chord", "C4+2", "diamond", "star7+cycle6"])
+    ], ids=["path12+chord", "C4+2", "star7+cycle6"])
     def test_a_cycle_fills_one_whole_table(self, monkeypatch, g):
         lengths = []
 
@@ -363,7 +378,7 @@ def clique_scores(g: NeighborComplex, cliques) -> tuple[Fraction, ...]:
 
 class TestBlockGraphs:
     """A graph whose blocks are all complete is scored in closed form,
-    with no subset table."""
+    with no subset table, as is any other chordal graph."""
 
     @given(block_graphs())
     @settings(max_examples=30, deadline=None)
@@ -381,15 +396,82 @@ class TestBlockGraphs:
         (NeighborComplex.from_edges(10, [
             *complete_graph(5).edges(), *((u + 5, v + 5) for u, v in complete_graph(4).edges())
         ]), (Fraction(1, 5),) * 5 + (Fraction(1, 4),) * 4 + (Fraction(1),)),
-    ], ids=["K20", "bowtie", "K5+K4+K1"])
+        # K4 less one edge: one block of 4 vertices with 5 edges, not 6,
+        # but chordal, with the scores its table gives.
+        (NeighborComplex.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]),
+         (Fraction(1, 3),) * 4),
+    ], ids=["K20", "bowtie", "K5+K4+K1", "diamond"])
     def test_fills_no_table(self, monkeypatch, g, want):
         def refuse(complex_):
-            raise AssertionError("a block graph filled a subset table")
+            raise AssertionError("a chordal graph filled a subset table")
 
         monkeypatch.setattr(engine, "betti0_table", refuse)
         res = exact_shapley(g)
         assert res.method == "exact"
         assert res.shapley == want
+
+
+def table_scores(g: NeighborComplex, cap: int = engine.DEFAULT_EXACT_CAP) -> tuple:
+    """The exact scores by the subset table, with the closed form refused."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_chordal_scores", lambda complex_: None)
+        return exact_shapley(g, cap=cap).shapley
+
+
+class TestChordal:
+    """The chordal closed form equals the table route Fraction for
+    Fraction, and refuses every graph with a chordless cycle of four or
+    more vertices."""
+
+    @given(chordal_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_table(self, g):
+        scores = engine._chordal_scores(g)
+        assert scores is not None
+        assert scores == table_scores(g)
+
+    @pytest.mark.parametrize("g", [
+        k_tree(24, 3, random.Random(1)),
+        # Blocks of 2, 3, 4, 6 and 9 vertices, the last two not complete.
+        interval_graph(24, random.Random(2)),
+    ], ids=["3-tree24", "interval24"])
+    def test_matches_the_table_at_24_vertices(self, g):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = exact_shapley(g, cap=24).shapley
+        with pytest.warns(RuntimeWarning):
+            assert scores == table_scores(g, cap=24)
+
+    @pytest.mark.parametrize("g", [
+        *(cycle_graph(k) for k in range(4, 9)),
+        # A square with a triangle on one side.
+        NeighborComplex.from_edges(5, [*cycle_graph(4).edges(), (0, 4), (1, 4)]),
+        NeighborComplex.from_edges(12, [*path_graph(12).edges(), (2, 9)]),
+    ], ids=["C4", "C5", "C6", "C7", "C8", "house", "path12+chord"])
+    def test_refuses_a_chordless_cycle(self, g):
+        assert engine._chordal_scores(g) is None
+
+    @given(chordless_cycle_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_refuses_any_graph_with_a_chordless_cycle(self, g):
+        assert engine._chordal_scores(g) is None
+
+
+def draw_clique(data, g: NeighborComplex, size: int) -> list[int]:
+    """A clique of 1..size vertices of g: a drawn vertex, then drawn
+    common neighbours of those so far while there are any."""
+    clique = [data.draw(st.integers(0, g.n - 1))]
+    common = g.rows[clique[0]]
+    while len(clique) < size and common:
+        v = data.draw(st.sampled_from([w for w in range(g.n) if common >> w & 1]))
+        clique.append(v)
+        common &= g.rows[v]
+    return clique
+
+
+def phi(g: NeighborComplex) -> list[Fraction]:
+    """The signed Shapley value of b0, 2 / (deg i + 1) - s(i)."""
+    return [Fraction(2, g.degree(i) + 1) - s for i, s in enumerate(exact_shapley(g).shapley)]
 
 
 def block_graph(max_n):
@@ -420,6 +502,34 @@ class TestMetamorphic:
         assert exact_shapley(union).shapley == (
             exact_shapley(closed).shapley + exact_shapley(cyclic).shapley
         )
+
+
+    @pytest.mark.parametrize("chordal", [True, False], ids=["closed-form", "table"])
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_gluing_along_a_clique_adds_phi(self, chordal, data):
+        # G glued from G1 and G2 along a clique K, with no edge between
+        # G1 - K and G2 - K, has b0_G(S) = b0_G1(S & V1) + b0_G2(S & V2)
+        # - [S meets K], so phi_G = phi_G1 + phi_G2 - [i in K] / |K|.  G
+        # is chordal iff G1 and G2 are.
+        first = data.draw(chordal_graphs(max_n=8))
+        second = data.draw(chordal_graphs(max_n=8) if chordal else chordless_cycle_graphs())
+        size = data.draw(st.integers(1, 4))
+        k1, k2 = draw_clique(data, first, size), draw_clique(data, second, size)
+        size = min(len(k1), len(k2))
+        k1, k2 = k1[:size], k2[:size]
+        rest = [v for v in range(second.n) if v not in k2]
+        place = dict(zip(k2, k1)) | {v: first.n + j for j, v in enumerate(rest)}
+        glued = NeighborComplex.from_edges(first.n + len(rest), [
+            *first.edges(), *((place[u], place[v]) for u, v in second.edges())
+        ])
+        assert (engine._chordal_scores(glued) is not None) == chordal
+        want = phi(first) + [Fraction(0)] * len(rest)
+        for v, p in enumerate(phi(second)):
+            want[place[v]] += p
+        for v in k1:
+            want[v] -= Fraction(1, size)
+        assert phi(glued) == want
 
 
 class TestSizeSums:
@@ -798,11 +908,11 @@ class TestEfficiency:
     order's absolute marginals to 2L - b0(G), with L the vertices placed
     before all of their neighbours."""
 
-    @given(st.one_of(forests(), block_graph(16)))
+    @given(st.one_of(forests(), block_graph(16), chordal_graphs()))
     @settings(max_examples=40, deadline=None)
     def test_exact_total_in_closed_form(self, g):
         def refuse(complex_):
-            raise AssertionError("a graph whose blocks are all complete filled a table")
+            raise AssertionError("a chordal graph filled a table")
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "betti0_table", refuse)
@@ -812,9 +922,7 @@ class TestEfficiency:
     @settings(max_examples=40, deadline=None)
     def test_exact_total_by_table(self, g):
         # With the closed form refused, every graph fills its table.
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(engine, "_complete_block_scores", lambda complex_: None)
-            assert sum(exact_shapley(g).shapley) == efficiency_total(g)
+        assert sum(table_scores(g)) == efficiency_total(g)
 
     @pytest.mark.parametrize("limit, lookup_min", PIECE_ROUTES)
     @given(st.data())

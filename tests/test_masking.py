@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from topoinfluence import masking
-from topoinfluence.blocks import _complete_block_scores
+from topoinfluence.engine import _chordal_scores
 from topoinfluence import (
     GenerationBudgetError,
     InputError,
@@ -83,7 +83,7 @@ class TestRankNodes:
         for item in generate_er_dataset(200, seed=4):
             g = item.graph
             scores = compute_influence(g).shapley
-            routes.add(_complete_block_scores(g.neighbors) is None)
+            routes.add(_chordal_scores(g) is None)
             ties += len(set(scores)) < g.n
             assert rank_nodes(g) == sorted(range(g.n), key=lambda i: (-scores[i], i))
         assert routes == {False, True}
