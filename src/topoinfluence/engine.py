@@ -29,6 +29,9 @@ exact     closed form on a chordal graph, else a
 
           with phi the plain signed Shapley value of b0, read off
           size-graded sums of the table, which ``homology`` fills and sums.
+          The table numbers the vertices smallest-last: each vertex outside
+          the 2-core then has at most one neighbour numbered below it, and
+          its block of the table fills in one broadcast pass.
           Each n! s(i) is a Python int, so scores are bit-for-bit
           reproducible Fractions.  In a chordal graph (no chordless cycle
           of four or more vertices: forests, cliques, 1-D point complexes)
@@ -149,7 +152,9 @@ def exact_shapley(
     Refuses n above ``cap``, on every graph.  A chordal graph is scored by
     :func:`_chordal_scores` with no table.  Any other graph fills one; past
     the default cap, up to the table's hard maximum, that warns, since time
-    grows as O(n 2^n) and memory as 2^n bytes.
+    grows as O(n 2^n) and memory as 2^n bytes.  The table is filled for
+    the graph renumbered by :func:`_smallest_last`, which leaves the
+    scores as they are, and row i of its size sums is then vertex i's.
 
     With w_k = k! (n-1-k)! and the size sums A, T of
     :func:`~topoinfluence.homology._size_sums`,
@@ -172,7 +177,13 @@ def exact_shapley(
             RuntimeWarning,
             stacklevel=2,
         )
-    sums, totals = _size_sums(betti0_table(complex_), n)
+    number = _smallest_last(complex_.neighbors)
+    rows = [0] * n
+    for v, adjacent in enumerate(complex_.neighbors):
+        rows[number[v]] = sum(1 << number[u] for u in adjacent)
+    sums, totals = _size_sums(betti0_table(NeighborComplex(n=n, rows=tuple(rows))), n)
+    # Row number[i] of the renumbered sums is vertex i's.
+    sums = sums[number]
     weights = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
     n_fact = math.factorial(n)
     # Row i, column k: A[i, k+1] + A[i, k] - T[k], i's signed marginals
@@ -188,6 +199,25 @@ def exact_shapley(
         shapley=tuple(Fraction(num, n_fact) for num in numerators),
         method="exact",
     )
+
+
+def _smallest_last(neighbors: Sequence[Sequence[int]]) -> list[int]:
+    """number[v] for each vertex v of the graph in which v's neighbours are
+    ``neighbors[v]``, in smallest-last order (Matula & Beck 1983): a
+    vertex of least degree among those not yet numbered, the lowest index
+    of them, takes the highest free number.  No vertex then has more
+    neighbours numbered below it than the graph's degeneracy, and every
+    vertex outside the 2-core has at most one."""
+    degree = [len(adjacent) for adjacent in neighbors]  # among the unnumbered
+    number = [0] * len(neighbors)
+    unnumbered = list(range(len(neighbors)))
+    for k in reversed(range(len(neighbors))):
+        v = min(unnumbered, key=degree.__getitem__)
+        unnumbered.remove(v)
+        number[v] = k
+        for u in neighbors[v]:
+            degree[u] -= 1
+    return number
 
 
 def _chordal_scores(complex_: NeighborComplex) -> tuple[Fraction, ...] | None:

@@ -23,9 +23,14 @@ neighbours in S: with none, it is a component of its own; with exactly
 one, it joins that neighbour's component and the count is that of S
 without it; with two or more, the component starts as the vertex and
 those neighbours, and grows only while it still changes and is not yet
-all of S.  The fill runs as numpy passes over chunks of subsets, never
-as a Python loop over all 2^n of them.  ``_size_sums`` then reads the
-table once per chunk into the size-graded sums that exact mode weights.
+all of S.  A block of subsets that share a highest vertex with at most
+one neighbour below it settles at that first step, and fills as one
+broadcast add over the blocks below it; the other blocks run as numpy
+passes over ranges of subsets, never as a Python loop over all 2^n of
+them.  Exact mode numbers the vertices smallest-last first, so that
+every vertex outside the graph's 2-core takes such a block.
+``_size_sums`` then reads the table once per chunk into the size-graded
+sums that exact mode weights.
 
 The slower, independent counters these are tested against (a bitmask
 flood fill per subset, and the zero eigenvalues of the graph Laplacian)
@@ -48,19 +53,20 @@ if TYPE_CHECKING:  # a cycle at run time: metric_complex -> blocks -> here
 # Above this the table will not fit in reasonable memory or time.
 TABLE_HARD_MAX = 26
 
-# Passes over the table work on 2^CHUNK_BITS subsets at a time, so their
-# numpy temporaries stay near half a megabyte whatever n is: under 512 KB
-# where most masks settle at the first step, under 1 MB where most must
-# grow.  Each int64 temporary then holds 128 KiB.  At 2^15 masks, glibc
-# mapped every 256 KiB one afresh, page faults and all, unless a larger
-# freed block had already raised its mmap threshold in the process: on
-# a 2-vCPU Xeon VM a 19-vertex K8,11 table and its size sums took
-# 29.7 ms and 6,677 minor faults cold, 10.4 ms and 192 faults after a
-# 2^20-entry table.  At 2^14 they take 14.3 ms and 144 faults cold.
-# A 14-vertex table still goes in two chunks of 2^13: filled as one, its
-# int64 temporaries reach 128 KiB, and four 200-graph ``mask`` runs
-# (seeds 4-7, 8-14 vertices) took 6,456 minor faults a pass on the same
-# VM, against 1,514 with two.
+# Passes over the blocks that must grow work on at most 2^CHUNK_BITS
+# subsets at a time, so their numpy temporaries stay near half a
+# megabyte whatever n is: under 512 KB where most masks settle at the
+# first step, under 1 MB where most must grow.  Each int64 temporary
+# then holds 128 KiB.  At 2^15 masks, glibc mapped every 256 KiB one
+# afresh, page faults and all, unless a larger freed block had already
+# raised its mmap threshold in the process: on a 2-vCPU Xeon VM a
+# 19-vertex K8,11 table and its size sums took 29.7 ms and 6,677 minor
+# faults cold, 10.4 ms and 192 faults after a 2^20-entry table.  At 2^14
+# they take 14.3 ms and 144 faults cold.  A range of a 14-vertex table
+# is no longer than its top block, 2^13: filled as one, its int64
+# temporaries reach 128 KiB, and four 200-graph ``mask`` runs (seeds
+# 4-7, 8-14 vertices) took 6,456 minor faults a pass on the same VM,
+# against 1,514 with two.
 CHUNK_BITS = 14
 
 
@@ -132,18 +138,21 @@ def betti0_table(complex_: NeighborComplex) -> np.ndarray:
     t[0] = 0.  Peeling recurrence: let c be the component of the highest
     set bit 2^b of ``mask``; then t[mask] = t[mask ^ c] + 1, and
     ``mask ^ c`` is below 2^b.  So the block of masks [2^b, 2^(b+1))
-    reads only earlier blocks.  A table of fewer than 2^CHUNK_BITS masks
-    is one chunk.  A longer one goes in chunks of 2^CHUNK_BITS, or of
-    its top block when that is shorter, and the chunk at 0 holds every
-    block below the chunk length.
+    reads only earlier blocks, and the blocks fill in ascending order.
 
     The first step is closed-form: every mask of block b shares row b,
     so c starts as (mask & row b) | 2^b, the top and its neighbours in
     the mask, with no table lookup.  With no neighbour, c is the top
     alone.  With exactly one, the top joins that neighbour's component,
     so t[mask] = t[mask ^ 2^b]: the peel is the top bit, adding 0.
-    With two or more, c grows by c = (N[c] & mask) | c, all of a
-    chunk's growing masks together, each pass over only those whose c
+    When vertex b has at most one neighbour below it at all, every mask
+    of its block settles so, and the block is one broadcast add over
+    the blocks below (:func:`_fill_tree_block`).  Maximal runs of the
+    other blocks go to :func:`_fill_chunk`, each whole in a table of
+    fewer than 2^CHUNK_BITS masks, else in ranges no longer than the
+    top block nor than 2^CHUNK_BITS masks.  With two or more
+    neighbours in the mask, c grows by c = (N[c] & mask) | c, all of a
+    range's growing masks together, each pass over only those whose c
     changed and is not yet the whole mask: a component equal to its
     mask cannot grow.  Growth reads no table entry, so only the fill
     that follows goes block by block.  N[c], the union of the adjacency
@@ -167,14 +176,41 @@ def _table_of_rows(rows: Sequence[int]) -> np.ndarray:
     table = np.zeros(1 << n, dtype=np.int8)
     low = _union_table(rows[: n // 2])
     high = _union_table(rows[n // 2 :])
-    # A table shorter than a chunk is one chunk.  A longer one goes in
-    # chunks no longer than its top block, which keep the temporaries of
-    # a block-by-block fill.
+    # A table shorter than 2^CHUNK_BITS takes each run as one range.  A
+    # longer one takes ranges no longer than its top block, which keep
+    # the temporaries of a block-by-block fill.
     chunk = 1 << (n if n < CHUNK_BITS else min(CHUNK_BITS, n - 1))
-    for start in range(0, 1 << n, chunk):
-        first, stop = max(start, 1), min(start + chunk, 1 << n)
-        _fill_chunk(table, rows, low, high, first, stop)
+    run = 1  # the first mask of the run of blocks that must grow
+    for b in range(n + 1):
+        # Block n, past the table, ends the last run.
+        below = rows[b] & (1 << b) - 1 if b < n else 0
+        if below.bit_count() > 1:
+            continue
+        for first in range(run, 1 << b, chunk):
+            _fill_chunk(table, rows, low, high, first, min(first + chunk, 1 << b))
+        if b < n:
+            _fill_tree_block(table, b, below)
+        run = 2 << b
     return table
+
+
+# What a mask of a tree-like block adds to its entry, by whether it
+# holds the top's one lower neighbour.
+_ADD_BY_NEIGHBOUR = np.array([[1], [0]], dtype=np.int8)
+
+
+def _fill_tree_block(table, b: int, below: int) -> None:
+    """Fill block b, whose vertex has at most one neighbour below it,
+    ``below`` as a bit set: each mask settles at the peel's first step.
+    With none, t[mask] = t[mask ^ 2^b] + 1; with one, u, the top joins
+    u's component wherever bit u is set and adds 0 there.  One add into
+    the block, broadcast over a (-1, 2, 2^u) view, with no temporaries."""
+    lower, block = table[: 1 << b], table[1 << b : 2 << b]
+    if not below:
+        np.add(lower, 1, out=block)
+        return
+    shape = (-1, 2, below)  # below is 2^u
+    np.add(lower.reshape(shape), _ADD_BY_NEIGHBOUR, out=block.reshape(shape))
 
 
 def _fill_chunk(table, rows, low, high, first: int, stop: int) -> None:
@@ -185,7 +221,7 @@ def _fill_chunk(table, rows, low, high, first: int, stop: int) -> None:
     low_bits = len(low) - 1
     masks = np.arange(first, stop, dtype=np.int64)
     # Block b, the masks with top bit 2^b, as (lo, hi, b) offsets into the
-    # chunk; only the chunk at 0 spans more than one block.
+    # range, which may span several blocks.
     blocks = [
         (max(first, 1 << b) - first, min(stop, 2 << b) - first, b)
         for b in range(first.bit_length() - 1, (stop - 1).bit_length())

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from topoinfluence import masking
+from topoinfluence import homology, masking
 from topoinfluence.families import _er_edges
 from topoinfluence.homology import component_changes
 from topoinfluence.report import fmt_float
@@ -343,6 +343,20 @@ def _star_plus_cycle() -> NeighborComplex:
     cycle, star = cycle_graph(9), star_graph(9)
     edges = list(cycle.edges()) + [(u + 9, v + 9) for u, v in star.edges()]
     return NeighborComplex.from_edges(18, edges)
+
+
+def record_chunks(monkeypatch) -> list[tuple[int, int]]:
+    """The (first, stop) range of every later ``homology._fill_chunk``
+    call, in call order: the list the patched fill appends to."""
+    chunks = []
+    fill = homology._fill_chunk
+
+    def recording(table, rows, low, high, first, stop):
+        chunks.append((first, stop))
+        fill(table, rows, low, high, first, stop)
+
+    monkeypatch.setattr(homology, "_fill_chunk", recording)
+    return chunks
 
 
 def relabeled(complex_: NeighborComplex, seed: int) -> NeighborComplex:

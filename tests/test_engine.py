@@ -67,7 +67,9 @@ from oracles import (
     multi_chunk_case,
     reference_betti0_table,
     reference_size_sums,
+    record_chunks,
     reference_tallies,
+    relabeled,
     small_graphs,
     two_cliques_sharing_a_vertex,
     two_cycles_sharing_a_vertex,
@@ -455,6 +457,86 @@ class TestChordal:
     @settings(max_examples=40, deadline=None)
     def test_refuses_any_graph_with_a_chordless_cycle(self, g):
         assert engine._chordal_scores(g) is None
+
+
+def degeneracy(g: NeighborComplex) -> int:
+    """The largest least degree of an induced subgraph, by brute force
+    over every nonempty vertex subset."""
+    return max(
+        min((g.rows[v] & mask).bit_count() for v in range(g.n) if mask >> v & 1)
+        for mask in range(1, 1 << g.n)
+    )
+
+
+@st.composite
+def cores_with_trees(draw, max_n=12):
+    """A cycle of 4-6 vertices with any of its chords, trees hung from it
+    and from one another, and isolated vertices, under a random
+    relabeling: a 2-core that fills a table, many vertices outside it,
+    and many ties of degree."""
+    k = draw(st.integers(4, 6))
+    n = draw(st.integers(k, max_n))
+    chords = [(u, v) for u, v in itertools.combinations(range(k), 2) if 1 < v - u < k - 1]
+    edges = [*cycle_graph(k).edges(), *draw(st.sets(st.sampled_from(chords)))]
+    for v in range(k, n):
+        parent = draw(st.none() | st.integers(0, v - 1))
+        if parent is not None:
+            edges.append((parent, v))
+    label = draw(st.permutations(range(n)))
+    return NeighborComplex.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+class TestSmallestLast:
+    """The table route numbers the vertices smallest-last, and the scores
+    it gives back under the original labels stay exact."""
+
+    @given(small_graphs(max_n=8))
+    @settings(max_examples=60, deadline=None)
+    def test_numbering_against_brute_force_degeneracy(self, g):
+        number = engine._smallest_last(g.neighbors)
+        assert sorted(number) == list(range(g.n))
+        lower = [sum(number[u] < number[v] for u in g.neighbors[v]) for v in range(g.n)]
+        assert max(lower) <= degeneracy(g)
+        # Replayed from the top number down: each vertex is the lowest
+        # index of least degree among those not yet taken.
+        left = (1 << g.n) - 1
+        for v in sorted(range(g.n), key=number.__getitem__, reverse=True):
+            degrees = {u: (g.rows[u] & left).bit_count() for u in range(g.n) if left >> u & 1}
+            assert v == min(degrees, key=degrees.__getitem__)
+            left ^= 1 << v
+
+    @pytest.mark.parametrize("g, want", [
+        (NeighborComplex.from_edges(4, []), [3, 2, 1, 0]),
+        (star_graph(4), [3, 2, 1, 0]),
+        # A 4-cycle with a pendant vertex 4 on vertex 2.
+        (NeighborComplex.from_edges(5, [*cycle_graph(4).edges(), (2, 4)]), [3, 2, 1, 0, 4]),
+    ], ids=["edgeless4", "star4", "C4+pendant"])
+    def test_ties_go_to_the_lowest_index(self, g, want):
+        assert engine._smallest_last(g.neighbors) == want
+
+    @given(cores_with_trees())
+    @settings(max_examples=40, deadline=None)
+    def test_table_scores_match_reference_tallies(self, g):
+        assert table_scores(g) == tally_scores(reference_betti0_table(g), g.n)
+
+    def test_only_the_core_grows(self, monkeypatch):
+        # A 6-cycle, paths of 3 and 2 hung from it, and two isolated
+        # vertices: the cycle takes numbers 0-5, and of its vertices only
+        # the one numbered 5 has two neighbours below it.
+        edges = [*cycle_graph(6).edges(), (0, 6), (6, 7), (7, 8), (3, 9), (9, 10)]
+        g = relabeled(NeighborComplex.from_edges(13, edges), 4)
+        lengths = []
+
+        def counted(complex_):
+            lengths.append(complex_.n)
+            return betti0_table(complex_)
+
+        chunks = record_chunks(monkeypatch)
+        monkeypatch.setattr(engine, "betti0_table", counted)
+        scores = exact_shapley(g).shapley
+        assert lengths == [13]
+        assert chunks == [(32, 64)]
+        assert scores == tally_scores(reference_betti0_table(g), g.n)
 
 
 def draw_clique(data, g: NeighborComplex, size: int) -> list[int]:

@@ -28,6 +28,7 @@ from oracles import (
     family_unions,
     laplacian,
     multi_chunk_case,
+    record_chunks,
     reference_betti0_table,
     relabeled,
     small_graphs,
@@ -172,6 +173,27 @@ def first_step_branch(g: NeighborComplex, mask: int) -> str:
     return "grows, stays short"
 
 
+def lower_neighbours(g: NeighborComplex, b: int) -> int:
+    """How many neighbours of vertex b are numbered below it."""
+    return (g.rows[b] & (1 << b) - 1).bit_count()
+
+
+@st.composite
+def mixed_block_graphs(draw, max_n=10):
+    """A graph on 1..max_n vertices in which each vertex b draws whether
+    it is tree-like, with at most one neighbour below it, or, from b = 2
+    on, one with two or more: tree-like blocks and blocks that must grow
+    alternate across the chunk borders of every CHUNK_BITS."""
+    n = draw(st.integers(1, max_n))
+    edges = []
+    for b in range(1, n):
+        grows = b >= 2 and draw(st.booleans())
+        below = draw(st.sets(st.integers(0, b - 1), min_size=2 * grows,
+                             max_size=b if grows else 1))
+        edges += [(u, b) for u in below]
+    return NeighborComplex.from_edges(n, edges)
+
+
 class TestBetti0Table:
     @given(small_graphs(max_n=8))
     @settings(max_examples=40)
@@ -222,8 +244,11 @@ class TestBetti0Table:
                     delta = int(table[mask | 1 << i]) - int(table[mask])
                     assert -g.n < delta <= 1
 
-    @given(small_graphs(max_n=10), st.sampled_from([homology.CHUNK_BITS, 1, 3]))
-    @settings(max_examples=60)
+    @given(
+        st.one_of(small_graphs(max_n=10), mixed_block_graphs()),
+        st.sampled_from([homology.CHUNK_BITS, 1, 3]),
+    )
+    @settings(max_examples=80)
     def test_matches_reference_table(self, g, chunk_bits):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homology, "CHUNK_BITS", chunk_bits)
@@ -236,22 +261,35 @@ class TestBetti0Table:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     @pytest.mark.parametrize("chunk_bits", [3, 4])
     def test_chunks_at_the_chunk_length(self, monkeypatch, chunk_bits, offset, seed):
-        # Fewer than 2^CHUNK_BITS masks fill as one chunk; 2^CHUNK_BITS
-        # and 2^(CHUNK_BITS + 1) masks as two chunks of their top block.
+        # Only the blocks whose vertex has two or more neighbours below it
+        # reach _fill_chunk, in ascending ranges of at most 2^CHUNK_BITS
+        # masks; each tree-like block is one broadcast add.
         n = chunk_bits + offset
         g = relabeled(erdos_renyi_graph(n, 0.4, seed), seed)
-        chunks = []
-        fill = homology._fill_chunk
-
-        def recording(table, rows, low, high, first, stop):
-            chunks.append((first, stop))
-            fill(table, rows, low, high, first, stop)
-
         monkeypatch.setattr(homology, "CHUNK_BITS", chunk_bits)
-        monkeypatch.setattr(homology, "_fill_chunk", recording)
+        chunks = record_chunks(monkeypatch)
         table = betti0_table(g)
-        half = 1 << n - 1
-        assert chunks == ([(1, 1 << n)] if n < chunk_bits else [(1, half), (half, 1 << n)])
+        growing = [b for b in range(n) if lower_neighbours(g, b) >= 2]
+        covered = [mask for first, stop in chunks for mask in range(first, stop)]
+        assert covered == [mask for b in growing for mask in range(1 << b, 2 << b)]
+        assert all(stop - first <= 1 << chunk_bits for first, stop in chunks)
+        assert not any(
+            first < 2 << b and 1 << b < stop
+            for first, stop in chunks
+            for b in set(range(n)) - set(growing)
+        )
+        assert table.tobytes() == reference_betti0_table(g).tobytes()
+
+    @pytest.mark.parametrize("g", [
+        path_graph(18),
+        NeighborComplex.from_edges(18, [(0, v) for v in range(1, 18)]),
+    ], ids=["path18", "star18-centre0"])
+    def test_tree_like_blocks_fill_no_chunk(self, monkeypatch, g):
+        # Each vertex has at most one neighbour below it, so every block
+        # is a broadcast add and none reaches _fill_chunk.
+        chunks = record_chunks(monkeypatch)
+        table = betti0_table(g)
+        assert chunks == []
         assert table.tobytes() == reference_betti0_table(g).tobytes()
 
     @pytest.mark.parametrize("name", sorted(MULTI_CHUNK_GRAPHS))
