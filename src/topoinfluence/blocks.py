@@ -21,7 +21,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .homology import _table_of_rows, component_changes
+from .homology import betti0_table, component_changes
 
 # The largest block scored by table lookups: its table holds 2^12 int8
 # entries, 4 KiB, under 342 bytes per vertex.  Larger blocks are walked.
@@ -216,7 +216,7 @@ def split_pieces(neighbors: Sequence[Sequence[int]]) -> Pieces:
     for column, block in enumerate(small):
         k = len(block)
         number = {v: j for j, v in enumerate(block)}
-        tables[start : start + (1 << k)] = _table_of_rows([
+        tables[start : start + (1 << k)] = betti0_table([
             sum(1 << number[w] for w in neighbors[v] if w in number) for v in block
         ])
         members[:k, column] = looked[stop : stop + k]

@@ -369,7 +369,7 @@ def _cmd_mask(args) -> int:
         "j_values": list(report.j_values),
         "rates": rates,
         # A row's fields in declaration order, then whether its label moved.
-        "rows": [{**vars(r), "flipped": r.flipped} for r in report.rows],
+        "rows": [{**r._asdict(), "flipped": r.flipped} for r in report.rows],
     }
     config = {
         "subcommand": "mask",

@@ -152,9 +152,11 @@ def exact_shapley(
     Refuses n above ``cap``, on every graph.  A chordal graph is scored by
     :func:`_chordal_scores` with no table.  Any other graph fills one; past
     the default cap, up to the table's hard maximum, that warns, since time
-    grows as O(n 2^n) and memory as 2^n bytes.  The table is filled for
-    the graph renumbered by :func:`_smallest_last`, which leaves the
-    scores as they are, and row i of its size sums is then vertex i's.
+    grows as O(n 2^n) and memory as 2^n bytes.  The table is filled
+    straight from the adjacency rows of the graph renumbered by
+    :func:`_smallest_last`, with no second complex built; renumbering
+    leaves the scores as they are, and row i of its size sums is then
+    vertex i's.
 
     With w_k = k! (n-1-k)! and the size sums A, T of
     :func:`~topoinfluence.homology._size_sums`,
@@ -181,7 +183,7 @@ def exact_shapley(
     rows = [0] * n
     for v, adjacent in enumerate(complex_.neighbors):
         rows[number[v]] = sum(1 << number[u] for u in adjacent)
-    sums, totals = _size_sums(betti0_table(NeighborComplex(n=n, rows=tuple(rows))), n)
+    sums, totals = _size_sums(betti0_table(rows), n)
     # Row number[i] of the renumbered sums is vertex i's.
     sums = sums[number]
     weights = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]

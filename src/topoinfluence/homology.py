@@ -5,18 +5,20 @@ labels, and the sampled walk all count components with one union-find
 walk, ``component_changes``: the signed change in b0 as each vertex
 joins the vertices before it in an order.  It reads each vertex's
 neighbours from neighbour sequences, so a step costs the vertex's
-degree, not a scan of an n-bit row: ``betti0`` walks the complex's
-``neighbors``, the harness each draw's lists built from its edges before
-any complex is, and the sampled walk only the edges of the biconnected
-blocks that are neither bridges, cycles nor small enough for a table.
-Exact mode on a graph that is not chordal needs more: the component
-count of the induced subgraph on every subset S of vertices, all 2^n of
-them, and the sampled walk the same table for each small block, which
-``blocks.split_pieces`` fills from the block's own k-bit rows with no
-complex built.  (A chordal graph, forests included, takes the closed
-form of ``engine._chordal_scores`` and fills no table.)
-``betti0_table`` fills that table with a peeling recurrence instead of
-2^n independent traversals: the count for S is one more than the count
+degree, not a scan of an n-bit row.  ``betti0`` walks the complex's
+``neighbors``; the harness walks each draw's lists built from its edges
+before any complex is, and each ranked graph's ``neighbors`` in its
+ranking's order and in reverse; the sampled walk covers only the edges
+of the biconnected blocks that are neither bridges, cycles nor small
+enough for a table.  Exact mode on a graph that is not chordal needs
+more: the component count of the induced subgraph on every subset S of
+vertices, all 2^n of them, and the sampled walk the same table for each
+small block.  ``betti0_table`` fills it from adjacency rows, with no
+complex built: exact mode's renumbered rows, and each block's own k-bit
+rows in ``blocks.split_pieces``.  (A chordal graph, forests included,
+takes the closed form of ``engine._chordal_scores`` and fills no
+table.)  The fill is a peeling recurrence instead of 2^n independent
+traversals: the count for S is one more than the count
 for S minus the component containing S's highest vertex, and that
 smaller subset was already solved.  Most subsets are settled by the highest vertex's own
 neighbours in S: with none, it is a component of its own; with exactly
@@ -130,8 +132,12 @@ def _union_table(rows) -> np.ndarray:
     return union
 
 
-def betti0_table(complex_: NeighborComplex) -> np.ndarray:
-    """Component counts for the induced subgraph on every vertex subset.
+def betti0_table(rows: Sequence[int]) -> np.ndarray:
+    """Component counts for the induced subgraph on every vertex subset
+    of the graph on 0..n-1, n = len(rows), in which v's neighbours are
+    the set bits of ``rows[v]``, such as a complex's ``rows``.  The rows
+    are taken as given: no complex is built and their symmetry is not
+    checked.
 
     Returns an array t of dtype int8 and length 2^n with t[mask] the
     component count of the subgraph induced on the set bits of ``mask``,
@@ -159,14 +165,9 @@ def betti0_table(complex_: NeighborComplex) -> np.ndarray:
     rows over c, is looked up in two tables of 2^(n/2) entries by the
     low and high halves of c.
 
-    Component counts fit in int8 because n <= TABLE_HARD_MAX.
+    Component counts fit in int8 because n <= TABLE_HARD_MAX, and a
+    longer ``rows`` raises SizeCapError.
     """
-    return _table_of_rows(complex_.rows)
-
-
-def _table_of_rows(rows: Sequence[int]) -> np.ndarray:
-    """:func:`betti0_table` of the graph on 0..len(rows)-1 whose adjacency
-    sets are the bits of ``rows``, with no complex built or checked."""
     n = len(rows)
     if n > TABLE_HARD_MAX:
         raise SizeCapError(

@@ -8,17 +8,21 @@ influential vertices should disturb the label most and the least
 influential ones least, with random deletion in between.
 
 Labels come from exact component counts.  A draw's label is counted on
-its edges, and a complex is built only for a draw that is kept.  A
-masked graph's label is counted on the parent graph restricted to its
-surviving vertices, with no reindexed copy built.  No learned
-classifier stands in the loop, so the measured quantity is ground-truth
-label disruption, not model accuracy.
+its edges, and a complex is built only for a draw that is kept; a draw
+with too few edges for any class that still has room is not counted at
+all.  A masked graph's label is counted on the parent graph restricted
+to its surviving vertices, with no reindexed copy built.  Each ranked
+graph is walked twice, in its ranking's order and in reverse, and every
+top-J and bottom-J label is read off those two walks; only random masks
+are walked one by one.  No learned classifier stands in the loop, so the
+measured quantity is ground-truth label disruption, not model accuracy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import compute_influence
 from .errors import GenerationBudgetError, InputError
@@ -41,9 +45,11 @@ class LabeledGraph:
     label: int
 
 
-@dataclass(frozen=True)
-class MaskRow:
-    """One masking outcome: graph index, masked variant, label movement."""
+class MaskRow(NamedTuple):
+    """One masking outcome: graph index, masked variant, label movement.
+
+    A plain named tuple: it compares equal to the tuple of its fields.
+    """
 
     graph: int
     n: int
@@ -83,7 +89,10 @@ def generate_er_dataset(
     Each attempt draws a vertex count uniformly from ``n_range``, an edge
     probability uniformly from ``p_range``, then the graph's edges; it is
     kept only if its component count is 1, 2, or 3 and that class still
-    has room.  The count is the union-find walk of
+    has room.  Each edge joins at most two components, so n vertices and
+    m edges have at least n - m: a draw whose n - m exceeds the largest
+    class with room is refused on its edge count, unwalked.  Any other
+    draw is counted by the union-find walk of
     :func:`~topoinfluence.homology.component_changes` over neighbour
     lists built from the edges, and the graph's complex is built only
     once the draw is kept.  Class quotas differ by at most one when
@@ -120,6 +129,7 @@ def generate_er_dataset(
     dataset: list[LabeledGraph] = []
     budget = count * ATTEMPTS_PER_GRAPH
 
+    room = 3  # the largest class with room: every quota is at least 1
     attempt, rng = 0, None
     while len(dataset) < count and attempt < budget:
         rng = philox_block(seed, attempt, rng)
@@ -127,6 +137,8 @@ def generate_er_dataset(
         n = int(rng.integers(n_lo, n_hi + 1))
         p = float(rng.uniform(p_lo, p_hi))
         edges = _er_edges(rng, n, p)
+        if n - len(edges) > room:
+            continue
         neighbors: list[list[int]] = [[] for _ in range(n)]
         for u, v in edges:
             neighbors[u].append(v)
@@ -134,6 +146,7 @@ def generate_er_dataset(
         label = sum(component_changes(neighbors, range(n)))
         if label in quota and filled[label] < quota[label]:
             filled[label] += 1
+            room = max((c for c in quota if filled[c] < quota[c]), default=0)
             graph = NeighborComplex.from_edges(n, edges)
             dataset.append(LabeledGraph(graph=graph, label=label))
     if len(dataset) < count:
@@ -191,7 +204,14 @@ def run_masking_experiment(
 
     The influence ranking is computed once per graph and shared by all J.
     Each masked label is b0 of the parent graph restricted to the
-    vertices outside the mask.  Random masks for graph g at level J come
+    vertices outside the mask.  b0 of a vertex set does not depend on the
+    order in which a walk adds them, and the bottom J come last in the
+    ranking, the top J last in its reverse.  So two walks of
+    :func:`~topoinfluence.homology.component_changes` per graph, one in
+    each order, give every top-J and bottom-J label: b0 of the graph
+    minus the summed changes of the masked vertices in the walk where
+    they come last.  Only random masks call :func:`betti0`, once per J:
+    2 + |J| walks per graph.  Random masks for graph g at level J come
     from a Philox block keyed by the experiment seed and indexed by
     (g, J), so any single cell of the experiment can be replayed alone.
     """
@@ -208,17 +228,20 @@ def run_masking_experiment(
     for g_index, item in enumerate(dataset):
         graph, before = item.graph, item.label
         ranking = rank_nodes(graph)
+        # Changes as each vertex joins: top-ranked last, then bottom-ranked last.
+        top_last = component_changes(graph.neighbors, ranking[::-1])
+        bottom_last = component_changes(graph.neighbors, ranking)
+        b0 = sum(bottom_last)
         full = (1 << graph.n) - 1
         for j in j_values:
             rng = philox_block(seed, (g_index << 20) | j, rng)
-            picks = {
-                "top": ranking[:j],
-                "bottom": ranking[graph.n - j:],
-                "random": rng.choice(graph.n, size=j, replace=False).tolist(),
-            }
-            for variant in VARIANTS:
-                removed = sum(1 << v for v in picks[variant])
-                label = betti0(graph, full & ~removed)
+            drawn = rng.choice(graph.n, size=j, replace=False).tolist()
+            labels = (
+                b0 - sum(top_last[v] for v in ranking[:j]),
+                b0 - sum(bottom_last[v] for v in ranking[graph.n - j:]),
+                betti0(graph, full & ~sum(1 << v for v in drawn)),
+            )
+            for variant, label in zip(VARIANTS, labels):
                 rows.append(MaskRow(g_index, graph.n, j, variant, before, label))
     return MaskingReport(
         graph_count=len(dataset),

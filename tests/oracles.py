@@ -10,7 +10,9 @@ do the one-pair hamming and euclidean distances with its numpy tiles; the
 pair-list Erdos-Renyi edges share no code with the package's hit walk.
 The Erdos-Renyi dataset is the package's before each draw was labeled
 on its edges: it builds every draw's complex and labels it with
-``betti0``.
+``betti0``.  The walk-every-draw dataset refuses no draw on its edge
+count: it labels every draw by flood fill over the draw's rows, sharing
+no code with the union-find walk.
 The JSON writer is the package's before it wrote each container in one
 pass: it recurses once per value and spells every string and key through
 ``json.dumps``.  The whole-graph walk is the sampled estimator's route
@@ -86,9 +88,13 @@ def betti0_of_subset(complex_: NeighborComplex, mask: int) -> int:
     the first vertex added to an empty coalition worth exactly one
     component, which the closed-form results downstream assume.
     """
+    return _flood_count(complex_.rows, mask)
+
+
+def _flood_count(rows, mask: int) -> int:
     count = 0
     while mask:
-        mask ^= _flood(complex_.rows, mask & -mask, mask)
+        mask ^= _flood(rows, mask & -mask, mask)
         count += 1
     return count
 
@@ -136,8 +142,32 @@ def er_edges_pair_list(rng: np.random.Generator, n: int, p: float) -> list:
 def reference_er_dataset(count, n_range=(8, 14), p_range=(0.02, 0.21), seed=0):
     """``generate_er_dataset``'s draws by its route before each label was
     counted on the drawn edges: every draw builds its complex, and
-    ``betti0`` labels it.  Same Philox blocks, quotas, budget and error
-    text; the ranges are taken as valid."""
+    ``betti0`` labels it."""
+    return _er_rejection(
+        count, n_range, p_range, seed,
+        lambda n, edges: betti0(NeighborComplex.from_edges(n, edges)),
+    )
+
+
+def walk_every_draw_dataset(count, n_range=(8, 14), p_range=(0.02, 0.21), seed=0):
+    """``generate_er_dataset``'s draws with no draw refused on its edge
+    count: every draw is labeled by flood fill over its adjacency rows."""
+
+    def flood_label(n, edges):
+        rows = [0] * n
+        for u, v in edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return _flood_count(rows, (1 << n) - 1)
+
+    return _er_rejection(count, n_range, p_range, seed, flood_label)
+
+
+def _er_rejection(count, n_range, p_range, seed, label):
+    """Rejection sampling as ``generate_er_dataset`` does it, with
+    ``label(n, edges)`` counting the components of every draw.  Same
+    Philox blocks, quotas, budget and error text; the ranges are taken as
+    valid."""
     base, extra = divmod(count, 3)
     quota = {c: base + (1 if c <= extra else 0) for c in (1, 2, 3)}
     filled = {1: 0, 2: 0, 3: 0}
@@ -149,11 +179,12 @@ def reference_er_dataset(count, n_range=(8, 14), p_range=(0.02, 0.21), seed=0):
         attempt += 1
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         p = float(rng.uniform(*p_range))
-        graph = NeighborComplex.from_edges(n, _er_edges(rng, n, p))
-        label = betti0(graph)
-        if label in quota and filled[label] < quota[label]:
-            filled[label] += 1
-            dataset.append(LabeledGraph(graph=graph, label=label))
+        edges = _er_edges(rng, n, p)
+        components = label(n, edges)
+        if components in quota and filled[components] < quota[components]:
+            filled[components] += 1
+            graph = NeighborComplex.from_edges(n, edges)
+            dataset.append(LabeledGraph(graph=graph, label=components))
     if len(dataset) < count:
         raise GenerationBudgetError(
             f"after {budget} attempts classes filled {filled} of {quota}; "

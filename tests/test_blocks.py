@@ -165,7 +165,7 @@ def test_long_path_needs_no_recursion(monkeypatch):
     )
     disc, parent, low = lowlinks(path)
     assert disc == list(range(n)) and parent == list(range(-1, n - 1))
-    monkeypatch.setattr(blocks, "_table_of_rows", no_table)
+    monkeypatch.setattr(blocks, "betti0_table", no_table)
     pieces = split_pieces(path)
     assert pieces.closed.tolist() == [list(range(n - 1)), list(range(1, n))]
     assert biconnected_blocks(path) == [([v - 1, v], 1) for v in range(1, n)]

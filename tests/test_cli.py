@@ -784,6 +784,7 @@ REPORT_DIGESTS = {
     "influence-sampled": "4d9594aa62867f2c9dcceb9e1771b1488fcbc00a3f8c18913260b7675ab995c9",
     "sweep-sampled": "dbfa2634c34c7b826e1fac490ca4227c1dabfaa462fcc1ce7b21f5bd0399054e",
     "mask": "26e5d7d5bfcee49620f07a78c57cb761ef870528eecb2e93ce88ce54b737ebe9",
+    "mask-repeated-j": "78ae9be3925b9a6343ee061ee38ed3b98ceae1aaa190812887f9826310ceeeee",
     "family-erdos_renyi": "c9c0b60b9fd9cc0c55a1a0eadf36a19b3c088a30747eb3aabd4b07a9d297b7d9",
     "influence-exact-points": "5ef7214e180920366edfdf3cc6b7064c6b7918801bc52d8a04fd49218ba9b3fb",
 }
@@ -802,6 +803,7 @@ def test_report_digests_are_pinned(capsys, tmp_path, monkeypatch):
         "sweep-sampled": ("sweep", "--input", "strings.txt", "--metric", "edit",
                           "--radii", "1,2", "--sample", "100", "--seed", "5"),
         "mask": ("mask", "--count", "30", "--seed", "2"),
+        "mask-repeated-j": ("mask", "--count", "30", "--j", "3,1,3", "--seed", "11"),
         "family-erdos_renyi": ("family", "--kind", "erdos_renyi", "--n", "16",
                                "--p", "0.25", "--seed", "3"),
         "influence-exact-points": ("influence", "--input", "points.txt",

@@ -320,7 +320,7 @@ class TestForests:
         (NeighborComplex.from_edges(20, []), (Fraction(1),) * 20),
     ], ids=["path20", "star15", "edgeless20"])
     def test_fills_no_table(self, monkeypatch, g, want):
-        def refuse(complex_):
+        def refuse(rows):
             raise AssertionError("a forest filled a subset table")
 
         monkeypatch.setattr(engine, "betti0_table", refuse)
@@ -340,8 +340,8 @@ class TestForests:
     def test_a_cycle_fills_one_whole_table(self, monkeypatch, g):
         lengths = []
 
-        def counted(complex_):
-            table = betti0_table(complex_)
+        def counted(rows):
+            table = betti0_table(rows)
             lengths.append(len(table))
             return table
 
@@ -404,7 +404,7 @@ class TestBlockGraphs:
          (Fraction(1, 3),) * 4),
     ], ids=["K20", "bowtie", "K5+K4+K1", "diamond"])
     def test_fills_no_table(self, monkeypatch, g, want):
-        def refuse(complex_):
+        def refuse(rows):
             raise AssertionError("a chordal graph filled a subset table")
 
         monkeypatch.setattr(engine, "betti0_table", refuse)
@@ -527,9 +527,9 @@ class TestSmallestLast:
         g = relabeled(NeighborComplex.from_edges(13, edges), 4)
         lengths = []
 
-        def counted(complex_):
-            lengths.append(complex_.n)
-            return betti0_table(complex_)
+        def counted(rows):
+            lengths.append(len(rows))
+            return betti0_table(rows)
 
         chunks = record_chunks(monkeypatch)
         monkeypatch.setattr(engine, "betti0_table", counted)
@@ -623,7 +623,7 @@ class TestSizeSums:
         g = data.draw(small_graphs(min_n=n, max_n=n))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homology, "CHUNK_BITS", chunk_bits)
-            sums, totals = homology._size_sums(betti0_table(g), n)
+            sums, totals = homology._size_sums(betti0_table(g.rows), n)
         want_sums, want_totals = reference_size_sums(reference_betti0_table(g), n)
         assert sums.dtype == totals.dtype == np.int64
         assert sums.tobytes() == want_sums.tobytes()
@@ -642,7 +642,7 @@ class TestSizeSums:
         # cached, and n = 14 at CHUNK_BITS = 3 must not read them.
         def check(n):
             g = erdos_renyi_graph(n, 0.25, seed=n)
-            sums, totals = homology._size_sums(betti0_table(g), n)
+            sums, totals = homology._size_sums(betti0_table(g.rows), n)
             want_sums, want_totals = reference_size_sums(reference_betti0_table(g), n)
             assert sums.tobytes() == want_sums.tobytes()
             assert totals.tobytes() == want_totals.tobytes()
@@ -896,7 +896,7 @@ class TestPieceRoutes:
             two_cycles_sharing_a_vertex(7),
         ], seed=6)
         monkeypatch.setattr(blocks, "component_changes", refuse)
-        monkeypatch.setattr(blocks, "_table_of_rows", refuse)
+        monkeypatch.setattr(blocks, "betti0_table", refuse)
         est = sampled_shapley(g, 100, 8)
         monkeypatch.undo()
         assert len(g.pieces.cycles) == 3 + 40 + 4 + 3 + 17 + 120 + 2 * 3 + 2 * 7
@@ -957,8 +957,8 @@ class TestPieceRoutes:
             calls.append(len(rows))
             return fill(rows)
 
-        fill = blocks._table_of_rows
-        monkeypatch.setattr(blocks, "_table_of_rows", counted)
+        fill = blocks.betti0_table
+        monkeypatch.setattr(blocks, "betti0_table", counted)
         g = named_pieces(5)
         first = sampled_shapley(g, 20, 1)
         # One table per block of at most 12 vertices that is neither a
@@ -993,7 +993,7 @@ class TestEfficiency:
     @given(st.one_of(forests(), block_graph(16), chordal_graphs()))
     @settings(max_examples=40, deadline=None)
     def test_exact_total_in_closed_form(self, g):
-        def refuse(complex_):
+        def refuse(rows):
             raise AssertionError("a chordal graph filled a table")
 
         with pytest.MonkeyPatch.context() as mp:

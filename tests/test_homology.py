@@ -198,7 +198,7 @@ class TestBetti0Table:
     @given(small_graphs(max_n=8))
     @settings(max_examples=40)
     def test_matches_per_subset_union_find(self, g):
-        table = betti0_table(g)
+        table = betti0_table(g.rows)
         assert len(table) == 1 << g.n
         for mask in range(1 << g.n):
             assert int(table[mask]) == betti0_of_subset(g, mask)
@@ -218,7 +218,7 @@ class TestBetti0Table:
     def test_every_branch_matches_reference(self, chunk_bits):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homology, "CHUNK_BITS", chunk_bits)
-            table = betti0_table(BRANCH_GRAPH)
+            table = betti0_table(BRANCH_GRAPH.rows)
         want = reference_betti0_table(BRANCH_GRAPH)
         wrong = Counter(
             first_step_branch(BRANCH_GRAPH, mask)
@@ -230,14 +230,14 @@ class TestBetti0Table:
 
     def test_full_mask_is_betti0(self):
         g = NeighborComplex.from_edges(6, [(0, 1), (1, 2), (4, 5)])
-        assert int(betti0_table(g)[(1 << g.n) - 1]) == betti0(g) == 3
+        assert int(betti0_table(g.rows)[(1 << g.n) - 1]) == betti0(g) == 3
 
     @given(small_graphs(max_n=7))
     @settings(max_examples=30)
     def test_single_vertex_delta_is_bounded(self, g):
         # Adding one vertex changes the count by +1 (new isolated piece)
         # or -(c - 1) where c components got merged; never more.
-        table = betti0_table(g)
+        table = betti0_table(g.rows)
         for mask in range(1 << g.n):
             for i in range(g.n):
                 if not mask >> i & 1:
@@ -252,7 +252,7 @@ class TestBetti0Table:
     def test_matches_reference_table(self, g, chunk_bits):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(homology, "CHUNK_BITS", chunk_bits)
-            table = betti0_table(g)
+            table = betti0_table(g.rows)
         assert table.dtype == np.int8
         assert len(table) == 1 << g.n
         assert table.tobytes() == reference_betti0_table(g).tobytes()
@@ -268,7 +268,7 @@ class TestBetti0Table:
         g = relabeled(erdos_renyi_graph(n, 0.4, seed), seed)
         monkeypatch.setattr(homology, "CHUNK_BITS", chunk_bits)
         chunks = record_chunks(monkeypatch)
-        table = betti0_table(g)
+        table = betti0_table(g.rows)
         growing = [b for b in range(n) if lower_neighbours(g, b) >= 2]
         covered = [mask for first, stop in chunks for mask in range(first, stop)]
         assert covered == [mask for b in growing for mask in range(1 << b, 2 << b)]
@@ -288,7 +288,7 @@ class TestBetti0Table:
         # Each vertex has at most one neighbour below it, so every block
         # is a broadcast add and none reaches _fill_chunk.
         chunks = record_chunks(monkeypatch)
-        table = betti0_table(g)
+        table = betti0_table(g.rows)
         assert chunks == []
         assert table.tobytes() == reference_betti0_table(g).tobytes()
 
@@ -296,7 +296,7 @@ class TestBetti0Table:
     def test_multi_chunk_graphs_match_reference(self, name):
         g, expected = multi_chunk_case(name)
         assert g.n >= homology.CHUNK_BITS + 2
-        table = betti0_table(g)
+        table = betti0_table(g.rows)
         assert table.dtype == np.int8
         assert len(table) == 1 << g.n
         assert table.tobytes() == expected.tobytes()
@@ -311,10 +311,10 @@ class TestBetti0Table:
         # Beyond its 2^n-byte table, a fill holds at most this many int64
         # arrays of one chunk.  Measured: 2.7 for the path and K18, 7.1
         # for ER18.
-        betti0_table(g)
+        betti0_table(g.rows)
         tracemalloc.start()
         try:
-            betti0_table(g)
+            betti0_table(g.rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -325,7 +325,7 @@ class TestBetti0Table:
         tracemalloc.start()
         try:
             with pytest.raises(SizeCapError):
-                betti0_table(g)
+                betti0_table(g.rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

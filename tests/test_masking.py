@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from topoinfluence import masking
+from topoinfluence import homology, masking
 from topoinfluence.engine import _chordal_scores
 from topoinfluence import (
     GenerationBudgetError,
@@ -18,12 +19,36 @@ from topoinfluence import (
     run_masking_experiment,
     star_graph,
 )
+from topoinfluence.streams import philox_block
 
-from oracles import reference_er_dataset, small_graphs
+from oracles import reference_er_dataset, small_graphs, walk_every_draw_dataset
 
 
 def dataset_key(dataset):
     return [(item.graph.n, item.graph.rows, item.label) for item in dataset]
+
+
+def outcome(generate, *args, **kwargs):
+    """The dataset's key, or the text of the budget error it raised."""
+    try:
+        return dataset_key(generate(*args, **kwargs))
+    except GenerationBudgetError as exc:
+        return str(exc)
+
+
+def count_walks(monkeypatch) -> list[int]:
+    """The vertex count of every later union-find walk, in call order:
+    masking walks through its own binding, ``betti0`` through homology's."""
+    walks = []
+    walk = homology.component_changes
+
+    def counted(neighbors, order):
+        walks.append(len(neighbors))
+        return walk(neighbors, order)
+
+    monkeypatch.setattr(homology, "component_changes", counted)
+    monkeypatch.setattr(masking, "component_changes", counted)
+    return walks
 
 
 class TestMaskNodes:
@@ -136,6 +161,61 @@ class TestGenerateDataset:
             reference_er_dataset(3, **ranges)
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("count, n_range, p_range", [
+        (31, (3, 6), (0.0, 0.3)),
+        (32, (3, 6), (0.02, 0.21)),
+        (31, (3, 6), (0.5, 1.0)),
+        (31, (8, 14), (0.0, 0.3)),
+        (32, (8, 14), (0.02, 0.21)),
+        (31, (8, 14), (0.3, 1.0)),
+        # These exhaust the budget.
+        (31, (3, 6), (0.0, 0.02)),
+        (31, (8, 14), (0.6, 0.95)),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_draws_match_walking_every_draw(self, monkeypatch, count, n_range, p_range, seed):
+        # Ranges that cannot fill exhaust a budget kept small: both routes
+        # must then give the same error text.
+        monkeypatch.setattr(masking, "ATTEMPTS_PER_GRAPH", 200)
+        args = dict(n_range=n_range, p_range=p_range, seed=seed)
+        assert outcome(generate_er_dataset, count, **args) == outcome(
+            walk_every_draw_dataset, count, **args
+        )
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_draws_with_too_few_edges_are_not_walked(self, monkeypatch, seed):
+        draws, walks = [], []
+        er_edges, walk = masking._er_edges, masking.component_changes
+
+        def drawn(rng, n, p):
+            edges = er_edges(rng, n, p)
+            draws.append((n, len(edges)))
+            return edges
+
+        def walked(neighbors, order):
+            changes = walk(neighbors, order)
+            walks.append((len(draws), sum(changes)))
+            return changes
+
+        monkeypatch.setattr(masking, "_er_edges", drawn)
+        monkeypatch.setattr(masking, "component_changes", walked)
+        generate_er_dataset(200, seed=seed)
+        assert len(walks) < len(draws)
+        # Replay the quotas: draw k is walked exactly when its n - m is at
+        # most the largest class that still had room.
+        quota, filled = {1: 67, 2: 67, 3: 66}, {1: 0, 2: 0, 3: 0}
+        labels = iter(walks)
+        for k, (n, m) in enumerate(draws, 1):
+            room = max(c for c in quota if filled[c] < quota[c])
+            if n - m > room:
+                continue
+            at, label = next(labels)
+            assert at == k
+            if label in quota and filled[label] < quota[label]:
+                filled[label] += 1
+        assert next(labels, None) is None
+        assert filled == quota
+
     def test_complex_built_only_for_kept_draws(self, monkeypatch):
         built = []
         from_edges = NeighborComplex.from_edges.__func__
@@ -242,3 +322,43 @@ class TestExperiment:
         report = run_masking_experiment(ds, j_values=(1,), seed=0)
         with pytest.raises(InputError):
             report.rate(2, "top")
+
+    def test_two_walks_per_graph_and_one_per_random_mask(self, monkeypatch):
+        ds = generate_er_dataset(30, seed=5)
+        for j_values in [(1, 2, 3), (0,), (3, 1, 3), (2, 0)]:
+            walks = count_walks(monkeypatch)
+            run_masking_experiment(ds, j_values=j_values, seed=5)
+            assert walks == [
+                item.graph.n for item in ds for _ in range(2 + len(j_values))
+            ]
+            monkeypatch.undo()
+
+    @given(
+        graphs=st.lists(small_graphs(min_n=4), min_size=1, max_size=4),
+        j_values=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(graphs=[path_graph(5), star_graph(6)], j_values=[0], seed=0)
+    @example(graphs=[path_graph(7), star_graph(4)], j_values=[3, 1, 2], seed=3)
+    @example(graphs=[complete_graph(4), path_graph(6)], j_values=[2, 0, 2, 2], seed=9)
+    @settings(max_examples=60, deadline=None)
+    def test_every_label_is_b0_of_the_survivors(self, graphs, j_values, seed):
+        ds = [LabeledGraph(graph=g, label=betti0(g)) for g in graphs]
+        report = run_masking_experiment(ds, j_values=tuple(j_values), seed=seed)
+        rows = iter(report.rows)
+        for g_index, g in enumerate(graphs):
+            ranking = rank_nodes(g)
+            full = (1 << g.n) - 1
+            for j in j_values:
+                rng = philox_block(seed, (g_index << 20) | j)
+                masks = {
+                    "top": ranking[:j],
+                    "bottom": ranking[g.n - j:],
+                    "random": rng.choice(g.n, size=j, replace=False).tolist(),
+                }
+                for variant in masking.VARIANTS:
+                    row = next(rows)
+                    removed = sum(1 << v for v in masks[variant])
+                    label = betti0(g, full & ~removed)
+                    assert row == (g_index, g.n, j, variant, betti0(g), label)
+        assert next(rows, None) is None
