@@ -30,8 +30,9 @@ exact     closed form on a chordal graph, else a
           with phi the plain signed Shapley value of b0, read off
           size-graded sums of the table, which ``homology`` fills and sums.
           The table numbers the vertices smallest-last: each vertex outside
-          the 2-core then has at most one neighbour numbered below it, and
-          its block of the table fills in one broadcast pass.
+          the 2-core then has at most one neighbour numbered below it, its
+          block of the table fills in one broadcast pass, and its phi
+          comes in closed form, so only the core's subsets are summed.
           Each n! s(i) is a Python int, so scores are bit-for-bit
           reproducible Fractions.  In a chordal graph (no chordless cycle
           of four or more vertices: forests, cliques, 1-D point complexes)
@@ -155,17 +156,22 @@ def exact_shapley(
     grows as O(n 2^n) and memory as 2^n bytes.  The table is filled
     straight from the adjacency rows of the graph renumbered by
     :func:`_smallest_last`, with no second complex built; renumbering
-    leaves the scores as they are, and row i of its size sums is then
-    vertex i's.
+    leaves the scores as they are.
 
-    With w_k = k! (n-1-k)! and the size sums A, T of
-    :func:`~topoinfluence.homology._size_sums`,
+    Let c be one more than the highest renumbered vertex with two or more
+    neighbours below it (c = 1 if none has): the 2-core's size.  Each
+    b >= c has at most one, u_b, so b0(S) is b0(S & [0, c)) plus
+    1 - [u_b in S] for each b >= c in S.  With w_k = k! (c-1-k)! and the
+    size sums A, T of :func:`~topoinfluence.homology._size_sums` over the
+    table's first 2^c entries,
 
-        n! s(i) = 2 n! / (deg i + 1) - sum_k w_k (A[i, k+1] + A[i, k] - T[k])
+        n! s(i) = 2 n! / (deg i + 1) - n! phi(i),
+        n! phi(i) = n!/c! sum_k w_k (A[i, k+1] + A[i, k] - T[k])  for i < c,
 
-    since sum_k w_k C(n-1-deg i, k) = n! / (deg i + 1).  The numerator is
-    built with Python ints (n! overflows int64 past n = 20); each score
-    is then one Fraction of two integers.
+    and each b >= c adds n!/2 to n! phi(b) and takes n!/2 from u_b's, or
+    adds n! if it has no u_b.  The numerator is built with Python ints
+    (n! overflows int64 past n = 20); each score is then one Fraction of
+    two integers.
     """
     n = complex_.n
     check_exact_cap(n, cap)
@@ -183,18 +189,27 @@ def exact_shapley(
     rows = [0] * n
     for v, adjacent in enumerate(complex_.neighbors):
         rows[number[v]] = sum(1 << number[u] for u in adjacent)
-    sums, totals = _size_sums(betti0_table(rows), n)
-    # Row number[i] of the renumbered sums is vertex i's.
-    sums = sums[number]
-    weights = [math.factorial(k) * math.factorial(n - 1 - k) for k in range(n)]
+    below = [row & (1 << b) - 1 for b, row in enumerate(rows)]
+    c = 1 + max((b for b, bits in enumerate(below) if bits.bit_count() > 1), default=0)
+    sums, totals = _size_sums(betti0_table(rows)[: 1 << c], c)
+    weights = [math.factorial(k) * math.factorial(c - 1 - k) for k in range(c)]
     n_fact = math.factorial(n)
-    # Row i, column k: A[i, k+1] + A[i, k] - T[k], i's signed marginals
-    # summed over the size-k coalitions that avoid it, exact in int64.
-    # Weighted by w_k, they add up on Python ints.
+    scale = n_fact // math.factorial(c)
+    # Row b, column k: A[b, k+1] + A[b, k] - T[k], b's signed marginals
+    # summed over the size-k coalitions of the core that avoid it, exact
+    # in int64.  Weighted by w_k, they add up on Python ints.
     marginals = sums[:, 1:] + sums[:, :-1] - totals[:-1]
+    phi = [scale * sum(map(operator.mul, weights, row)) for row in marginals.tolist()]
+    phi += [0] * (n - c)
+    for b in range(c, n):
+        if below[b]:
+            phi[b] += n_fact // 2
+            phi[below[b].bit_length() - 1] -= n_fact // 2
+        else:
+            phi[b] += n_fact
+    # Entry number[i] of the renumbered n! phi is vertex i's.
     numerators = [
-        2 * n_fact // (complex_.degree(i) + 1) - sum(map(operator.mul, weights, row))
-        for i, row in enumerate(marginals.tolist())
+        2 * n_fact // (complex_.degree(i) + 1) - phi[number[i]] for i in range(n)
     ]
     return InfluenceResult(
         labels=_labels_of(complex_),

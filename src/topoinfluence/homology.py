@@ -31,8 +31,8 @@ broadcast add over the blocks below it; the other blocks run as numpy
 passes over ranges of subsets, never as a Python loop over all 2^n of
 them.  Exact mode numbers the vertices smallest-last first, so that
 every vertex outside the graph's 2-core takes such a block.
-``_size_sums`` then reads the table once per chunk into the size-graded
-sums that exact mode weights.
+``_size_sums`` then reads the core's part of the table, its first 2^c
+entries, once per chunk into the size-graded sums that exact mode weights.
 
 The slower, independent counters these are tested against (a bitmask
 flood fill per subset, and the zero eigenvalues of the graph Laplacian)

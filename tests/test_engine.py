@@ -470,20 +470,49 @@ def degeneracy(g: NeighborComplex) -> int:
 
 @st.composite
 def cores_with_trees(draw, max_n=12):
-    """A cycle of 4-6 vertices with any of its chords, trees hung from it
-    and from one another, and isolated vertices, under a random
-    relabeling: a 2-core that fills a table, many vertices outside it,
-    and many ties of degree."""
-    k = draw(st.integers(4, 6))
+    """A 2-core on vertices 0..k-1 (a cycle of 4-6 vertices with any of
+    its chords, K_{a,b} with 2 <= a <= 3 <= b <= 4, or a wheel of 4-7),
+    trees hung from it and from one another, and isolated vertices,
+    under a random relabeling: a core that fills a table, many vertices
+    outside it, and many ties of degree."""
+    kind = draw(st.sampled_from(["cycle", "bipartite", "wheel"]))
+    if kind == "cycle":
+        k = draw(st.integers(4, 6))
+        chords = [(u, v) for u, v in itertools.combinations(range(k), 2) if 1 < v - u < k - 1]
+        edges = [*cycle_graph(k).edges(), *draw(st.sets(st.sampled_from(chords)))]
+    else:
+        core = (complete_bipartite_graph(draw(st.integers(2, 3)), draw(st.integers(3, 4)))
+                if kind == "bipartite" else wheel_graph(draw(st.integers(4, 7))))
+        k, edges = core.n, list(core.edges())
     n = draw(st.integers(k, max_n))
-    chords = [(u, v) for u, v in itertools.combinations(range(k), 2) if 1 < v - u < k - 1]
-    edges = [*cycle_graph(k).edges(), *draw(st.sets(st.sampled_from(chords)))]
     for v in range(k, n):
         parent = draw(st.none() | st.integers(0, v - 1))
         if parent is not None:
             edges.append((parent, v))
     label = draw(st.permutations(range(n)))
     return NeighborComplex.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def two_core(g: NeighborComplex) -> set[int]:
+    """The vertices left once those of degree at most 1 are stripped,
+    again and again, until none is."""
+    left = set(range(g.n))
+    while strip := {v for v in left if len(left.intersection(g.neighbors[v])) <= 1}:
+        left -= strip
+    return left
+
+
+def record_size_sums(monkeypatch) -> list[tuple[int, int]]:
+    """(table length, n) of every later ``engine._size_sums`` call."""
+    calls = []
+    size_sums = engine._size_sums
+
+    def recording(table, n):
+        calls.append((len(table), n))
+        return size_sums(table, n)
+
+    monkeypatch.setattr(engine, "_size_sums", recording)
+    return calls
 
 
 class TestSmallestLast:
@@ -519,6 +548,18 @@ class TestSmallestLast:
     def test_table_scores_match_reference_tallies(self, g):
         assert table_scores(g) == tally_scores(reference_betti0_table(g), g.n)
 
+    @given(small_graphs(max_n=9) | cores_with_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_the_2_core_takes_the_lowest_numbers(self, g):
+        number = engine._smallest_last(g.neighbors)
+        core = two_core(g)
+        assert {v for v in range(g.n) if number[v] < len(core)} == core
+        # c, one more than the highest number with two neighbours below
+        # it, is the core's size, or 1 when the core is empty.
+        lower = [sum(number[u] < number[v] for u in g.neighbors[v]) for v in range(g.n)]
+        highest = max((number[v] for v in range(g.n) if lower[v] > 1), default=0)
+        assert highest + 1 == max(len(core), 1)
+
     def test_only_the_core_grows(self, monkeypatch):
         # A 6-cycle, paths of 3 and 2 hung from it, and two isolated
         # vertices: the cycle takes numbers 0-5, and of its vertices only
@@ -532,11 +573,30 @@ class TestSmallestLast:
             return betti0_table(rows)
 
         chunks = record_chunks(monkeypatch)
+        sums = record_size_sums(monkeypatch)
         monkeypatch.setattr(engine, "betti0_table", counted)
         scores = exact_shapley(g).shapley
+        # The table still takes all 13 rows, since the benchmark's traced
+        # run counts the whole fill (2^13 entries in its first job); only
+        # the core's 2^6 entries are summed.
         assert lengths == [13]
         assert chunks == [(32, 64)]
+        assert sums == [(1 << 6, 6)]
         assert scores == tally_scores(reference_betti0_table(g), g.n)
+
+    @pytest.mark.parametrize("g, c", [
+        (wheel_graph(7), 7),
+        (complete_bipartite_graph(3, 3), 6),
+        (NeighborComplex.from_edges(8, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6)]), 1),
+        # A tree hung on core vertex 0 of K2,3: its root's one lower
+        # neighbour is in the core.
+        (relabeled(NeighborComplex.from_edges(
+            9, [*complete_bipartite_graph(2, 3).edges(), (0, 5), (5, 6), (5, 7)]), 3), 5),
+    ], ids=["wheel7", "K3,3", "forest8", "K2,3+tree"])
+    def test_scores_from_the_core_sums_and_the_trees(self, monkeypatch, g, c):
+        sums = record_size_sums(monkeypatch)
+        assert table_scores(g) == tally_scores(reference_betti0_table(g), g.n)
+        assert sums == [(1 << c, c)]
 
 
 def draw_clique(data, g: NeighborComplex, size: int) -> list[int]:
