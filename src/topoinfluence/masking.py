@@ -21,7 +21,9 @@ measured quantity is ground-truth label disruption, not model accuracy.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .engine import compute_influence
@@ -65,17 +67,28 @@ class MaskRow(NamedTuple):
 
 @dataclass(frozen=True)
 class MaskingReport:
-    """Aggregated flip rates plus the per-graph rows they came from."""
+    """Aggregated flip rates plus the per-graph rows they came from.
+
+    Every rate reads one tally of the rows by (J, variant), counted on
+    first read and cached; it is not a field, so equality and hashing see
+    the fields alone.
+    """
 
     graph_count: int
     j_values: tuple[int, ...]
     rows: tuple[MaskRow, ...] = field(default_factory=tuple)
 
+    @cached_property
+    def _tally(self) -> Counter:
+        """(J, variant, flipped) -> rows, counted in one pass over the rows."""
+        return Counter((r.j, r.variant, r.flipped) for r in self.rows)
+
     def rate(self, j: int, variant: str) -> float:
-        hits = [r for r in self.rows if r.j == j and r.variant == variant]
-        if not hits:
+        flips = self._tally[j, variant, True]
+        rows = flips + self._tally[j, variant, False]
+        if not rows:
             raise InputError(f"no rows for J={j} variant={variant!r}")
-        return sum(r.flipped for r in hits) / len(hits)
+        return flips / rows
 
 
 def generate_er_dataset(

@@ -119,11 +119,11 @@ def _encode(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _padded(codes: np.ndarray, starts: np.ndarray, width: int) -> np.ndarray:
-    """One row of ``width`` code points per start.  Cells before a string's
-    start or past its end hold whatever is there, clamped into range; the
-    recurrence never reads them into a cell it reports."""
-    cells = starts[:, None] + np.arange(width)
-    return codes[np.clip(cells, 0, len(codes) - 1, out=cells)]
+    """``width`` code points per start, one column per start: a (width,
+    len starts) array.  Cells before a string's start or past its end
+    hold whatever is there, clamped into range; the recurrence never
+    reads them into a cell it reports."""
+    return codes.take(np.arange(width)[:, None] + starts, mode="clip")
 
 
 # Stands for an infinite cost outside the DP table: adding 2 per row of
@@ -154,7 +154,11 @@ def _levenshtein(
     between a[:i] and b[:j], slot s of row i stores
     u[s] = D[i][i + s + lo] - s, so that
     ``t[s] = min(u_prev[s] + [a_i != b_j], u_prev[s + 1] + 2)`` and the
-    insertions close with a prefix minimum, ``u = minimum.accumulate(t)``.
+    insertions close with a prefix minimum over the slots, u[s] =
+    min(t[0..s]).  That minimum is taken by doubling shifts (Hillis &
+    Steele 1986), ``u[h:] = minimum(u[h:], u[:-h])`` for h = 1, 2, 4, ...
+    up to k: ceil(log2(k + 1)) passes along all lanes, where an
+    accumulate along the slot axis would run one short loop per lane.
     A lane is read out at slot len b - len a - lo once row len a is done,
     and then leaves the pass.
     """
@@ -165,17 +169,21 @@ def _levenshtein(
     read = lb - la - lo
     dist = np.minimum(lb, k + 1).astype(np.int32)  # an empty a: insert all of b
     done = int(np.searchsorted(la, 0, side="right"))
-    a = _padded(codes, offsets[shorter[done:]], rows).T.copy()
-    b = _padded(codes, offsets[longer[done:]] + lo[done:], rows + k).T.copy()
+    a = _padded(codes, offsets[shorter[done:]], rows)
+    b = _padded(codes, offsets[longer[done:]] + lo[done:], rows + k)
     # Row 0: D[0][j] = j, so u = lo wherever j = s + lo >= 0.  Slot k + 1,
     # past the band, stays infinite: the vertical move from outside it.
     slots = np.arange(k + 2)[:, None]
     band = (slots >= -lo[done:]) & (slots <= k)
     u = np.where(band, lo[done:], _FAR).astype(np.int32)
+    shifts = [1 << e for e in range(k.bit_length())]  # 1, 2, 4, ... <= k
     for i in range(1, rows + 1):
-        t = u[1:] + 2
-        np.minimum(t, u[:-1] + (b[i - 1 : i + k] != a[i - 1]), out=t)
-        np.minimum.accumulate(t, axis=0, out=u[:-1])
+        t = u[:-1]
+        np.minimum(u[1:] + 2, t + (b[i - 1 : i + k] != a[i - 1]), out=t)
+        for h in shifts:
+            # ufuncs buffer overlapping operands, so t[:-h] is read whole
+            # before t[h:] is written.
+            np.minimum(t[h:], t[:-h], out=t[h:])
         end = int(np.searchsorted(la, i, side="right"))
         if end > done:
             s = read[done:end]
@@ -197,8 +205,10 @@ def _edit_chunks(strings: Sequence[str], r_max: float) -> Iterator[tuple]:
     row, len q + min(k, len q) + 1 cells, bounds each of its temporaries
     in :func:`_levenshtein`.  Pieces join one chunk of the kernel while
     lanes times row stay within EDIT_CHUNK_CELLS; len q only grows, so the
-    last column sets the chunk's row.  A chunk's lanes are stably sorted
-    by the shorter string's length, as the kernel requires.
+    last column sets the chunk's row.  A chunk's two lane lists come from
+    its (p0, p1, q) pieces in one ``np.repeat`` each, with no array per
+    piece, and its lanes are stably sorted by the shorter string's
+    length, as the kernel requires.
     """
     n = len(strings)
     order = sorted(range(n), key=lambda q: len(strings[q]))
@@ -209,8 +219,13 @@ def _edit_chunks(strings: Sequence[str], r_max: float) -> Iterator[tuple]:
     first = np.searchsorted(lengths, lengths - k)
 
     def run(chunk):
-        shorter = np.concatenate([np.arange(p0, p1) for p0, p1, _ in chunk])
-        longer = np.concatenate([np.full(p1 - p0, q) for p0, p1, q in chunk])
+        p0, p1, q = np.array(chunk).T
+        counts = p1 - p0
+        longer = np.repeat(q, counts)
+        # p0 .. p1 - 1 piece by piece: each lane's place in the chunk plus
+        # its piece's p0 less the piece's first place.
+        starts = np.cumsum(counts) - counts
+        shorter = np.arange(len(longer)) + np.repeat(p0 - starts, counts)
         lanes = np.argsort(lengths[shorter], kind="stable")
         shorter, longer = shorter[lanes], longer[lanes]
         dist = _levenshtein(codes, offsets, lengths, shorter, longer, k)

@@ -323,6 +323,16 @@ class TestExperiment:
         with pytest.raises(InputError):
             report.rate(2, "top")
 
+    def test_rate_is_the_flipped_share_of_matching_rows(self):
+        ds = generate_er_dataset(12, seed=3)
+        report = run_masking_experiment(ds, j_values=(1, 2, 3), seed=3)
+        for j in (1, 2, 3):
+            for variant in masking.VARIANTS:
+                hits = [r for r in report.rows if r.j == j and r.variant == variant]
+                assert report.rate(j, variant) == sum(r.flipped for r in hits) / len(hits)
+        with pytest.raises(InputError):
+            report.rate(1, "middle")
+
     def test_two_walks_per_graph_and_one_per_random_mask(self, monkeypatch):
         ds = generate_er_dataset(30, seed=5)
         for j_values in [(1, 2, 3), (0,), (3, 1, 3), (2, 0)]:

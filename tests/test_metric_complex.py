@@ -93,6 +93,13 @@ class TestEditDistance:
     def test_triangle_inequality(self, a, b, c):
         assert edit_distance(a, c) <= edit_distance(a, b) + edit_distance(b, c)
 
+    def test_long_pair_equals_scalar_dp(self):
+        # One lane with a band of 301 slots: nine doubling steps per row.
+        rng = np.random.default_rng(3)
+        a = "".join(rng.choice(list("abc"), size=300))
+        b = "".join(rng.choice(list("abc"), size=300))
+        assert edit_distance(a, b) == edit_distance_dp(a, b)
+
     def test_equal_length_distance_one_is_hamming_one(self):
         # A single edit between equal-length strings must be a substitution.
         for a in ("0110", "1001", "0000"):
@@ -412,6 +419,26 @@ class TestNeighborPairs:
             (i, j): d
             for j in range(len(strings)) for i in range(j)
             if (d := edit_distance_dp(strings[i], strings[j])) <= r
+        }
+        got = zip(pairs.left.tolist(), pairs.right.tolist(), pairs.distances.tolist())
+        assert {(i, j): d for i, j, d in got} == want
+
+    # Band widths k + 1 on both sides of each doubling step of the
+    # kernel's prefix minimum: 1, 2, 3, 4, 5, 8, 9, 16, 17 and 18 slots.
+    @pytest.mark.parametrize("r_max", [0, 1, 2, 3, 4, 7, 8, 15, 16, 17])
+    def test_edit_pairs_equal_scalar_dp_at_every_band_width(self, r_max):
+        # Mixed lengths 0-20, empty strings included, share one chunk, so
+        # lanes leave the pass row by row.
+        rng = np.random.default_rng(11)
+        strings = ["", ""] + [
+            "".join(rng.choice(["0", "1"], size=rng.integers(0, 21)))
+            for _ in range(58)
+        ]
+        pairs = neighbor_pairs(LabeledPointSet.from_strings(strings), "edit", r_max)
+        want = {
+            (i, j): d
+            for j in range(len(strings)) for i in range(j)
+            if (d := edit_distance_dp(strings[i], strings[j])) <= r_max
         }
         got = zip(pairs.left.tolist(), pairs.right.tolist(), pairs.distances.tolist())
         assert {(i, j): d for i, j, d in got} == want
