@@ -472,7 +472,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="reserved; evaluation is single-threaded and output-invariant",
+        help="reserved and unused; long sampled runs may walk in several "
+        "processes, and the output never depends on either",
     )
 
 

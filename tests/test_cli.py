@@ -5,13 +5,15 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import re
+import warnings
 from pathlib import Path
 
 import pytest
 
-from topoinfluence import cli
+from topoinfluence import cli, parallel
 from topoinfluence.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -104,6 +106,30 @@ class TestInfluence:
         assert doc["payload"]["method"] == "sampled"
         assert doc["config"]["seed"] == 9
         assert all("std_error" in s for s in doc["payload"]["samples"])
+
+    def test_split_run_prints_no_fork_warning(self, capsys, g3_file, monkeypatch):
+        # CPython 3.12 warns on a fork while other threads run, as numpy's
+        # BLAS pool may; a run split over processes must not print it.
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process is multi-threaded, use of fork() may "
+                          "lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
+        code, out, err = run_cli(
+            capsys, "influence", "--input", g3_file, "--metric", "edit",
+            "--radius", "1", "--sample", "300", "--seed", "9", "--format", "json",
+        )
+        monkeypatch.undo()
+        assert (code, err) == (0, "")
+        _, unsplit, _ = run_cli(
+            capsys, "influence", "--input", g3_file, "--metric", "edit",
+            "--radius", "1", "--sample", "300", "--seed", "9", "--format", "json",
+        )
+        assert out == unsplit
 
     def test_stdin_dash(self, capsys, g3_file, monkeypatch):
         import sys

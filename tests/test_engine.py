@@ -16,7 +16,11 @@ marginals on every route.
 import dataclasses
 import itertools
 import math
+import os
 import random
+import signal
+import threading
+import time
 import warnings
 from fractions import Fraction
 
@@ -25,14 +29,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topoinfluence import blocks, engine, homology
+from topoinfluence import blocks, engine, homology, parallel
 from topoinfluence import (
     FAMILIES,
     InfluenceResult,
     InputError,
     NeighborComplex,
     SizeCapError,
+    LabeledPointSet,
     betti0_table,
+    build_complex,
     complete_bipartite_graph,
     complete_graph,
     complete_scores,
@@ -41,6 +47,7 @@ from topoinfluence import (
     cycle_scores,
     erdos_renyi_graph,
     exact_shapley,
+    neighbor_pairs,
     path_graph,
     path_scores,
     permutation_marginals,
@@ -1178,6 +1185,186 @@ class TestSampled:
         est = sampled_shapley(erdos_renyi_graph(60, 0.15, 0), 500, 3)
         assert est.total == float(np.sum(est.shapley))
         assert all(m == s / est.total for s, m in zip(est.shapley, est.mu))
+
+
+def disjoint_union(parts) -> NeighborComplex:
+    """The graphs of ``parts`` side by side, numbered part after part."""
+    edges, n = [], 0
+    for g in parts:
+        edges += [(u + n, v + n) for u, v in g.edges()]
+        n += g.n
+    return NeighborComplex.from_edges(n, edges)
+
+
+def string_corpus(seed: int) -> NeighborComplex:
+    """Binary strings of lengths 8-16, 36 drawn per length, at edit radius 2."""
+    rng = random.Random(seed)
+    strings = ["".join(rng.choice("01") for _ in range(length))
+               for length in range(8, 17) for _ in range(36)]
+    points = LabeledPointSet.from_strings(strings)
+    return build_complex(neighbor_pairs(points, "edit", 2), 2)
+
+
+def split_run(monkeypatch, complex_, permutations, seed):
+    """(the run with every split taken, the number of forks it made, the
+    run never split).  A run splits first after four orders, into as many
+    ranges as there are usable CPUs and orders left."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
+    split = sampled_shapley(complex_, permutations, seed)
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", math.inf)
+    serial = sampled_shapley(complex_, permutations, seed)
+    monkeypatch.undo()
+    return split, len(forks), serial
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestSplitRuns:
+    """A run split over forked processes by Philox block range gives the
+    same result as one that never splits, whatever the split."""
+
+    @pytest.mark.parametrize("name", ["union of families", "string corpus", "named pieces"])
+    def test_split_equals_serial(self, monkeypatch, name):
+        complex_ = {
+            "union of families": lambda: disjoint_union([
+                wheel_graph(12), complete_bipartite_graph(4, 6), star_graph(15),
+                cycle_graph(20), path_graph(25), complete_graph(8)] * 3),
+            "string corpus": lambda: string_corpus(5),
+            "named pieces": lambda: named_pieces(2),
+        }[name]()
+        if name == "string corpus":  # it holds a block the union-find walk scores
+            assert len(complex_.pieces.walked) > blocks.PIECE_LIMIT
+        split, forks, serial = split_run(monkeypatch, complex_, 200, 11)
+        assert split == serial
+        assert forks == parallel.usable_cpus() - 1
+        assert no_child_left()
+
+    @pytest.mark.parametrize("permutations", [1, 2, 3, 4, 5, 6, 7, 9, 12])
+    def test_any_number_of_orders(self, monkeypatch, permutations):
+        # From 5 orders on, a split leaves one to eight blocks, fewer than
+        # the CPUs or more; no more processes start than CPUs are usable.
+        complex_ = disjoint_union([star_graph(4), cycle_graph(3), path_graph(2)])
+        split, forks, serial = split_run(monkeypatch, complex_, permutations, 3)
+        assert split == serial
+        assert forks == max(0, min(parallel.usable_cpus(), permutations - 4) - 1)
+        sums, _ = whole_graph_sums(complex_, permutations, 3)
+        assert split.shapley == tuple(s / permutations for s in sums)
+        assert no_child_left()
+
+    def test_short_run_never_forks(self, monkeypatch):
+        # The bench's traced job: 50 orders on star(7) + cycle(6), which
+        # walk for about a millisecond, stay in one process.
+        def refuse():
+            raise AssertionError("a 50-order run forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        complex_ = disjoint_union([star_graph(7), cycle_graph(6)])
+        est = sampled_shapley(complex_, 50, 1)
+        sums, _ = whole_graph_sums(complex_, 50, 1)
+        assert est.shapley == tuple(s / 50 for s in sums)
+
+    @pytest.mark.parametrize("failure", ["exit before sending", "raise", "killed"])
+    def test_failed_child_range_is_walked_here(self, monkeypatch, failure):
+        if parallel.usable_cpus() < 2:
+            pytest.skip("one usable CPU: no run splits")
+        parent = os.getpid()
+        walk = engine._walk
+
+        def failing(*args):
+            if os.getpid() != parent:
+                if failure == "exit before sending":
+                    os._exit(0)
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("child failed")
+            return walk(*args)
+
+        complex_ = named_pieces(4)
+        monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
+        monkeypatch.setattr(engine, "_walk", failing)
+        split = sampled_shapley(complex_, 40, 6)
+        monkeypatch.undo()
+        assert split == sampled_shapley(complex_, 40, 6)
+        assert no_child_left()
+
+    def test_unstartable_child_range_is_walked_here(self, monkeypatch):
+        def no_process():
+            raise BlockingIOError("fork refused")
+
+        complex_ = named_pieces(4)
+        monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
+        monkeypatch.setattr(os, "fork", no_process)
+        split = sampled_shapley(complex_, 40, 6)
+        monkeypatch.undo()
+        assert split == sampled_shapley(complex_, 40, 6)
+
+    def test_interrupted_parent_kills_and_reaps_children(self, monkeypatch):
+        if parallel.usable_cpus() < 2:
+            pytest.skip("one usable CPU: no run splits")
+        parent = os.getpid()
+        walk = engine._walk
+
+        def hanging(*args):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return walk(*args)
+
+        def interrupted(fd):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
+        monkeypatch.setattr(engine, "_walk", hanging)
+        monkeypatch.setattr(parallel, "_read_to_end", interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            sampled_shapley(named_pieces(4), 40, 6)
+        assert time.perf_counter() - start < 30
+        assert no_child_left()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 5000),
+           st.floats(0, 10, allow_nan=False), st.integers(1, 64))
+    def test_ranges_cover_the_blocks_left_in_order(self, start, left, estimate, cpus):
+        # Pure arithmetic: no process starts, whatever the CPU count.
+        ranges = parallel.split_ranges(start, start + left, estimate, cpus)
+        assert ranges[0].start == start and ranges[-1].stop == start + left
+        assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+        assert max(map(len, ranges)) - min(map(len, ranges)) <= 1
+        assert min(map(len, ranges)) >= 1
+        # As many as there are CPUs and blocks, each with SPLIT_MIN_S of walking.
+        assert len(ranges) == max(
+            p for p in range(1, min(cpus, left) + 1)
+            if p == 1 or p * parallel.SPLIT_MIN_S <= estimate
+        )
+
+    def test_no_split_where_a_fork_is_unsafe(self, monkeypatch):
+        assert parallel.usable_cpus() == len(os.sched_getaffinity(0))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert parallel.usable_cpus() == 1
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert parallel.usable_cpus() == 1
+        monkeypatch.undo()
+        monkeypatch.delattr(os, "fork")
+        assert parallel.usable_cpus() == 1
 
 
 class TestComputeInfluence:
