@@ -575,7 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="how many vertices to mask (default 1,2,3)",
     )
     p_mask.add_argument("--seed", type=_seed, default=0)
-    p_mask.add_argument("--threads", type=int, default=1, help="reserved")
+    p_mask.add_argument(
+        "--threads", type=int, default=1,
+        help="reserved and unused; long runs may mask their graphs in several "
+        "processes, and the output never depends on either",
+    )
     _add_output_flags(p_mask)
     p_mask.set_defaults(handler=_cmd_mask)
 

@@ -51,16 +51,15 @@ sampled   Monte Carlo over uniformly random insertion orders; the
           counter block j of the seed's Philox stream, with one generator
           repositioned from block to block.  The sums are integers, so a
           run that predicts enough walking left hands its later blocks,
-          in contiguous ranges, to forked processes on the usable CPUs
-          (``topoinfluence.parallel``) and adds their sums in: the result
-          is the same for any split.
+          in contiguous ranges, to forked processes, each pinned to a
+          usable CPU of its own (``topoinfluence.parallel``), and adds
+          their sums in: the result is the same for any split.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import time
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -330,18 +329,16 @@ def sampled_shapley(
     independently of the rest.  One generator is repositioned block by
     block.
 
-    Order 0 builds the complex's pieces.  The next orders are walked in
-    chunks of 1, 2, 4, ... orders, each timed.  From the second chunk on,
-    the least time per order of any chunk so far, times the orders left,
-    predicts the walking left: the least, so that one stalled chunk does
-    not split a short run.  When :func:`~topoinfluence.parallel.split_ranges`
-    gives that more than one range, the blocks left are walked by
-    :func:`~topoinfluence.parallel.sum_ranges`, the first range in this
-    process.  The marginal sums are integers, so the result is the same
-    for any split.
+    Order 0 builds the complex's pieces.  The rest are walked by
+    :func:`~topoinfluence.parallel.sum_blocks`, which times chunks of 1,
+    2, 4, ... orders and, once it predicts enough walking left, hands the
+    blocks left in contiguous ranges to forked processes, one per usable
+    CPU.  The marginal sums are integers, so the result is the same for
+    any split.
     """
-    # Imported here, as only sampled runs use it: at the top it would add
-    # about 2 ms, its import of ``signal`` included, to every CLI start.
+    # Imported here, as only sampled and masking runs use it: at the top
+    # it would add about 2 ms, its import of ``signal`` included, to every
+    # CLI start.
     from . import parallel
 
     n = complex_.n
@@ -349,25 +346,12 @@ def sampled_shapley(
     sums = np.zeros(n, dtype=np.int64)
     sumsq = np.zeros(n, dtype=np.int64)
     rng = _walk(complex_, seed, range(1), (sums, sumsq))
-    done, chunk, per_order = 1, 1, math.inf
-    while done < permutations:
-        start = time.perf_counter()
-        stop = min(done + chunk, permutations)
-        rng = _walk(complex_, seed, range(done, stop), (sums, sumsq), rng)
-        per_order = min(per_order, (time.perf_counter() - start) / (stop - done))
-        done, chunk = stop, 2 * chunk
-        if chunk > 2:
-            ranges = parallel.split_ranges(
-                done, permutations, (permutations - done) * per_order,
-                parallel.usable_cpus(),
-            )
-            if len(ranges) > 1:
-                parallel.sum_ranges(
-                    lambda blocks, totals: _walk(complex_, seed, blocks, totals, rng),
-                    ranges,
-                    (sums, sumsq),
-                )
-                break
+
+    def walk(blocks: range, totals: Sequence[np.ndarray]) -> None:
+        nonlocal rng
+        rng = _walk(complex_, seed, blocks, totals, rng)
+
+    parallel.sum_blocks(walk, 1, permutations, (sums, sumsq))
     p = permutations
     scores = sums / p
     if p > 1:

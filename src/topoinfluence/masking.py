@@ -14,8 +14,12 @@ all.  A masked graph's label is counted on the parent graph restricted
 to its surviving vertices, with no reindexed copy built.  Each ranked
 graph is walked twice, in its ranking's order and in reverse, and every
 top-J and bottom-J label is read off those two walks; only random masks
-are walked one by one.  No learned classifier stands in the loop, so the
-measured quantity is ground-truth label disruption, not model accuracy.
+are walked one by one.  Each graph's labels depend on its own Philox
+blocks alone, so a long run splits its graphs, in contiguous index
+ranges, over forked processes pinned one to each usable CPU
+(``topoinfluence.parallel``), with the same rows for any split.  No
+learned classifier stands in the loop, so the measured quantity is
+ground-truth label disruption, not model accuracy.
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .engine import compute_influence
 from .errors import GenerationBudgetError, InputError
@@ -227,7 +233,18 @@ def run_masking_experiment(
     2 + |J| walks per graph.  Random masks for graph g at level J come
     from a Philox block keyed by the experiment seed and indexed by
     (g, J), so any single cell of the experiment can be replayed alone.
+
+    Graph g's labels go into row g of an int64 array of shape
+    (graphs, |J|, 3), zero elsewhere, so the graphs can be walked in any
+    grouping: :func:`~topoinfluence.parallel.sum_blocks` walks them in
+    timed chunks and, once it predicts enough walking left, splits the
+    graphs left into contiguous ranges over forked processes, one per
+    usable CPU, adding their arrays in.  The rows are then built from the
+    array in graph, J and variant order, the same for any split.
     """
+    # Imported here for the reason ``engine.sampled_shapley`` gives.
+    from . import parallel
+
     if not dataset:
         raise InputError("empty dataset")
     min_n = min(item.graph.n for item in dataset)
@@ -236,28 +253,41 @@ def run_masking_experiment(
             raise InputError(
                 f"J={j} outside 0..{min_n - 1}: the smallest graph has {min_n} vertices"
             )
-    rows: list[MaskRow] = []
+    labels = np.zeros((len(dataset), len(j_values), len(VARIANTS)), dtype=np.int64)
     rng = None
-    for g_index, item in enumerate(dataset):
-        graph, before = item.graph, item.label
-        ranking = rank_nodes(graph)
-        # Changes as each vertex joins: top-ranked last, then bottom-ranked last.
-        top_last = component_changes(graph.neighbors, ranking[::-1])
-        bottom_last = component_changes(graph.neighbors, ranking)
-        b0 = sum(bottom_last)
-        full = (1 << graph.n) - 1
-        for j in j_values:
-            rng = philox_block(seed, (g_index << 20) | j, rng)
-            drawn = rng.choice(graph.n, size=j, replace=False).tolist()
-            labels = (
-                b0 - sum(top_last[v] for v in ranking[:j]),
-                b0 - sum(bottom_last[v] for v in ranking[graph.n - j:]),
-                betti0(graph, full & ~sum(1 << v for v in drawn)),
-            )
-            for variant, label in zip(VARIANTS, labels):
-                rows.append(MaskRow(g_index, graph.n, j, variant, before, label))
+
+    def walk(graphs: range, totals: Sequence[np.ndarray]) -> None:
+        nonlocal rng
+        cells = []
+        for g_index in graphs:
+            graph = dataset[g_index].graph
+            ranking = rank_nodes(graph)
+            # Changes as each vertex joins: top-ranked last, then bottom-ranked last.
+            top_last = component_changes(graph.neighbors, ranking[::-1])
+            bottom_last = component_changes(graph.neighbors, ranking)
+            b0 = sum(bottom_last)
+            full = (1 << graph.n) - 1
+            for j in j_values:
+                rng = philox_block(seed, (g_index << 20) | j, rng)
+                drawn = rng.choice(graph.n, size=j, replace=False).tolist()
+                cells.append((
+                    b0 - sum(top_last[v] for v in ranking[:j]),
+                    b0 - sum(bottom_last[v] for v in ranking[graph.n - j:]),
+                    betti0(graph, full & ~sum(1 << v for v in drawn)),
+                ))
+        totals[0][graphs.start : graphs.stop] += np.array(cells, dtype=np.int64).reshape(
+            len(graphs), len(j_values), len(VARIANTS)
+        )
+
+    parallel.sum_blocks(walk, 0, len(dataset), (labels,))
+    rows = tuple(
+        MaskRow(g_index, item.graph.n, j, variant, item.label, label)
+        for g_index, (item, cells) in enumerate(zip(dataset, labels.tolist()))
+        for j, cell in zip(j_values, cells)
+        for variant, label in zip(VARIANTS, cell)
+    )
     return MaskingReport(
         graph_count=len(dataset),
         j_values=tuple(j_values),
-        rows=tuple(rows),
+        rows=rows,
     )

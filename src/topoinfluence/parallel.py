@@ -1,21 +1,27 @@
 """Integer sums over contiguous block ranges, walked in forked processes.
 
 A sampled run draws order j from Philox counter block j alone and keeps
-int64 sums, so the sums over blocks a to c are those over a to b plus
-those over b to c, whichever process walks each part.  ``split_ranges``
-cuts the blocks left into one contiguous range per process, and
-``sum_ranges`` walks the first range in this process and each later one
-in a forked child, adding the children's sums in range order.  The
-children are forked, not spawned, so they inherit everything the walk
-has built and write back only their sums; ``usable_cpus`` allows a fork
-only while no other Python thread runs.
+int64 sums, and the masking run fills graph g's labels from its own
+blocks into cells of an int64 array that no other graph touches.  So the
+sums over blocks a to c are those over a to b plus those over b to c,
+whichever process walks each part.  ``sum_blocks`` walks blocks in timed
+chunks until it can estimate the walking left; ``split_ranges`` cuts the
+blocks left into one contiguous range per process, and ``sum_ranges``
+walks the first range in this process and each later one in a forked
+child, adding the children's sums in range order.  Each process of a
+split is pinned to a CPU of its own.  The children are forked, not
+spawned, so they inherit everything the walk has built and write back
+only their sums; ``usable_cpus`` allows a fork only while no other
+Python thread runs.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import signal
 import threading
+import time
 import warnings
 from typing import Callable, NoReturn, Sequence
 
@@ -55,6 +61,28 @@ def split_ranges(start: int, stop: int, estimate: float, cpus: int) -> list[rang
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
+def sum_blocks(walk: Walk, start: int, stop: int, totals: Sequence[np.ndarray]) -> None:
+    """``walk`` over blocks ``start`` to ``stop`` into ``totals``, in chunks
+    of 1, 2, 4, ... blocks, each timed.  From the second chunk on, the least
+    time per block of any chunk so far, times the blocks left, predicts the
+    walking left: the least, so that one stalled chunk does not split a
+    short run.  Once :func:`split_ranges` gives that more than one range on
+    the usable CPUs, :func:`sum_ranges` walks the blocks left, the first
+    range in this process."""
+    done, chunk, per_block = start, 1, math.inf
+    while done < stop:
+        began = time.perf_counter()
+        end = min(done + chunk, stop)
+        walk(range(done, end), totals)
+        per_block = min(per_block, (time.perf_counter() - began) / (end - done))
+        done, chunk = end, 2 * chunk
+        if chunk > 2:
+            ranges = split_ranges(done, stop, (stop - done) * per_block, usable_cpus())
+            if len(ranges) > 1:
+                sum_ranges(walk, ranges, totals)
+                return
+
+
 def sum_ranges(walk: Walk, ranges: Sequence[range], totals: Sequence[np.ndarray]) -> None:
     """``walk(ranges[0], totals)`` here and ``walk(r, own zeros)`` in a
     forked child for each later range r, each child's arrays then added
@@ -62,19 +90,28 @@ def sum_ranges(walk: Walk, ranges: Sequence[range], totals: Sequence[np.ndarray]
     into the arrays it is given.  A range whose child cannot be started,
     fails or sends short is walked here instead.  Every child is reaped,
     and any still running when this exits by an exception is killed
-    first."""
+    first.
+
+    While it runs, this process is pinned to the lowest CPU of
+    ``os.sched_getaffinity(0)`` and the child of ``ranges[k]`` to the
+    k-th of them in order, starting over past the last, so that
+    short-lived children do not queue on their parent's CPU; this
+    process gets its CPUs back when this returns or raises.  A process
+    whose pinning raises OSError runs unpinned."""
     size = sum(t.nbytes for t in totals)
+    cpus = sorted(os.sched_getaffinity(0))
     reads: list[int] = []
     pids: list[int] = []
     running: set[int] = set()
+    pinned = _pin({cpus[0]})
     try:
-        for blocks in ranges[1:]:
+        for k, blocks in enumerate(ranges[1:], 1):
             read, write = os.pipe()
             reads.append(read)
             try:
                 pid = _fork()
                 if pid == 0:
-                    _child(walk, blocks, totals, write)
+                    _child(walk, blocks, totals, write, cpus[k % len(cpus)])
             except OSError:  # no process to be had: this one walks the range
                 pid = -1
             finally:
@@ -92,7 +129,9 @@ def sum_ranges(walk: Walk, ranges: Sequence[range], totals: Sequence[np.ndarray]
             if status == 0 and len(data) == size:
                 offset = 0
                 for t in totals:
-                    t += np.frombuffer(data, dtype=t.dtype, count=t.size, offset=offset)
+                    t += np.frombuffer(
+                        data, dtype=t.dtype, count=t.size, offset=offset
+                    ).reshape(t.shape)
                     offset += t.nbytes
             else:
                 walk(blocks, totals)
@@ -103,6 +142,17 @@ def sum_ranges(walk: Walk, ranges: Sequence[range], totals: Sequence[np.ndarray]
             os.waitpid(pid, 0)
         for read in reads:
             os.close(read)
+        if pinned:
+            _pin(cpus)
+
+
+def _pin(cpus) -> bool:
+    """Whether this process could be confined to ``cpus``."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
 
 
 def _fork() -> int:
@@ -114,12 +164,16 @@ def _fork() -> int:
         return os.fork()
 
 
-def _child(walk: Walk, blocks: range, totals: Sequence[np.ndarray], write: int) -> NoReturn:
-    """In a forked child: walk ``blocks`` into zeroed arrays shaped like
-    ``totals``, write them to ``write`` and leave by ``os._exit``, never
-    returning into the parent's code or flushing its buffered output."""
+def _child(
+    walk: Walk, blocks: range, totals: Sequence[np.ndarray], write: int, cpu: int
+) -> NoReturn:
+    """In a forked child: pinned to ``cpu`` where it may be, walk ``blocks``
+    into zeroed arrays shaped like ``totals``, write them to ``write`` and
+    leave by ``os._exit``, never returning into the parent's code or
+    flushing its buffered output."""
     code = 1
     try:
+        _pin({cpu})
         own = [np.zeros_like(t) for t in totals]
         walk(blocks, own)
         data = memoryview(b"".join(t.tobytes() for t in own))

@@ -26,13 +26,14 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
 
-from topoinfluence import homology, masking
+from topoinfluence import homology, masking, parallel
 from topoinfluence.families import _er_edges
 from topoinfluence.homology import component_changes
 from topoinfluence.report import fmt_float
@@ -388,6 +389,40 @@ def record_chunks(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(homology, "_fill_chunk", recording)
     return chunks
+
+
+# The CPUs this test process may run on, read when the tests are
+# collected, before any split has pinned it.
+COLLECTED_CPUS = frozenset(os.sched_getaffinity(0))
+
+
+def no_child_left() -> bool:
+    """True when this process has no child left to reap, unreaped or
+    running; else it fails the test."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    raise AssertionError("a child process was left behind")
+
+
+def split_and_serial(monkeypatch, run):
+    """(``run()`` with every split taken, the number of forks it made,
+    ``run()`` never split), ``run`` being a seeded run that may split."""
+    forks = []
+    fork = os.fork
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
+    split = run()
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", math.inf)
+    serial = run()
+    monkeypatch.undo()
+    return split, len(forks), serial
 
 
 def relabeled(complex_: NeighborComplex, seed: int) -> NeighborComplex:

@@ -60,6 +60,7 @@ from topoinfluence import (
 )
 
 from oracles import (
+    COLLECTED_CPUS,
     MULTI_CHUNK_GRAPHS,
     betti0_of_subset,
     block_graphs,
@@ -72,12 +73,14 @@ from oracles import (
     joined_by_bridges,
     k_tree,
     multi_chunk_case,
+    no_child_left,
     reference_betti0_table,
     reference_size_sums,
     record_chunks,
     reference_tallies,
     relabeled,
     small_graphs,
+    split_and_serial,
     two_cliques_sharing_a_vertex,
     two_cycles_sharing_a_vertex,
     walk_totals,
@@ -1206,29 +1209,12 @@ def string_corpus(seed: int) -> NeighborComplex:
 
 
 def split_run(monkeypatch, complex_, permutations, seed):
-    """(the run with every split taken, the number of forks it made, the
-    run never split).  A run splits first after four orders, into as many
-    ranges as there are usable CPUs and orders left."""
-    forks = []
-    fork = os.fork
-
-    def counting():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counting)
-    monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
-    split = sampled_shapley(complex_, permutations, seed)
-    monkeypatch.setattr(parallel, "SPLIT_MIN_S", math.inf)
-    serial = sampled_shapley(complex_, permutations, seed)
-    monkeypatch.undo()
-    return split, len(forks), serial
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    return True
+    """``split_and_serial`` of a sampled run.  A run splits first after
+    four orders, into as many ranges as there are usable CPUs and orders
+    left."""
+    return split_and_serial(
+        monkeypatch, lambda: sampled_shapley(complex_, permutations, seed)
+    )
 
 
 class TestSplitRuns:
@@ -1248,6 +1234,7 @@ class TestSplitRuns:
             assert len(complex_.pieces.walked) > blocks.PIECE_LIMIT
         split, forks, serial = split_run(monkeypatch, complex_, 200, 11)
         assert split == serial
+        assert os.sched_getaffinity(0) == COLLECTED_CPUS
         assert forks == parallel.usable_cpus() - 1
         assert no_child_left()
 

@@ -1,8 +1,12 @@
+import math
+import os
+import signal
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from topoinfluence import homology, masking
+from topoinfluence import cli, homology, masking, parallel
 from topoinfluence.engine import _chordal_scores
 from topoinfluence import (
     GenerationBudgetError,
@@ -21,7 +25,14 @@ from topoinfluence import (
 )
 from topoinfluence.streams import philox_block
 
-from oracles import reference_er_dataset, small_graphs, walk_every_draw_dataset
+from oracles import (
+    COLLECTED_CPUS,
+    no_child_left,
+    reference_er_dataset,
+    small_graphs,
+    split_and_serial,
+    walk_every_draw_dataset,
+)
 
 
 def dataset_key(dataset):
@@ -38,7 +49,9 @@ def outcome(generate, *args, **kwargs):
 
 def count_walks(monkeypatch) -> list[int]:
     """The vertex count of every later union-find walk, in call order:
-    masking walks through its own binding, ``betti0`` through homology's."""
+    masking walks through its own binding, ``betti0`` through homology's.
+    Only this process's walks are counted, so no later run splits."""
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", math.inf)
     walks = []
     walk = homology.component_changes
 
@@ -372,3 +385,101 @@ class TestExperiment:
                     label = betti0(g, full & ~removed)
                     assert row == (g_index, g.n, j, variant, betti0(g), label)
         assert next(rows, None) is None
+
+
+def split_experiment(monkeypatch, dataset, j_values, seed):
+    """``split_and_serial`` of a masking run.  A run splits first after
+    three graphs, into as many ranges as there are usable CPUs and graphs
+    left."""
+    return split_and_serial(
+        monkeypatch,
+        lambda: run_masking_experiment(dataset, j_values=j_values, seed=seed),
+    )
+
+
+@pytest.fixture(scope="module")
+def ensemble():
+    """The paper's settings at 200 graphs: 8-14 vertices each."""
+    return generate_er_dataset(200, seed=7)
+
+
+class TestSplitRuns:
+    """A masking run split over forked processes by graph range gives the
+    same report as one that never splits, whatever the split."""
+
+    def test_split_equals_serial(self, monkeypatch, ensemble):
+        split, forks, serial = split_experiment(monkeypatch, ensemble, (1, 2, 3), 7)
+        assert split == serial
+        assert os.sched_getaffinity(0) == COLLECTED_CPUS
+        assert forks == parallel.usable_cpus() - 1
+        assert no_child_left()
+
+    @pytest.mark.parametrize(
+        "j_values", [(), (0,), (3,), (3, 1, 3), (2, 0), (7, 1, 2, 3, 4, 5, 6)]
+    )
+    def test_any_j_list(self, monkeypatch, ensemble, j_values):
+        split, forks, serial = split_experiment(monkeypatch, ensemble[:40], j_values, 2)
+        assert split == serial
+        assert len(split.rows) == 40 * len(j_values) * 3
+        assert forks == parallel.usable_cpus() - 1
+        assert no_child_left()
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6, 9])
+    def test_any_number_of_graphs(self, monkeypatch, ensemble, count):
+        # From 4 graphs on, a split leaves one to six, fewer than the CPUs
+        # or more; no more processes start than CPUs are usable.
+        split, forks, serial = split_experiment(monkeypatch, ensemble[:count], (1, 2), 5)
+        assert split == serial
+        assert forks == max(0, min(parallel.usable_cpus(), count - 3) - 1)
+        assert no_child_left()
+
+    @pytest.mark.parametrize(
+        "failure", ["exit before sending", "raise", "killed", "unstartable", "pinning refused"]
+    )
+    def test_failed_child_range_is_walked_here(self, monkeypatch, ensemble, failure):
+        if parallel.usable_cpus() < 2:
+            pytest.skip("one usable CPU: no run splits")
+        dataset = ensemble[:30]
+        parent = os.getpid()
+        rank = masking.rank_nodes
+
+        def failing(graph):
+            if os.getpid() != parent:
+                if failure == "exit before sending":
+                    os._exit(0)
+                if failure == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("child failed")
+            return rank(graph)
+
+        def no_process():
+            raise BlockingIOError("fork refused")
+
+        def refused(pid, cpus):
+            raise PermissionError("pinning refused")
+
+        monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
+        if failure == "unstartable":
+            monkeypatch.setattr(os, "fork", no_process)
+        elif failure == "pinning refused":
+            monkeypatch.setattr(os, "sched_setaffinity", refused)
+        else:
+            monkeypatch.setattr(masking, "rank_nodes", failing)
+        split = run_masking_experiment(dataset, j_values=(1, 2, 3), seed=3)
+        monkeypatch.undo()
+        assert split == run_masking_experiment(dataset, j_values=(1, 2, 3), seed=3)
+        assert os.sched_getaffinity(0) == COLLECTED_CPUS
+        assert no_child_left()
+
+    def test_bench_traced_job_never_forks(self, monkeypatch, tmp_path):
+        # The bench's traced run counts 1 + 6 exact rankings, all in the
+        # parent: six graphs of 5-7 vertices rank in well under a
+        # millisecond, so the run stays in one process.
+        def refuse():
+            raise AssertionError("a 6-graph masking run forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        out = tmp_path / "mask.json"
+        argv = ["mask", "--count", "6", "--n-range", "5:7", "--j", "1"]
+        assert cli.main([*argv, "--format", "json", "--output", str(out)]) == 0
+        assert out.stat().st_size > 0
