@@ -49,11 +49,12 @@ sampled   Monte Carlo over uniformly random insertion orders; the
           ``NeighborComplex.pieces`` builds once per complex from one
           depth-first search.  Order j is the permutation drawn from
           counter block j of the seed's Philox stream, with one generator
-          repositioned from block to block.  The sums are integers, so a
-          run that predicts enough walking left hands its later blocks,
-          in contiguous ranges, to forked processes, each pinned to a
-          usable CPU of its own (``topoinfluence.parallel``), and adds
-          their sums in: the result is the same for any split.
+          repositioned from block to block.  The sums and sums of
+          squares are the two int64 rows of one array, so a run that
+          predicts enough walking left after its first orders hands the
+          blocks left, in contiguous ranges, to forked processes, each
+          pinned to a usable CPU of its own (``topoinfluence.parallel``),
+          and adds their arrays in: the result is the same for any split.
 """
 
 from __future__ import annotations
@@ -329,12 +330,14 @@ def sampled_shapley(
     independently of the rest.  One generator is repositioned block by
     block.
 
-    Order 0 builds the complex's pieces.  The rest are walked by
-    :func:`~topoinfluence.parallel.sum_blocks`, which times chunks of 1,
-    2, 4, ... orders and, once it predicts enough walking left, hands the
-    blocks left in contiguous ranges to forked processes, one per usable
-    CPU.  The marginal sums are integers, so the result is the same for
-    any split.
+    Every order is walked by :func:`~topoinfluence.parallel.sum_blocks`
+    into one int64 array, marginal sums in row 0 and their squares in
+    row 1.  It times chunks of 1, 2, 4, ... orders and, once it predicts
+    enough walking left, hands the blocks left in contiguous ranges to
+    forked processes, one per usable CPU.  Its first chunk, order 0, is
+    walked in this process and builds the complex's pieces, so no child
+    builds them again.  The sums are integers, so the result is the same
+    for any split.
     """
     # Imported here, as only sampled and masking runs use it: at the top
     # it would add about 2 ms, its import of ``signal`` included, to every
@@ -343,15 +346,15 @@ def sampled_shapley(
 
     n = complex_.n
     check_permutations(permutations)
-    sums = np.zeros(n, dtype=np.int64)
-    sumsq = np.zeros(n, dtype=np.int64)
-    rng = _walk(complex_, seed, range(1), (sums, sumsq))
+    totals = np.zeros((2, n), dtype=np.int64)
+    rng = None
 
-    def walk(blocks: range, totals: Sequence[np.ndarray]) -> None:
+    def walk(blocks: range, totals: np.ndarray) -> None:
         nonlocal rng
         rng = _walk(complex_, seed, blocks, totals, rng)
 
-    parallel.sum_blocks(walk, 1, permutations, (sums, sumsq))
+    parallel.sum_blocks(walk, 0, permutations, totals)
+    sums, sumsq = totals
     p = permutations
     scores = sums / p
     if p > 1:
@@ -374,7 +377,7 @@ def _walk(
     complex_: NeighborComplex,
     seed: int,
     blocks: range,
-    totals: Sequence[np.ndarray],
+    totals: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> np.random.Generator:
     """Add the marginals of the orders of ``blocks`` to ``totals[0]`` and

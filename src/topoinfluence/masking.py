@@ -28,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -234,8 +234,8 @@ def run_masking_experiment(
     from a Philox block keyed by the experiment seed and indexed by
     (g, J), so any single cell of the experiment can be replayed alone.
 
-    Graph g's labels go into row g of an int64 array of shape
-    (graphs, |J|, 3), zero elsewhere, so the graphs can be walked in any
+    Graph g's labels are added cell by cell into row g of an int64 array
+    of shape (graphs, |J|, 3), so the graphs can be walked in any
     grouping: :func:`~topoinfluence.parallel.sum_blocks` walks them in
     timed chunks and, once it predicts enough walking left, splits the
     graphs left into contiguous ranges over forked processes, one per
@@ -256,9 +256,8 @@ def run_masking_experiment(
     labels = np.zeros((len(dataset), len(j_values), len(VARIANTS)), dtype=np.int64)
     rng = None
 
-    def walk(graphs: range, totals: Sequence[np.ndarray]) -> None:
+    def walk(graphs: range, totals: np.ndarray) -> None:
         nonlocal rng
-        cells = []
         for g_index in graphs:
             graph = dataset[g_index].graph
             ranking = rank_nodes(graph)
@@ -267,19 +266,16 @@ def run_masking_experiment(
             bottom_last = component_changes(graph.neighbors, ranking)
             b0 = sum(bottom_last)
             full = (1 << graph.n) - 1
-            for j in j_values:
+            for cell, j in zip(totals[g_index], j_values):
                 rng = philox_block(seed, (g_index << 20) | j, rng)
                 drawn = rng.choice(graph.n, size=j, replace=False).tolist()
-                cells.append((
+                cell += (
                     b0 - sum(top_last[v] for v in ranking[:j]),
                     b0 - sum(bottom_last[v] for v in ranking[graph.n - j:]),
                     betti0(graph, full & ~sum(1 << v for v in drawn)),
-                ))
-        totals[0][graphs.start : graphs.stop] += np.array(cells, dtype=np.int64).reshape(
-            len(graphs), len(j_values), len(VARIANTS)
-        )
+                )
 
-    parallel.sum_blocks(walk, 0, len(dataset), (labels,))
+    parallel.sum_blocks(walk, 0, len(dataset), labels)
     rows = tuple(
         MaskRow(g_index, item.graph.n, j, variant, item.label, label)
         for g_index, (item, cells) in enumerate(zip(dataset, labels.tolist()))

@@ -1,17 +1,19 @@
 """Integer sums over contiguous block ranges, walked in forked processes.
 
-A sampled run draws order j from Philox counter block j alone and keeps
-int64 sums, and the masking run fills graph g's labels from its own
-blocks into cells of an int64 array that no other graph touches.  So the
-sums over blocks a to c are those over a to b plus those over b to c,
-whichever process walks each part.  ``sum_blocks`` walks blocks in timed
-chunks until it can estimate the walking left; ``split_ranges`` cuts the
-blocks left into one contiguous range per process, and ``sum_ranges``
-walks the first range in this process and each later one in a forked
-child, adding the children's sums in range order.  Each process of a
-split is pinned to a CPU of its own.  The children are forked, not
-spawned, so they inherit everything the walk has built and write back
-only their sums; ``usable_cpus`` allows a fork only while no other
+A walk adds a range of blocks' int64 terms into one int64 array of any
+shape.  A sampled run adds order j's marginals, drawn from Philox block
+j alone, and their squares into the rows of a (2, n) array; the masking
+run adds graph g's labels, from its own blocks, into row g of a
+(graphs, |J|, 3) array.  So the totals over blocks a to c are those over
+a to b plus those over b to c, whichever process walks each part.
+``sum_blocks`` walks blocks in timed chunks, from the first, until it
+can estimate the walking left; ``split_ranges`` cuts the blocks left
+into one contiguous range per process, and ``sum_ranges`` walks the
+first range in this process and each later one in a forked child,
+adding the children's arrays in range order.  Each process of a split
+is pinned to a CPU of its own.  The children are forked, not spawned,
+so they inherit everything the first chunks built and write back only
+their array's bytes; ``usable_cpus`` allows a fork only while no other
 Python thread runs.
 """
 
@@ -34,7 +36,7 @@ import numpy as np
 # run on a 13-vertex graph walks for about 1 ms in all.
 SPLIT_MIN_S = 0.02
 
-Walk = Callable[[range, Sequence[np.ndarray]], object]
+Walk = Callable[[range, np.ndarray], object]
 
 
 def usable_cpus() -> int:
@@ -61,7 +63,7 @@ def split_ranges(start: int, stop: int, estimate: float, cpus: int) -> list[rang
     return [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def sum_blocks(walk: Walk, start: int, stop: int, totals: Sequence[np.ndarray]) -> None:
+def sum_blocks(walk: Walk, start: int, stop: int, totals: np.ndarray) -> None:
     """``walk`` over blocks ``start`` to ``stop`` into ``totals``, in chunks
     of 1, 2, 4, ... blocks, each timed.  From the second chunk on, the least
     time per block of any chunk so far, times the blocks left, predicts the
@@ -83,14 +85,14 @@ def sum_blocks(walk: Walk, start: int, stop: int, totals: Sequence[np.ndarray]) 
                 return
 
 
-def sum_ranges(walk: Walk, ranges: Sequence[range], totals: Sequence[np.ndarray]) -> None:
+def sum_ranges(walk: Walk, ranges: Sequence[range], totals: np.ndarray) -> None:
     """``walk(ranges[0], totals)`` here and ``walk(r, own zeros)`` in a
-    forked child for each later range r, each child's arrays then added
+    forked child for each later range r, each child's array then added
     to ``totals`` in range order.  ``walk`` adds a range's int64 terms
-    into the arrays it is given.  A range whose child cannot be started,
-    fails or sends short is walked here instead.  Every child is reaped,
-    and any still running when this exits by an exception is killed
-    first.
+    into the array it is given.  A range whose child cannot be started,
+    for want of a pipe or a process, fails or sends short is walked here
+    instead.  Every child is reaped, and any still running when this
+    exits by an exception is killed first.
 
     While it runs, this process is pinned to the lowest CPU of
     ``os.sched_getaffinity(0)`` and the child of ``ranges[k]`` to the
@@ -98,7 +100,6 @@ def sum_ranges(walk: Walk, ranges: Sequence[range], totals: Sequence[np.ndarray]
     short-lived children do not queue on their parent's CPU; this
     process gets its CPUs back when this returns or raises.  A process
     whose pinning raises OSError runs unpinned."""
-    size = sum(t.nbytes for t in totals)
     cpus = sorted(os.sched_getaffinity(0))
     reads: list[int] = []
     pids: list[int] = []
@@ -106,33 +107,30 @@ def sum_ranges(walk: Walk, ranges: Sequence[range], totals: Sequence[np.ndarray]
     pinned = _pin({cpus[0]})
     try:
         for k, blocks in enumerate(ranges[1:], 1):
-            read, write = os.pipe()
-            reads.append(read)
+            read = write = pid = -1
             try:
+                read, write = os.pipe()
                 pid = _fork()
                 if pid == 0:
                     _child(walk, blocks, totals, write, cpus[k % len(cpus)])
-            except OSError:  # no process to be had: this one walks the range
-                pid = -1
+            except OSError:  # no pipe or process to be had: this one walks the range
+                pass
             finally:
-                os.close(write)
+                reads.append(read)
+                if write >= 0:
+                    os.close(write)
             pids.append(pid)
             if pid > 0:
                 running.add(pid)
         walk(ranges[0], totals)
         for blocks, pid, read in zip(ranges[1:], pids, reads):
-            data = _read_to_end(read)
-            status = 1
+            data, status = b"", 1
             if pid > 0:
+                data = _read_to_end(read)
                 _, status = os.waitpid(pid, 0)
                 running.discard(pid)
-            if status == 0 and len(data) == size:
-                offset = 0
-                for t in totals:
-                    t += np.frombuffer(
-                        data, dtype=t.dtype, count=t.size, offset=offset
-                    ).reshape(t.shape)
-                    offset += t.nbytes
+            if status == 0 and len(data) == totals.nbytes:
+                totals += np.frombuffer(data, totals.dtype).reshape(totals.shape)
             else:
                 walk(blocks, totals)
     finally:
@@ -141,7 +139,8 @@ def sum_ranges(walk: Walk, ranges: Sequence[range], totals: Sequence[np.ndarray]
         for pid in running:
             os.waitpid(pid, 0)
         for read in reads:
-            os.close(read)
+            if read >= 0:
+                os.close(read)
         if pinned:
             _pin(cpus)
 
@@ -164,19 +163,17 @@ def _fork() -> int:
         return os.fork()
 
 
-def _child(
-    walk: Walk, blocks: range, totals: Sequence[np.ndarray], write: int, cpu: int
-) -> NoReturn:
+def _child(walk: Walk, blocks: range, totals: np.ndarray, write: int, cpu: int) -> NoReturn:
     """In a forked child: pinned to ``cpu`` where it may be, walk ``blocks``
-    into zeroed arrays shaped like ``totals``, write them to ``write`` and
-    leave by ``os._exit``, never returning into the parent's code or
-    flushing its buffered output."""
+    into a zeroed array shaped like ``totals``, write its bytes to
+    ``write`` and leave by ``os._exit``, never returning into the parent's
+    code or flushing its buffered output."""
     code = 1
     try:
         _pin({cpu})
-        own = [np.zeros_like(t) for t in totals]
+        own = np.zeros_like(totals, order="C")
         walk(blocks, own)
-        data = memoryview(b"".join(t.tobytes() for t in own))
+        data = memoryview(own).cast("B")
         while data:
             data = data[os.write(write, data) :]
         code = 0

@@ -1210,7 +1210,7 @@ def string_corpus(seed: int) -> NeighborComplex:
 
 def split_run(monkeypatch, complex_, permutations, seed):
     """``split_and_serial`` of a sampled run.  A run splits first after
-    four orders, into as many ranges as there are usable CPUs and orders
+    three orders, into as many ranges as there are usable CPUs and orders
     left."""
     return split_and_serial(
         monkeypatch, lambda: sampled_shapley(complex_, permutations, seed)
@@ -1240,14 +1240,37 @@ class TestSplitRuns:
 
     @pytest.mark.parametrize("permutations", [1, 2, 3, 4, 5, 6, 7, 9, 12])
     def test_any_number_of_orders(self, monkeypatch, permutations):
-        # From 5 orders on, a split leaves one to eight blocks, fewer than
+        # From 4 orders on, a split leaves one to nine blocks, fewer than
         # the CPUs or more; no more processes start than CPUs are usable.
         complex_ = disjoint_union([star_graph(4), cycle_graph(3), path_graph(2)])
         split, forks, serial = split_run(monkeypatch, complex_, permutations, 3)
         assert split == serial
-        assert forks == max(0, min(parallel.usable_cpus(), permutations - 4) - 1)
+        assert forks == max(0, min(parallel.usable_cpus(), permutations - 3) - 1)
         sums, _ = whole_graph_sums(complex_, permutations, 3)
         assert split.shapley == tuple(s / permutations for s in sums)
+        assert no_child_left()
+
+    def test_pieces_are_built_before_the_first_fork(self, monkeypatch):
+        # Order 0 is sum_blocks' first chunk, walked here, so every child
+        # inherits the complex's pieces instead of building them again.
+        if parallel.usable_cpus() < 2:
+            pytest.skip("one usable CPU: no run splits")
+        complex_ = named_pieces(4)
+        fork = os.fork
+        forks = []
+
+        def checking():
+            assert "pieces" in vars(complex_)
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", checking)
+        monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
+        assert "pieces" not in vars(complex_)
+        split = sampled_shapley(complex_, 40, 6)
+        monkeypatch.undo()
+        assert forks
+        assert split == sampled_shapley(named_pieces(4), 40, 6)
         assert no_child_left()
 
     def test_short_run_never_forks(self, monkeypatch):

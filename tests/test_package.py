@@ -109,3 +109,15 @@ def test_module_imports_first_in_a_fresh_interpreter(name):
     done = subprocess.run([sys.executable, "-c", IMPORT_FIRST, name], env=ENV,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_leaves_the_split_machinery_unloaded():
+    # Only sampled and masking runs import topoinfluence.parallel, and
+    # with it signal, from inside the function that splits; every CLI
+    # start would pay for them if cli pulled them in at import.
+    probe = ("import sys, topoinfluence.cli; "
+             "print(*sorted({'topoinfluence.parallel', 'signal'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=ENV,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
