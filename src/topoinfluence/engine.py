@@ -52,9 +52,9 @@ sampled   Monte Carlo over uniformly random insertion orders; the
           repositioned from block to block.  The sums and sums of
           squares are the two int64 rows of one array, so a run that
           predicts enough walking left after its first orders hands the
-          blocks left, in contiguous ranges, to forked processes, each
-          pinned to a usable CPU of its own (``topoinfluence.parallel``),
-          and adds their arrays in: the result is the same for any split.
+          blocks left, in contiguous ranges, to forked processes, one
+          per usable CPU (``topoinfluence.parallel``), and adds their
+          arrays in: the result is the same for any split.
 """
 
 from __future__ import annotations

@@ -40,16 +40,24 @@ def load_strings(text: str) -> LabeledPointSet:
     """Each data line is one sample; the string doubles as its label.
 
     Duplicate strings are legal samples (the indices differ) but make
-    labels ambiguous, so duplicates get a ``#k`` occurrence suffix.
+    labels ambiguous, so the k-th occurrence of a string is labeled with
+    a ``#k`` suffix, or the next ``#k`` up that is neither an input
+    string nor an earlier label.
     """
     items = _data_lines(text)
     if not items:
         raise InputError("no strings found in input")
+    taken = set(items)
     seen: dict[str, int] = {}
     labels = []
     for s in items:
-        seen[s] = seen.get(s, 0) + 1
-        labels.append(s if seen[s] == 1 else f"{s}#{seen[s]}")
+        k = seen[s] = seen.get(s, 0) + 1
+        label = s
+        if k > 1:
+            while (label := f"{s}#{k}") in taken:
+                k += 1
+            taken.add(label)
+        labels.append(label)
     return LabeledPointSet(items=tuple(items), labels=tuple(labels))
 
 

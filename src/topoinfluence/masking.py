@@ -16,7 +16,7 @@ graph is walked twice, in its ranking's order and in reverse, and every
 top-J and bottom-J label is read off those two walks; only random masks
 are walked one by one.  Each graph's labels depend on its own Philox
 blocks alone, so a long run splits its graphs, in contiguous index
-ranges, over forked processes pinned one to each usable CPU
+ranges, over forked processes, one per usable CPU
 (``topoinfluence.parallel``), with the same rows for any split.  No
 learned classifier stands in the loop, so the measured quantity is
 ground-truth label disruption, not model accuracy.

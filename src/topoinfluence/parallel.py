@@ -10,11 +10,10 @@ a to b plus those over b to c, whichever process walks each part.
 can estimate the walking left; ``split_ranges`` cuts the blocks left
 into one contiguous range per process, and ``sum_ranges`` walks the
 first range in this process and each later one in a forked child,
-adding the children's arrays in range order.  Each process of a split
-is pinned to a CPU of its own.  The children are forked, not spawned,
-so they inherit everything the first chunks built and write back only
-their array's bytes; ``usable_cpus`` allows a fork only while no other
-Python thread runs.
+adding the children's arrays in range order.  The children are forked,
+not spawned, so they inherit everything the first chunks built and write
+back only their array's bytes; ``usable_cpus`` allows a fork only while
+no other Python thread runs.
 """
 
 from __future__ import annotations
@@ -92,27 +91,18 @@ def sum_ranges(walk: Walk, ranges: Sequence[range], totals: np.ndarray) -> None:
     into the array it is given.  A range whose child cannot be started,
     for want of a pipe or a process, fails or sends short is walked here
     instead.  Every child is reaped, and any still running when this
-    exits by an exception is killed first.
-
-    While it runs, this process is pinned to the lowest CPU of
-    ``os.sched_getaffinity(0)`` and the child of ``ranges[k]`` to the
-    k-th of them in order, starting over past the last, so that
-    short-lived children do not queue on their parent's CPU; this
-    process gets its CPUs back when this returns or raises.  A process
-    whose pinning raises OSError runs unpinned."""
-    cpus = sorted(os.sched_getaffinity(0))
+    exits by an exception is killed first."""
     reads: list[int] = []
     pids: list[int] = []
     running: set[int] = set()
-    pinned = _pin({cpus[0]})
     try:
-        for k, blocks in enumerate(ranges[1:], 1):
+        for blocks in ranges[1:]:
             read = write = pid = -1
             try:
                 read, write = os.pipe()
                 pid = _fork()
                 if pid == 0:
-                    _child(walk, blocks, totals, write, cpus[k % len(cpus)])
+                    _child(walk, blocks, totals, write)
             except OSError:  # no pipe or process to be had: this one walks the range
                 pass
             finally:
@@ -126,7 +116,8 @@ def sum_ranges(walk: Walk, ranges: Sequence[range], totals: np.ndarray) -> None:
         for blocks, pid, read in zip(ranges[1:], pids, reads):
             data, status = b"", 1
             if pid > 0:
-                data = _read_to_end(read)
+                with open(read, "rb", closefd=False) as pipe:
+                    data = pipe.read()
                 _, status = os.waitpid(pid, 0)
                 running.discard(pid)
             if status == 0 and len(data) == totals.nbytes:
@@ -141,17 +132,6 @@ def sum_ranges(walk: Walk, ranges: Sequence[range], totals: np.ndarray) -> None:
         for read in reads:
             if read >= 0:
                 os.close(read)
-        if pinned:
-            _pin(cpus)
-
-
-def _pin(cpus) -> bool:
-    """Whether this process could be confined to ``cpus``."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        return False
-    return True
 
 
 def _fork() -> int:
@@ -163,14 +143,13 @@ def _fork() -> int:
         return os.fork()
 
 
-def _child(walk: Walk, blocks: range, totals: np.ndarray, write: int, cpu: int) -> NoReturn:
-    """In a forked child: pinned to ``cpu`` where it may be, walk ``blocks``
-    into a zeroed array shaped like ``totals``, write its bytes to
-    ``write`` and leave by ``os._exit``, never returning into the parent's
-    code or flushing its buffered output."""
+def _child(walk: Walk, blocks: range, totals: np.ndarray, write: int) -> NoReturn:
+    """In a forked child: walk ``blocks`` into a zeroed array shaped like
+    ``totals``, write its bytes to ``write`` and leave by ``os._exit``,
+    never returning into the parent's code or flushing its buffered
+    output."""
     code = 1
     try:
-        _pin({cpu})
         own = np.zeros_like(totals, order="C")
         walk(blocks, own)
         data = memoryview(own).cast("B")
@@ -179,10 +158,3 @@ def _child(walk: Walk, blocks: range, totals: np.ndarray, write: int, cpu: int) 
         code = 0
     finally:
         os._exit(code)
-
-
-def _read_to_end(fd: int) -> bytes:
-    chunks = []
-    while chunk := os.read(fd, 1 << 16):
-        chunks.append(chunk)
-    return b"".join(chunks)

@@ -392,7 +392,7 @@ def record_chunks(monkeypatch) -> list[tuple[int, int]]:
 
 
 # The CPUs this test process may run on, read when the tests are
-# collected, before any split has pinned it.
+# collected, before any split has run.
 COLLECTED_CPUS = frozenset(os.sched_getaffinity(0))
 
 
@@ -406,9 +406,9 @@ def no_child_left() -> bool:
     raise AssertionError("a child process was left behind")
 
 
-def split_and_serial(monkeypatch, run):
-    """(``run()`` with every split taken, the number of forks it made,
-    ``run()`` never split), ``run`` being a seeded run that may split."""
+def counted_forks(monkeypatch) -> list:
+    """A list that gains an entry each time this process calls
+    ``os.fork`` from now on, until ``monkeypatch`` is undone."""
     forks = []
     fork = os.fork
 
@@ -417,6 +417,13 @@ def split_and_serial(monkeypatch, run):
         return fork()
 
     monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def split_and_serial(monkeypatch, run):
+    """(``run()`` with every split taken, the number of forks it made,
+    ``run()`` never split), ``run`` being a seeded run that may split."""
+    forks = counted_forks(monkeypatch)
     monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
     split = run()
     monkeypatch.setattr(parallel, "SPLIT_MIN_S", math.inf)

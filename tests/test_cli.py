@@ -16,6 +16,8 @@ import pytest
 from topoinfluence import cli, parallel
 from topoinfluence.cli import main
 
+from oracles import counted_forks
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 G3_STRINGS = "1111\n0000\n0001\n"
@@ -798,7 +800,7 @@ def test_readme_examples_match_output(capsys, tmp_path, monkeypatch, command, wa
     assert out == want
 
 
-# SHA-256 of five JSON reports: any change to their bytes must be a
+# SHA-256 of six JSON reports: any change to their bytes must be a
 # stated one.  The sampled runs read numpy's ``Generator.permutation``,
 # the masking run and the Erdos-Renyi family its ``integers``,
 # ``uniform``, ``choice`` and ``random``, whose algorithms numpy does not
@@ -816,7 +818,9 @@ REPORT_DIGESTS = {
 }
 
 
-def test_report_digests_are_pinned(capsys, tmp_path, monkeypatch):
+def report_digests(capsys, tmp_path, monkeypatch):
+    """The SHA-256 of each pinned run's JSON report, and how many
+    processes each run forked."""
     monkeypatch.chdir(tmp_path)
     strings = [format(i, "06b") for i in range(0, 64, 3)]
     (tmp_path / "strings.txt").write_text("\n".join(strings) + "\n", encoding="utf-8")
@@ -835,9 +839,30 @@ def test_report_digests_are_pinned(capsys, tmp_path, monkeypatch):
         "influence-exact-points": ("influence", "--input", "points.txt",
                                    "--metric", "euclidean", "--radius", "1.5", "--exact"),
     }
-    digests = {}
+    forked = counted_forks(monkeypatch)
+    digests, forks = {}, {}
     for name, argv in runs.items():
+        before = len(forked)
         code, out, err = run_cli(capsys, *argv, "--format", "json")
         assert code == 0, err
         digests[name] = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        forks[name] = len(forked) - before
+    return digests, forks
+
+
+def test_report_digests_are_pinned(capsys, tmp_path, monkeypatch):
+    digests, _ = report_digests(capsys, tmp_path, monkeypatch)
     assert digests == REPORT_DIGESTS
+
+
+def test_report_digests_hold_on_a_forced_split(capsys, tmp_path, monkeypatch):
+    # With no least walking time per process, every sampled and masking
+    # run splits once two CPUs are usable, into the same bytes.
+    monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
+    digests, forks = report_digests(capsys, tmp_path, monkeypatch)
+    assert digests == REPORT_DIGESTS
+    if parallel.usable_cpus() >= 2:
+        split = {"influence-sampled", "sweep-sampled", "mask", "mask-repeated-j"}
+        assert {name for name, count in forks.items() if count} == split
+    else:
+        assert not any(forks.values())

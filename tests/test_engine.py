@@ -67,6 +67,7 @@ from oracles import (
     bridged_unions,
     cactus_graphs,
     chordal_graphs,
+    counted_forks,
     efficiency_total,
     flood_marginals,
     interval_graph,
@@ -1323,23 +1324,25 @@ class TestSplitRuns:
     def test_interrupted_parent_kills_and_reaps_children(self, monkeypatch):
         if parallel.usable_cpus() < 2:
             pytest.skip("one usable CPU: no run splits")
+        # The parent's own walk is interrupted once a child is forked,
+        # while the children still walk.
         parent = os.getpid()
         walk = engine._walk
+        forked = counted_forks(monkeypatch)
 
         def hanging(*args):
             if os.getpid() != parent:
                 time.sleep(60)
+            if forked:
+                raise KeyboardInterrupt
             return walk(*args)
-
-        def interrupted(fd):
-            raise KeyboardInterrupt
 
         monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
         monkeypatch.setattr(engine, "_walk", hanging)
-        monkeypatch.setattr(parallel, "_read_to_end", interrupted)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             sampled_shapley(named_pieces(4), 40, 6)
+        assert forked
         assert time.perf_counter() - start < 30
         assert no_child_left()
 

@@ -24,6 +24,19 @@ def test_load_strings_disambiguates_duplicates():
     assert ps.labels == ("ab", "ab#2", "ab#3")
 
 
+@pytest.mark.parametrize("text, labels", [
+    # A repeat's #k is never an input string ...
+    ("a\nb\na\na#2\n", ("a", "b", "a#3", "a#2")),
+    ("a\na\na#2\na#2\n", ("a", "a#3", "a#2", "a#2#2")),
+    # ... nor an earlier repeat's label.
+    ("a\na#2\na\na\n", ("a", "a#2", "a#3", "a#4")),
+])
+def test_load_strings_labels_stay_distinct_past_a_collision(text, labels):
+    ps = load_strings(text)
+    assert ps.items == tuple(text.split())
+    assert ps.labels == labels
+
+
 def test_load_strings_empty():
     with pytest.raises(InputError):
         load_strings("# only a comment\n")

@@ -433,9 +433,7 @@ class TestSplitRuns:
         assert forks == max(0, min(parallel.usable_cpus(), count - 3) - 1)
         assert no_child_left()
 
-    @pytest.mark.parametrize(
-        "failure", ["exit before sending", "raise", "killed", "unstartable", "pinning refused"]
-    )
+    @pytest.mark.parametrize("failure", ["exit before sending", "raise", "killed", "unstartable"])
     def test_failed_child_range_is_walked_here(self, monkeypatch, ensemble, failure):
         if parallel.usable_cpus() < 2:
             pytest.skip("one usable CPU: no run splits")
@@ -455,14 +453,9 @@ class TestSplitRuns:
         def no_process():
             raise BlockingIOError("fork refused")
 
-        def refused(pid, cpus):
-            raise PermissionError("pinning refused")
-
         monkeypatch.setattr(parallel, "SPLIT_MIN_S", 0.0)
         if failure == "unstartable":
             monkeypatch.setattr(os, "fork", no_process)
-        elif failure == "pinning refused":
-            monkeypatch.setattr(os, "sched_setaffinity", refused)
         else:
             monkeypatch.setattr(masking, "rank_nodes", failing)
         split = run_masking_experiment(dataset, j_values=(1, 2, 3), seed=3)
