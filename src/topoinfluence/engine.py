@@ -33,13 +33,19 @@ exact     closed form on a chordal graph, else a
           the 2-core then has at most one neighbour numbered below it, its
           block of the table fills in one broadcast pass, and its phi
           comes in closed form, so only the core's subsets are summed.
-          Each n! s(i) is a Python int, so scores are bit-for-bit
-          reproducible Fractions.  In a chordal graph (no chordless cycle
-          of four or more vertices: forests, cliques, 1-D point complexes)
-          b0 of every induced subgraph is the signed count of its cliques,
-          so ``_chordal_scores`` needs no table.  The cap applies to it
-          too, the past-cap warning only to a table.  The engine holds the
-          cap and weights and runs both routes.
+          Twins in the core, vertices with one set of neighbours (the
+          sides of a complete bipartite block, duplicate samples), are
+          interchangeable, so b0 of a core subset depends only on how
+          many members of each twin class it holds; when the count
+          vectors are fewer than the subsets, ``_twin_sums`` sums them
+          in place of the 2^n table.  Each n! s(i) is a Python int, so
+          scores are bit-for-bit reproducible Fractions.  In a chordal
+          graph (no chordless cycle of four or more vertices: forests,
+          cliques, 1-D point complexes) b0 of every induced subgraph is
+          the signed count of its cliques, so ``_chordal_scores`` needs
+          no table.  The cap applies to every route, the past-cap warning
+          only to the 2^n table.  The engine holds the cap and weights
+          and runs every route.
 sampled   Monte Carlo over uniformly random insertion orders; the
           predecessor set of i in a uniform permutation is exactly a
           coalition drawn with the Shapley weights, so the running mean
@@ -156,19 +162,23 @@ def exact_shapley(
     """Exact rational Shapley scores by full coalition enumeration.
 
     Refuses n above ``cap``, on every graph.  A chordal graph is scored by
-    :func:`_chordal_scores` with no table.  Any other graph fills one; past
-    the default cap, up to the table's hard maximum, that warns, since time
-    grows as O(n 2^n) and memory as 2^n bytes.  The table is filled
-    straight from the adjacency rows of the graph renumbered by
-    :func:`_smallest_last`, with no second complex built; renumbering
-    leaves the scores as they are.
+    :func:`_chordal_scores` with no table.  Any other graph is renumbered
+    by :func:`_smallest_last`, which leaves the scores as they are, and
+    its tables are filled straight from adjacency rows, with no second
+    complex built.
 
     Let c be one more than the highest renumbered vertex with two or more
     neighbours below it (c = 1 if none has): the 2-core's size.  Each
     b >= c has at most one, u_b, so b0(S) is b0(S & [0, c)) plus
-    1 - [u_b in S] for each b >= c in S.  With w_k = k! (c-1-k)! and the
-    size sums A, T of :func:`~topoinfluence.homology._size_sums` over the
-    table's first 2^c entries,
+    1 - [u_b in S] for each b >= c in S.  The size sums A, T over the
+    core's subsets come from its twin classes by :func:`_twin_sums`: with
+    t classes of m_q members, when t prod (m_q + 1) < 2^c, the t
+    per-class sums over the count vectors touch fewer entries than the
+    core's table has.  Otherwise the 2^n-entry table is filled and
+    :func:`~topoinfluence.homology._size_sums` reads its first 2^c
+    entries; past the default cap, up to the table's hard maximum, that
+    warns, since time grows as O(n 2^n) and memory as 2^n bytes.  With
+    w_k = k! (c-1-k)!,
 
         n! s(i) = 2 n! / (deg i + 1) - n! phi(i),
         n! phi(i) = n!/c! sum_k w_k (A[i, k+1] + A[i, k] - T[k])  for i < c,
@@ -183,20 +193,23 @@ def exact_shapley(
     scores = _chordal_scores(complex_)
     if scores is not None:
         return InfluenceResult(labels=_labels_of(complex_), shapley=scores, method="exact")
-    if n > DEFAULT_EXACT_CAP:
-        warnings.warn(
-            f"exact enumeration at n={n} fills a 2^{n}-entry subset table; "
-            "time and memory roughly double with each vertex past the default cap",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     number = _smallest_last(complex_.neighbors)
     rows = [0] * n
     for v, adjacent in enumerate(complex_.neighbors):
         rows[number[v]] = sum(1 << number[u] for u in adjacent)
     below = [row & (1 << b) - 1 for b, row in enumerate(rows)]
     c = 1 + max((b for b, bits in enumerate(below) if bits.bit_count() > 1), default=0)
-    sums, totals = _size_sums(betti0_table(rows)[: 1 << c], c)
+    counted = _twin_sums([row & (1 << c) - 1 for row in rows[:c]])
+    if counted is None:
+        if n > DEFAULT_EXACT_CAP:
+            warnings.warn(
+                f"exact enumeration at n={n} fills a 2^{n}-entry subset table; "
+                "time and memory roughly double with each vertex past the default cap",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        counted = _size_sums(betti0_table(rows)[: 1 << c], c)
+    sums, totals = counted
     weights = [math.factorial(k) * math.factorial(c - 1 - k) for k in range(c)]
     n_fact = math.factorial(n)
     scale = n_fact // math.factorial(c)
@@ -221,6 +234,52 @@ def exact_shapley(
         shapley=tuple(Fraction(num, n_fact) for num in numerators),
         method="exact",
     )
+
+
+def _twin_sums(core: list[int]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The size sums A, T of :func:`~topoinfluence.homology._size_sums`
+    over the subset table of the graph on 0..c-1 whose rows are ``core``,
+    summed over its twin classes' count vectors; None if it has no twins
+    or if the t per-class sums would touch as many entries as that table.
+
+    False twins have one row (an independent set), true twins one row
+    plus themselves (a clique); each class meets another wholly or not
+    at all, so b0 of a coalition holding kappa_q members of class q is
+    the quotient table's entry for the classes it meets, plus
+    kappa_q - 1 for each false class it meets with no neighbour class.
+    C(m_q, kappa_q) coalitions share each kappa, a share kappa_q / m_q
+    of them holding a given member of class q: T[k] and A[i, k] sum
+    those products over |kappa| = k.  Each partial sum is an integer
+    below 26 C(26, 13) < 2^53, so the float64 bincounts are exact."""
+    c = len(core)
+    closed = [row | 1 << b for b, row in enumerate(core)]
+    if len(set(core)) == c == len(set(closed)):
+        return None
+    # A false class is named by its members' row, a true class or a lone
+    # vertex by the closed row.
+    key = [(True, row) if core.count(row) > 1 else (False, closed[b])
+           for b, row in enumerate(core)]
+    classes = list(dict.fromkeys(key))
+    sizes = [key.count(name) for name in classes]
+    if len(classes) * math.prod(m + 1 for m in sizes) >= 1 << c:
+        return None
+    of = [classes.index(name) for name in key]
+    quotient = [
+        sum({1 << of[u] for u in range(c) if core[key.index(name)] >> u & 1}) & ~(1 << q)
+        for q, name in enumerate(classes)
+    ]
+    kappa = np.ix_(*(np.arange(m + 1) for m in sizes))
+    size = sum(kappa).ravel()
+    support = sum((k > 0) << q for q, k in enumerate(kappa))
+    counts = betti0_table(quotient)[support].astype(np.int64)
+    for (false, _), k, meets in zip(classes, kappa, quotient):
+        if false:
+            counts += ((support & meets) == 0) * np.maximum(k - 1, 0)
+    counts *= math.prod(np.array([math.comb(m, j) for j in range(m + 1)])[k]
+                        for m, k in zip(sizes, kappa))
+    sums = [np.bincount(size, (counts * k // m).ravel(), c + 1) for m, k in zip(sizes, kappa)]
+    totals = np.bincount(size, counts.ravel(), c + 1)
+    return np.array(sums, dtype=np.int64)[of], totals.astype(np.int64)
 
 
 def _smallest_last(neighbors: Sequence[Sequence[int]]) -> list[int]:

@@ -14,11 +14,12 @@ enough for a table.  Exact mode on a graph that is not chordal needs
 more: the component count of the induced subgraph on every subset S of
 vertices, all 2^n of them, and the sampled walk the same table for each
 small block.  ``betti0_table`` fills it from adjacency rows, with no
-complex built: exact mode's renumbered rows, and each block's own k-bit
-rows in ``blocks.split_pieces``.  (A chordal graph, forests included,
-takes the closed form of ``engine._chordal_scores`` and fills no
-table.)  The fill is a peeling recurrence instead of 2^n independent
-traversals: the count for S is one more than the count
+complex built: exact mode's renumbered rows or its core's twin-class
+rows, and each block's own k-bit rows in ``blocks.split_pieces``.  (A
+chordal graph, forests included, takes the closed form of
+``engine._chordal_scores`` and fills no table.)  The fill is a peeling
+recurrence instead of 2^n independent traversals: the count for S is
+one more than the count
 for S minus the component containing S's highest vertex, and that
 smaller subset was already solved.  Most subsets are settled by the highest vertex's own
 neighbours in S: with none, it is a component of its own; with exactly

@@ -476,6 +476,31 @@ def small_graphs(draw, max_n=7, min_n=1):
 
 
 @st.composite
+def twin_blowups(draw, max_n=12):
+    """A graph on 2-4 vertices with each vertex blown up into an
+    independent set or a clique of 1-4 vertices, every member joined to
+    every member of its neighbours' sets, and a tree of any size hung
+    from it, all on at most max_n vertices under a random relabeling:
+    false and true twin classes of every size up to 4, in cores whose
+    count vectors may be fewer or more than their subsets."""
+    base = draw(small_graphs(min_n=2, max_n=4))
+    groups, edges, blown = [], [], 0
+    for v in range(base.n):
+        # Room for one vertex of each set still to come.
+        size = draw(st.integers(1, min(4, max_n - blown - (base.n - 1 - v))))
+        group = range(blown, blown + size)
+        if draw(st.booleans()):
+            edges += itertools.combinations(group, 2)
+        groups.append(group)
+        blown += size
+    edges += [(a, b) for u, v in base.edges() for a in groups[u] for b in groups[v]]
+    n = draw(st.integers(blown, max_n))
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(blown, n)]
+    label = draw(st.permutations(range(n)))
+    return NeighborComplex.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+@st.composite
 def family_unions(draw, min_n=65):
     """A disjoint union of family graphs (cycles, wheels, complete
     bipartite graphs, ...) with at least ``min_n`` vertices in all, under

@@ -40,6 +40,7 @@ from topoinfluence import (
     betti0_table,
     build_complex,
     complete_bipartite_graph,
+    complete_bipartite_scores,
     complete_graph,
     complete_scores,
     compute_influence,
@@ -82,6 +83,7 @@ from oracles import (
     relabeled,
     small_graphs,
     split_and_serial,
+    twin_blowups,
     two_cliques_sharing_a_vertex,
     two_cycles_sharing_a_vertex,
     walk_totals,
@@ -267,6 +269,17 @@ class TestMarginalTallies:
     def test_multi_chunk_graphs_match_reference(self, name):
         g, table = multi_chunk_case(name)
         assert exact_shapley(g).shapley == tally_scores(table, g.n)
+
+    def test_k89_matches_reference_with_and_without_twin_classes(self, monkeypatch):
+        # K8,9 sums 2 (9 x 10) count vectors; refused them, it fills its
+        # 2^17 table and sums it over 8 chunks.
+        g, table = multi_chunk_case("K8,9")
+        sums = record_size_sums(monkeypatch)
+        assert exact_shapley(g).shapley == tally_scores(table, g.n)
+        assert sums == []
+        monkeypatch.setattr(engine, "_twin_sums", lambda core: None)
+        assert exact_shapley(g).shapley == tally_scores(table, g.n)
+        assert sums == [(1 << 17, 17)]
 
 
 @st.composite
@@ -526,6 +539,18 @@ def record_size_sums(monkeypatch) -> list[tuple[int, int]]:
     return calls
 
 
+def record_table_rows(monkeypatch) -> list[int]:
+    """The row count of every later ``engine.betti0_table`` call."""
+    calls = []
+
+    def recording(rows):
+        calls.append(len(rows))
+        return betti0_table(rows)
+
+    monkeypatch.setattr(engine, "betti0_table", recording)
+    return calls
+
+
 class TestSmallestLast:
     """The table route numbers the vertices smallest-last, and the scores
     it gives back under the original labels stay exact."""
@@ -595,19 +620,100 @@ class TestSmallestLast:
         assert sums == [(1 << 6, 6)]
         assert scores == tally_scores(reference_betti0_table(g), g.n)
 
-    @pytest.mark.parametrize("g, c", [
-        (wheel_graph(7), 7),
-        (complete_bipartite_graph(3, 3), 6),
-        (NeighborComplex.from_edges(8, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6)]), 1),
+    @pytest.mark.parametrize("g, c, classes", [
+        (wheel_graph(7), 7, None),
+        # Two false twin classes of 3: 2 (4 x 4) count vectors, not 2^6 subsets.
+        (complete_bipartite_graph(3, 3), 6, 2),
+        (NeighborComplex.from_edges(8, [(0, 1), (1, 2), (1, 3), (4, 5), (5, 6)]), 1, None),
         # A tree hung on core vertex 0 of K2,3: its root's one lower
         # neighbour is in the core.
         (relabeled(NeighborComplex.from_edges(
-            9, [*complete_bipartite_graph(2, 3).edges(), (0, 5), (5, 6), (5, 7)]), 3), 5),
-    ], ids=["wheel7", "K3,3", "forest8", "K2,3+tree"])
-    def test_scores_from_the_core_sums_and_the_trees(self, monkeypatch, g, c):
-        sums = record_size_sums(monkeypatch)
+            9, [*complete_bipartite_graph(2, 3).edges(), (0, 5), (5, 6), (5, 7)]), 3), 5, 2),
+        # The same tree on a 5-cycle, a core with no twins.
+        (relabeled(NeighborComplex.from_edges(
+            9, [*cycle_graph(5).edges(), (0, 5), (5, 6), (5, 7), (6, 8)]), 3), 5, None),
+    ], ids=["wheel7", "K3,3", "forest8", "K2,3+tree", "C5+tree"])
+    def test_scores_from_the_core_sums_and_the_trees(self, monkeypatch, g, c, classes):
+        # A core with twins sums its classes' count vectors over a table of
+        # one row per class; any other fills the 2^n table and sums its
+        # first 2^c entries.
+        sums, tables = record_size_sums(monkeypatch), record_table_rows(monkeypatch)
         assert table_scores(g) == tally_scores(reference_betti0_table(g), g.n)
-        assert sums == [(1 << c, c)]
+        if classes is None:
+            assert (tables, sums) == ([g.n], [(1 << c, c)])
+        else:
+            assert (tables, sums) == ([classes], [])
+
+
+def twin_classes(g: NeighborComplex) -> list[list[int]]:
+    """The vertices of g grouped by neighbour row, and again by row with
+    the vertex itself, where a group has two or more members."""
+    classes: dict[tuple[bool, int], list[int]] = {}
+    for v, row in enumerate(g.rows):
+        classes.setdefault((False, row), []).append(v)
+        classes.setdefault((True, row | 1 << v), []).append(v)
+    return [members for members in classes.values() if len(members) > 1]
+
+
+class TestTwinClasses:
+    """A core with twins, whose count vectors are fewer than its subsets,
+    is summed over those vectors with the table's size sums and scores;
+    twins, which an automorphism swaps, score alike."""
+
+    @given(twin_blowups())
+    @settings(max_examples=60, deadline=None)
+    def test_count_sums_equal_the_table_sums(self, g):
+        counted = []
+        twin_sums = engine._twin_sums
+
+        def recording(core):
+            result = twin_sums(core)
+            if result is not None:
+                counted.append((core, result))
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_twin_sums", recording)
+            table_scores(g)
+        for core, (sums, totals) in counted:
+            want_sums, want_totals = homology._size_sums(betti0_table(core), len(core))
+            assert sums.dtype == totals.dtype == np.int64
+            assert sums.tobytes() == want_sums.tobytes()
+            assert totals.tobytes() == want_totals.tobytes()
+
+    @given(twin_blowups())
+    @settings(max_examples=60, deadline=None)
+    def test_scores_match_reference_and_twins_score_alike(self, g):
+        scores = table_scores(g)
+        assert scores == tally_scores(reference_betti0_table(g), g.n)
+        for members in twin_classes(g):
+            assert len({scores[v] for v in members}) == 1
+
+    @pytest.mark.parametrize("g, classes, want", [
+        (complete_bipartite_graph(8, 11), 2, complete_bipartite_scores(8, 11)),
+        # K4 on one corner of a 4-cycle: a true class of 4, a false class of
+        # 2 (the corner's cycle neighbours) and the far corner, 3 (5 x 3 x 2)
+        # vectors against 2^7 subsets.
+        (NeighborComplex.from_edges(7, [
+            *complete_graph(4).edges(), *((v, w) for v in range(4) for w in (4, 6)),
+            (4, 5), (5, 6),
+        ]), 3, None),
+        # C4's two false classes of 2: 2 (3 x 3) vectors, not fewer than 2^4.
+        (cycle_graph(4), None, cycle_scores(4)),
+    ], ids=["K8,11", "C4+K4", "C4"])
+    def test_count_vectors_only_when_fewer_than_the_subsets(self, monkeypatch, g, classes, want):
+        tables = record_table_rows(monkeypatch)
+        scores = exact_shapley(g).shapley
+        assert tables == [g.n if classes is None else classes]
+        assert scores == (want or tally_scores(reference_betti0_table(g), g.n))
+
+    def test_past_cap_warning_comes_only_with_the_2n_table(self):
+        # K10,11 fills no 2^21 table, so it does not warn; cycle(21) still
+        # does, as TestForests checks.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = exact_shapley(complete_bipartite_graph(10, 11), cap=21)
+        assert res.shapley == complete_bipartite_scores(10, 11)
 
 
 def draw_clique(data, g: NeighborComplex, size: int) -> list[int]:
